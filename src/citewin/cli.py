@@ -12,30 +12,21 @@ import json
 import logging
 import math
 import sys
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Mapping, Sequence
 
 from . import __version__
-from .corpus import Corpus
+from .analysis import AnalysisRun, run_analysis
 from .errors import AnalysisError, CitewinError, MissingInputError
-from .impact import MedianTable, compute_median_table
-from .ingest import RepresentativityReport, load_corpus, representativity_filter
+from .ingest import load_corpus
 from .npc import NpcCombinedResult, UdaGroups, max_rank_shift, npc_fisher_combine, top_partition
-from .productivity import (
-    compute_baselines,
-    compute_cells,
-    sds_scores,
-    uda_scores,
-)
 from .sensitivity import (
-    Ranking,
     no_change_and_small_shift_pcts,
     quartile_classes,
     quartile_shift_stats,
     rank_shifts,
-    rank_universities,
+    round_half_up,
     shift_descriptives,
     spearman_rho,
     stability_summary,
@@ -95,89 +86,6 @@ class RunManifest:
         )
 
 
-@dataclass
-class AnalysisRun:
-    """Rankings for every requested (level, scope, year), plus provenance."""
-
-    corpus: Corpus
-    report: RepresentativityReport
-    median_tables: dict[int, MedianTable] = field(default_factory=dict)
-    rankings: dict[tuple[str, str, int], Ranking] = field(default_factory=dict)
-
-    def scopes(self, level: str) -> list[str]:
-        return sorted({s for (lvl, s, _y) in self.rankings if lvl == level})
-
-    def years_of(self, level: str, scope_id: str) -> list[int]:
-        return sorted(y for (lvl, s, y) in self.rankings if lvl == level and s == scope_id)
-
-    def ranking(self, level: str, scope_id: str, year: int) -> Ranking:
-        return self.rankings[(level, scope_id, year)]
-
-
-def run_analysis(
-    corpus: Corpus,
-    pub_period: tuple[int, int],
-    years: Sequence[int],
-    threshold: float,
-    baseline: str,
-    levels: Sequence[str] = ("uda", "sds"),
-    workers: int = 1,
-) -> AnalysisRun:
-    """Full pipeline (filter, medians, impact, strength, productivity, rank)."""
-    _check_years_available(corpus, years)
-    report = representativity_filter(corpus, pub_period, threshold)
-    retained = report.retained_sds()
-    if not retained:
-        raise AnalysisError(
-            f"no SDS passes the representativity filter at threshold {threshold}"
-        )
-    run = AnalysisRun(corpus=corpus, report=report)
-
-    def one_year(year: int):
-        table = compute_median_table(corpus, year)
-        cells = compute_cells(corpus, retained, pub_period, year, table)
-        baselines = compute_baselines(cells, baseline)
-        rankings: dict[tuple[str, str, int], Ranking] = {}
-        if "sds" in levels:
-            for sds in sorted(retained):
-                scores = sds_scores(cells, sds)
-                if scores:
-                    rankings[("sds", sds, year)] = rank_universities(scores, "sds", sds, year)
-        if "uda" in levels:
-            for uda in corpus.taxonomy.uda_ids:
-                per_univ = uda_scores(corpus, cells, baselines, uda)
-                if per_univ:
-                    scores = {u: up.value for u, up in per_univ.items()}
-                    rankings[("uda", uda, year)] = rank_universities(scores, "uda", uda, year)
-        return year, table, rankings
-
-    ordered_years = sorted(set(years))
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(one_year, ordered_years))
-    else:
-        results = [one_year(y) for y in ordered_years]
-    for year, table, rankings in results:
-        run.median_tables[year] = table
-        run.rankings.update(rankings)
-    return run
-
-
-def _check_years_available(corpus: Corpus, years: Sequence[int]) -> None:
-    if not corpus.publications:
-        raise AnalysisError("corpus has no publications")
-    available: set[int] | None = None
-    for pub in corpus.publications.values():
-        have = set(pub.citation_counts)
-        available = have if available is None else (available & have)
-    missing = sorted(set(years) - (available or set()))
-    if missing:
-        raise AnalysisError(
-            f"observation year(s) {missing} not covered by every publication; "
-            f"years available for all publications: {sorted(available or set())}"
-        )
-
-
 # ---------------------------------------------------------------------------
 # commands
 
@@ -213,10 +121,7 @@ def cmd_rankings(
     """Write rankings.csv for one observation year at one level."""
     corpus = load_corpus(directory)
     run = run_analysis(corpus, pub_period, [obs_year], threshold, baseline, levels=(level,))
-    out = _prepare_out(out_dir)
-    _write_rankings_csv(out / "rankings.csv", run)
-    _write_csv(out / "representativity.csv", run.report.csv_rows())
-    _write_medians_csv(out / "medians.csv", run.median_tables)
+    out, outputs = _write_tables(out_dir, _analysis_tables(run))
     RunManifest(
         command="rankings",
         input_dir=str(directory),
@@ -225,7 +130,7 @@ def cmd_rankings(
         threshold=threshold,
         baseline=baseline,
         level=level,
-        outputs=("rankings.csv", "representativity.csv", "medians.csv"),
+        outputs=outputs,
     ).write(out)
     return out
 
@@ -248,18 +153,16 @@ def cmd_sensitivity(
         raise AnalysisError("sensitivity analysis needs at least two observation years")
     corpus = load_corpus(directory)
     run = run_analysis(corpus, pub_period, years, threshold, baseline, workers=workers)
-    out = _prepare_out(out_dir)
-
-    comparison_years = [y for y in years if y != benchmark_year]
-    _write_csv(out / "shift_descriptives.csv", _shift_descriptives_rows(run, comparison_years, benchmark_year))
-    _write_csv(out / "stability_summary.csv", _stability_rows(run, benchmark_year))
-    _write_csv(out / "spearman.csv", _spearman_rows(run, comparison_years, benchmark_year))
-    _write_csv(out / "small_shift_pcts.csv", _small_shift_rows(run, comparison_years, benchmark_year))
-    _write_csv(out / "quartile_stats.csv", _quartile_rows(run, comparison_years, benchmark_year))
-    _write_csv(out / "rank_ranges.csv", _rank_range_rows(run))
-    _write_rankings_csv(out / "rankings.csv", run)
-    _write_csv(out / "representativity.csv", run.report.csv_rows())
-    _write_medians_csv(out / "medians.csv", run.median_tables)
+    comparison = [y for y in years if y != benchmark_year]
+    out, outputs = _write_tables(out_dir, {
+        "shift_descriptives.csv": _shift_descriptives_rows(run, comparison, benchmark_year),
+        "stability_summary.csv": _stability_rows(run, benchmark_year),
+        "spearman.csv": _spearman_rows(run, comparison, benchmark_year),
+        "small_shift_pcts.csv": _small_shift_rows(run, comparison, benchmark_year),
+        "quartile_stats.csv": _quartile_rows(run, comparison, benchmark_year),
+        "rank_ranges.csv": _rank_range_rows(run),
+        **_analysis_tables(run),
+    })
     RunManifest(
         command="sensitivity",
         input_dir=str(directory),
@@ -268,17 +171,7 @@ def cmd_sensitivity(
         threshold=threshold,
         baseline=baseline,
         benchmark_year=benchmark_year,
-        outputs=(
-            "shift_descriptives.csv",
-            "stability_summary.csv",
-            "spearman.csv",
-            "small_shift_pcts.csv",
-            "quartile_stats.csv",
-            "rank_ranges.csv",
-            "rankings.csv",
-            "representativity.csv",
-            "medians.csv",
-        ),
+        outputs=outputs,
     ).write(out)
     return out
 
@@ -325,9 +218,10 @@ def cmd_npc(
         )
     result = npc_fisher_combine(groups, n_perm=n_perm, seed=seed, workers=workers)
 
-    out = _prepare_out(out_dir)
-    _write_csv(out / "npc_results.csv", _npc_rows(result, seed))
-    _write_csv(out / "representativity.csv", run.report.csv_rows())
+    out, outputs = _write_tables(out_dir, {
+        "npc_results.csv": _npc_rows(result, seed),
+        "representativity.csv": run.report.csv_rows(),
+    })
     RunManifest(
         command="npc",
         input_dir=str(directory),
@@ -339,7 +233,7 @@ def cmd_npc(
         top_percentile=top_percentile,
         n_perm=n_perm,
         seed=seed,
-        outputs=("npc_results.csv", "representativity.csv"),
+        outputs=outputs,
     ).write(out)
     return out
 
@@ -353,39 +247,32 @@ def cmd_synth(config_path: str, out_dir: str, seed: int | None = None) -> Path:
 # table writers
 
 
-def _prepare_out(out_dir: str | Path) -> Path:
+def _write_tables(
+    out_dir: str | Path, tables: Mapping[str, Sequence[Sequence[str]]]
+) -> tuple[Path, tuple[str, ...]]:
+    """Write each named table as a CSV file under out_dir; returns (dir, names)."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    return out
-
-
-def _write_csv(path: Path, rows: Sequence[Sequence[str]]) -> None:
-    path.write_text("\n".join(",".join(row) for row in rows) + "\n", encoding="utf-8")
+    for name, rows in tables.items():
+        (out / name).write_text("\n".join(",".join(row) for row in rows) + "\n", encoding="utf-8")
+    return out, tuple(tables)
 
 
 def _fmt(x: float | None, decimals: int = 6) -> str:
     return "NA" if x is None else f"{x:.{decimals}f}"
 
 
-def _pct(fraction: float) -> str:
-    return str(int(math.floor(100.0 * fraction + 0.5)))
-
-
-def _write_rankings_csv(path: Path, run: AnalysisRun) -> None:
-    rows = [["scope_level", "scope_id", "obs_year", "university_id", "score", "rank"]]
+def _analysis_tables(run: AnalysisRun) -> dict[str, list[list[str]]]:
+    """rankings.csv, representativity.csv and medians.csv of an analysis run."""
+    rankings = [["scope_level", "scope_id", "obs_year", "university_id", "score", "rank"]]
     for (level, scope, year) in sorted(run.rankings):
-        for entry in run.rankings[(level, scope, year)].entries:
-            rows.append(
-                [level, scope, str(year), entry.university_id, _fmt(entry.score), str(entry.rank)]
-            )
-    _write_csv(path, rows)
-
-
-def _write_medians_csv(path: Path, tables: Mapping[int, MedianTable]) -> None:
-    rows = [["pub_year", "category_id", "obs_year", "median"]]
-    for year in sorted(tables):
-        rows.extend(tables[year].csv_rows()[1:])
-    _write_csv(path, rows)
+        for e in run.rankings[(level, scope, year)].entries:
+            rankings.append([level, scope, str(year), e.university_id, _fmt(e.score), str(e.rank)])
+    medians = [["pub_year", "category_id", "obs_year", "median"]]
+    for year in sorted(run.median_tables):
+        medians.extend(run.median_tables[year].csv_rows()[1:])
+    return {"rankings.csv": rankings, "representativity.csv": run.report.csv_rows(),
+            "medians.csv": medians}
 
 
 def _each_scope(run: AnalysisRun):
@@ -412,18 +299,8 @@ def _shift_descriptives_rows(run, comparison_years, benchmark_year) -> list[list
 
 
 def _stability_rows(run, benchmark_year) -> list[list[str]]:
-    rows = [
-        [
-            "scope_level",
-            "scope_id",
-            "n_universities",
-            "pct_change",
-            "average",
-            "median",
-            "std_dev",
-            "max_ranking_variation",
-        ]
-    ]
+    rows = [["scope_level", "scope_id", "n_universities", "pct_change", "average", "median",
+             "std_dev", "max_ranking_variation"]]
     for level, scope in _each_scope(run):
         rankings = {y: run.ranking(level, scope, y) for y in run.years_of(level, scope)}
         summary = stability_summary(rankings, benchmark_year)
@@ -432,7 +309,7 @@ def _stability_rows(run, benchmark_year) -> list[list[str]]:
                 level,
                 scope,
                 str(summary.n_universities),
-                _pct(summary.pct_any_change),
+                str(round_half_up(100.0 * summary.pct_any_change)),
                 _fmt(summary.mean_shift_average),
                 _fmt(summary.mean_shift_median),
                 _fmt(summary.mean_shift_std_dev),
@@ -511,28 +388,17 @@ def _rank_range_rows(run) -> list[list[str]]:
 
 
 def _npc_rows(result: NpcCombinedResult, seed: int) -> list[list[str]]:
-    rows = [["uda_id", "observed_stat", "p_value", "direction", "n_perm", "seed"]]
-    for partial in result.partials:
-        rows.append(
-            [
-                partial.scope_id,
-                _fmt(partial.observed),
-                _fmt(partial.p_value, 3),
-                partial.direction,
-                str(partial.n_perm),
-                str(seed),
-            ]
-        )
-    rows.append(
-        [
-            "COMBINED",
-            _fmt(result.combined_statistic),
-            _fmt(result.combined_p, 3),
-            result.direction,
-            str(result.n_perm),
-            str(seed),
-        ]
-    )
+    """One row per discipline plus COMBINED; p_mc_se is the Monte Carlo
+    standard error sqrt(p(1-p)/B) of p, 0 for an enumerated p."""
+    rows = [["uda_id", "observed_stat", "p_value", "p_mc_se", "direction", "n_perm", "seed"]]
+    tests = [(t.scope_id, t.observed, t.p_value, t.direction, t.n_perm, t.exhaustive)
+             for t in result.partials]
+    tests.append(("COMBINED", result.combined_statistic, result.combined_p, result.direction,
+                  result.n_perm, result.exhaustive))
+    for name, observed, p, direction, n_perm, exhaustive in tests:
+        se = 0.0 if exhaustive else math.sqrt(p * (1.0 - p) / n_perm)
+        rows.append([name, _fmt(observed), format(p, ".6g"), format(se, ".6g"), direction,
+                     str(n_perm), str(seed)])
     return rows
 
 

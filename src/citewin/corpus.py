@@ -99,9 +99,6 @@ class Corpus:
     def cell_pubs(self, university_id: str, sds_id: str) -> tuple[str, ...]:
         return self.pubs_by_cell.get((university_id, sds_id), ())
 
-    def universities_in_sds(self, sds_id: str) -> tuple[str, ...]:
-        return tuple(sorted({u for (u, s) in self.researchers_by_cell if s == sds_id}))
-
 
 def validate_publication(pub: PublicationRecord) -> None:
     """Check the per-record invariants of a publication.

@@ -5,6 +5,9 @@ count divided by the median count of cited publications from the same
 publication year and subject category; multi-category publications take
 the weighted average of the per-category ratios. Uncited publications
 score 0 and are excluded from every median.
+
+These functions are the written definition, one year at a time;
+analysis.run_analysis computes every year at once and matches them bit for bit.
 """
 
 from __future__ import annotations

@@ -167,10 +167,10 @@ def _parse_id(path: Path, line: int, field: str, value: str) -> str:
 
 
 def _parse_int(path: Path, line: int, field: str, value: str) -> int:
-    try:
-        return int(value)
-    except ValueError:
-        raise ParseError(path, line, f"{field} {value!r} is not an integer") from None
+    # the grammar is -?[0-9]+; int() alone also takes "+5", " 5", "1_000" and non-ASCII digits
+    if not (value.isascii() and (value.isdigit() or value[:1] == "-" and value[1:].isdigit())):
+        raise ParseError(path, line, f"{field} {value!r} is not an integer")
+    return int(value)
 
 
 def _read_fields(path: Path) -> FieldTaxonomy:

@@ -7,13 +7,16 @@ scores of the cell's publications (SS), divided by the cell's staff count
 baseline of its SDS and weights it by the cell's share of the
 university's discipline staff, so a university performing exactly at the
 national level in every field scores 1.
+
+These functions are the written definition, one cell and year at a time;
+analysis.run_analysis computes every year at once and matches them bit for bit.
 """
 
 from __future__ import annotations
 
 import logging
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 from .corpus import Corpus
 from .errors import AnalysisError
@@ -116,9 +119,13 @@ def national_baseline(
         if cell.sds_id != sds_id or cell.obs_year != obs_year:
             raise ValueError("baseline cells must share sds_id and obs_year")
     if rule == "aggregate":
-        p_bar = sum(c.ss for c in cells) / sum(c.rs for c in cells)
+        terms, denominator = [c.ss for c in cells], sum(c.rs for c in cells)
     else:
-        p_bar = sum(c.p for c in cells) / len(cells)
+        terms, denominator = [c.p for c in cells], len(cells)
+    total = 0.0
+    for term in terms:  # a plain left fold: sum() compensates from Python 3.12 on
+        total += term
+    p_bar = total / denominator
     return NationalBaseline(sds_id=sds_id, obs_year=obs_year, p_bar=p_bar)
 
 
@@ -175,60 +182,3 @@ def uda_productivity(
         rs=rs_total,
         contributions=tuple(contributions),
     )
-
-
-# ---------------------------------------------------------------------------
-# batch helpers over a whole corpus
-
-
-def compute_cells(
-    corpus: Corpus,
-    retained_sds: Iterable[str],
-    pub_period: tuple[int, int],
-    obs_year: int,
-    median_table: MedianTable,
-) -> dict[tuple[str, str], ProductivityCell]:
-    """All (university, SDS) productivity cells for the retained SDSs."""
-    cells: dict[tuple[str, str], ProductivityCell] = {}
-    for sds_id in sorted(retained_sds):
-        for univ in corpus.universities_in_sds(sds_id):
-            rs = corpus.cell_staff_count(univ, sds_id)
-            ss = scientific_strength(corpus, univ, sds_id, pub_period, obs_year, median_table)
-            cells[(univ, sds_id)] = sds_productivity(univ, sds_id, obs_year, ss, rs)
-    return cells
-
-
-def compute_baselines(
-    cells: Mapping[tuple[str, str], ProductivityCell], rule: str = "aggregate"
-) -> dict[str, NationalBaseline]:
-    by_sds: dict[str, list[ProductivityCell]] = {}
-    for cell in cells.values():
-        by_sds.setdefault(cell.sds_id, []).append(cell)
-    return {sds: national_baseline(group, rule) for sds, group in sorted(by_sds.items())}
-
-
-def sds_scores(
-    cells: Mapping[tuple[str, str], ProductivityCell], sds_id: str
-) -> dict[str, float]:
-    """university -> p for one SDS."""
-    return {
-        univ: cell.p for (univ, sds), cell in sorted(cells.items()) if sds == sds_id
-    }
-
-
-def uda_scores(
-    corpus: Corpus,
-    cells: Mapping[tuple[str, str], ProductivityCell],
-    baselines: Mapping[str, NationalBaseline],
-    uda_id: str,
-) -> dict[str, UdaProductivity]:
-    """university -> discipline productivity for one UDA."""
-    member_sds = set(corpus.taxonomy.sds_in_uda(uda_id))
-    by_univ: dict[str, list[ProductivityCell]] = {}
-    for (univ, sds), cell in sorted(cells.items()):
-        if sds in member_sds:
-            by_univ.setdefault(univ, []).append(cell)
-    return {
-        univ: uda_productivity(univ, uda_id, group, baselines)
-        for univ, group in sorted(by_univ.items())
-    }

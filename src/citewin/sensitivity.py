@@ -188,9 +188,8 @@ def stability_summary(
         for univ, (_signed, absolute) in rank_shifts(rankings[year], benchmark).items():
             shifts_by_univ[univ].append(absolute)
 
-    ranks_by_univ = {
-        u: [rankings[y].display_ranks()[u] for y in years] for u in universities
-    }
+    ranks = [rankings[y].display_ranks() for y in years]
+    ranks_by_univ = {u: [r[u] for r in ranks] for u in universities}
     changed = sum(1 for u in universities if len(set(ranks_by_univ[u])) > 1)
     mean_shifts = np.array([np.mean(shifts_by_univ[u]) for u in universities])
     return StabilitySummary(
@@ -211,7 +210,7 @@ def no_change_and_small_shift_pcts(ranking: Ranking, benchmark: Ranking) -> tupl
     n = len(shifts)
     no_change = sum(1 for s in shifts if s == 0)
     small = sum(1 for s in shifts if s <= 3)
-    return _round_half_up(100.0 * no_change / n), _round_half_up(100.0 * small / n)
+    return round_half_up(100.0 * no_change / n), round_half_up(100.0 * small / n)
 
 
 @dataclass(frozen=True)
@@ -279,5 +278,6 @@ def _require_same_universities(a: Ranking, b: Ranking) -> None:
         )
 
 
-def _round_half_up(x: float) -> int:
+def round_half_up(x: float) -> int:
+    """Nearest integer, halves rounded up (so 12.5 -> 13, unlike round())."""
     return int(math.floor(x + 0.5))

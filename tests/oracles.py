@@ -82,3 +82,51 @@ def moment_stats(xs: Sequence[float]) -> dict:
         out["skewness"] = float(m3) / float(m2) ** 1.5
         out["kurtosis"] = float(m4) / float(m2) ** 2 - 3.0
     return out
+
+
+# ---------------------------------------------------------------------------
+# the per-year analysis walk, built from the package's scalar definitions
+# (impact.py, productivity.py): the reference the columnar core is checked
+# against
+
+
+def compute_cells(corpus, retained_sds, pub_period, obs_year, median_table):
+    """All (university, SDS) productivity cells of the retained SDSs, SDS by SDS."""
+    from citewin.productivity import scientific_strength, sds_productivity
+
+    cells = {}
+    for sds_id in sorted(retained_sds):
+        for univ in sorted({u for (u, s) in corpus.researchers_by_cell if s == sds_id}):
+            rs = corpus.cell_staff_count(univ, sds_id)
+            ss = scientific_strength(corpus, univ, sds_id, pub_period, obs_year, median_table)
+            cells[(univ, sds_id)] = sds_productivity(univ, sds_id, obs_year, ss, rs)
+    return cells
+
+
+def compute_baselines(cells, rule="aggregate"):
+    from citewin.productivity import national_baseline
+
+    by_sds = {}
+    for cell in cells.values():
+        by_sds.setdefault(cell.sds_id, []).append(cell)
+    return {sds: national_baseline(group, rule) for sds, group in sorted(by_sds.items())}
+
+
+def sds_scores(cells, sds_id):
+    """university -> p for one SDS."""
+    return {univ: cell.p for (univ, sds), cell in sorted(cells.items()) if sds == sds_id}
+
+
+def uda_scores(corpus, cells, baselines, uda_id):
+    """university -> UdaProductivity for one discipline."""
+    from citewin.productivity import uda_productivity
+
+    member_sds = set(corpus.taxonomy.sds_in_uda(uda_id))
+    by_univ = {}
+    for (univ, sds), cell in sorted(cells.items()):
+        if sds in member_sds:
+            by_univ.setdefault(univ, []).append(cell)
+    return {
+        univ: uda_productivity(univ, uda_id, group, baselines)
+        for univ, group in sorted(by_univ.items())
+    }

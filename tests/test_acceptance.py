@@ -16,14 +16,7 @@ from citewin.cli import cmd_npc, cmd_sensitivity, run_analysis
 from citewin.impact import MedianTable, article_impact_index, compute_median_table
 from citewin.ingest import load_corpus
 from citewin.npc import UdaGroups, npc_fisher_combine, two_sample_perm_test
-from citewin.productivity import (
-    NationalBaseline,
-    ProductivityCell,
-    compute_baselines,
-    compute_cells,
-    uda_productivity,
-    uda_scores,
-)
+from citewin.productivity import NationalBaseline, ProductivityCell, uda_productivity
 from citewin.corpus import PublicationRecord
 from citewin.sensitivity import (
     quartile_classes,
@@ -44,7 +37,13 @@ from conftest import (
     scale_citations,
     stability_config,
 )
-from oracles import perm_test_exhaustive, spearman_brute
+from oracles import (
+    compute_baselines,
+    compute_cells,
+    perm_test_exhaustive,
+    spearman_brute,
+    uda_scores,
+)
 
 PERIOD = (2001, 2003)
 YEARS = (2004, 2005, 2006, 2007, 2008)

@@ -4,8 +4,12 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 
-from citewin.cli import main
+import pytest
+
+from citewin.cli import _npc_rows, main
+from citewin.npc import NpcCombinedResult, PermTestResult
 
 from conftest import (
     GOLDEN_TOTAL_P,
@@ -54,6 +58,20 @@ def test_validate_reports_bad_data_with_location(tmp_path, capsys):
     assert run("validate", root) == 1
     err = capsys.readouterr().err
     assert "citations.csv" in err and "decrease" in err
+
+
+def test_validate_rejects_non_strict_integer_without_traceback(tmp_path, capsys):
+    root = write_corpus_dir(
+        tmp_path / "bad",
+        publications=[("P1", 2001, "K1")],
+        citations=[("P1", 2004, 5), ("P1", 2005, "1_000")],
+        authorship=[("P1", "R1")],
+        researchers=[("R1", "U1", "S1")],
+        fields=[("S1", "UA")],
+    )
+    assert run("validate", root) == 1
+    err = capsys.readouterr().err
+    assert "citations.csv:3:" in err and "Traceback" not in err
 
 
 def test_validate_missing_dir_is_usage_error(tmp_path, capsys):
@@ -235,6 +253,24 @@ def test_npc_outputs_and_percentile_validation(tmp_path, capsys):
 
     assert run("npc", root, "--out", tmp_path / "npc2", "--top-percentile", "100") == 2
     assert "percentile" in capsys.readouterr().err
+
+
+def test_npc_smallest_attainable_p_prints_non_zero():
+    b = 1_000_000
+    smallest = 1 / (b + 1)
+    partials = tuple(
+        PermTestResult(uda, -1.5, smallest, "<", b, 42, exhaustive=False) for uda in ("UA", "UB")
+    )
+    result = NpcCombinedResult(partials, 30.0, smallest, "<", b, 42, exhaustive=False)
+    header, *rows = _npc_rows(result, 42)
+    assert header[2:4] == ["p_value", "p_mc_se"]
+    for row in rows:
+        assert 0.0 < float(row[2]) == pytest.approx(smallest, rel=1e-5)
+        assert float(row[3]) == pytest.approx(math.sqrt(smallest * (1 - smallest) / b), rel=1e-5)
+    enumerated = PermTestResult("UA", 0.5, 0.25, ">", 4, None, exhaustive=True)
+    combined = NpcCombinedResult((enumerated,), 2.7, 0.25, ">", 4, None, exhaustive=True)
+    (_header, row, _combined_row) = _npc_rows(combined, 1)
+    assert row[2:4] == ["0.25", "0"]
 
 
 def test_npc_byte_identical_across_runs_and_workers(tmp_path):

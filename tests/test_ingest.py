@@ -68,6 +68,30 @@ def test_decreasing_citations_is_monotonicity_error(tmp_path):
     assert "citations.csv" in str(err.value)
 
 
+@pytest.mark.parametrize(
+    "text",
+    ["1_000", " 5", "5 ", "+5", "\u0665", "\uff15", "5.0", "", "-"],
+    ids=["underscore", "leading-space", "trailing-space", "plus-sign", "arabic-indic-digit",
+         "fullwidth-digit", "decimal", "empty", "bare-minus"],
+)
+def test_count_outside_strict_integer_grammar_rejected(tmp_path, text):
+    path = small_fixture(tmp_path, citations=[("P1", 2004, 2), ("P1", 2005, text)])
+    with pytest.raises(ParseError, match=r"citations\.csv:3: cum_citations .* is not an integer"):
+        load_corpus(path)
+
+
+def test_publication_year_outside_strict_integer_grammar_rejected(tmp_path):
+    path = small_fixture(tmp_path, publications=[("P1", 2001, "K1"), ("P2", "+2002", "K1")])
+    with pytest.raises(ParseError, match=r"publications\.csv:3: pub_year"):
+        load_corpus(path)
+
+
+def test_negative_count_reaches_its_own_message(tmp_path):
+    path = small_fixture(tmp_path, citations=[("P1", 2004, -3)])
+    with pytest.raises(ParseError, match=r"citations\.csv:2: negative citation count -3"):
+        load_corpus(path)
+
+
 def test_missing_files(tmp_path):
     with pytest.raises(MissingInputError):
         load_corpus(tmp_path / "nowhere")

@@ -16,16 +16,14 @@ from citewin.impact import compute_median_table
 from citewin.productivity import (
     NationalBaseline,
     ProductivityCell,
-    compute_baselines,
-    compute_cells,
     national_baseline,
     scientific_strength,
     sds_productivity,
     uda_productivity,
-    uda_scores,
 )
 
 from conftest import GOLDEN_SDS_ROWS, GOLDEN_TOTAL_P, make_random_corpus
+from oracles import compute_baselines, compute_cells, uda_scores
 
 TAX = FieldTaxonomy({"S1": "UA", "S2": "UA"})
 PERIOD = (2001, 2003)

@@ -8,7 +8,6 @@ import pytest
 from citewin.corpus import build_corpus
 from citewin.errors import AnalysisError
 from citewin.impact import compute_median_table
-from citewin.productivity import compute_baselines, compute_cells, uda_scores
 from citewin.sensitivity import (
     no_change_and_small_shift_pcts,
     quartile_classes,
@@ -21,7 +20,13 @@ from citewin.sensitivity import (
 )
 
 from conftest import make_random_corpus
-from oracles import moment_stats, spearman_brute
+from oracles import (
+    compute_baselines,
+    compute_cells,
+    moment_stats,
+    spearman_brute,
+    uda_scores,
+)
 
 
 def ranking_from_ranks(ranks: dict[str, int], **kw):
