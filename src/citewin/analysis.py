@@ -1,9 +1,9 @@
 """The analysis pipeline: one columnar pass over every observation year.
 
-The corpus is turned into arrays once: the citation matrix C[P, Y] of the
-publications (in pub_id order) at the requested years, the (publication,
-category, weight) entries, the deduplicated (cell, publication) incidence
-and the staff of each (university, SDS) cell. Medians, impact scores, cell
+The corpus columns give the citation matrix C[P, Y] of the publications
+(in pub_id order) at the requested years, the (publication, category,
+weight) entries, the deduplicated (cell, publication) incidence and the
+staff of each (university, SDS) cell. Medians, impact scores, cell
 strengths, baselines and discipline scores then come out for all years at
 once. Every sum is a np.bincount over entries in the order the scalar
 definitions in impact.py and productivity.py add them, so each score is
@@ -62,26 +62,30 @@ def run_analysis(
     is one single-threaded array pass.
     """
     years = sorted(set(years))
-    pubs = [corpus.publications[pid] for pid in sorted(corpus.publications)]
-    counts = _citation_matrix(pubs, years)
+    counts = _citation_matrix(corpus, years)
     report = representativity_filter(corpus, pub_period, threshold)
     retained = sorted(report.retained_sds())
     if not retained:
         raise AnalysisError(f"no SDS passes the representativity filter at threshold {threshold}")
     if baseline not in BASELINE_RULES:
         raise ValueError(f"unknown baseline rule {baseline!r}; expected one of {BASELINE_RULES}")
-    pub_year = np.array([pub.pub_year for pub in pubs])
-    impact, tables = _impact_matrix(pubs, pub_year, counts, years)
+    impact, tables = _impact_matrix(corpus, counts, years)
     run = AnalysisRun(corpus=corpus, report=report, median_tables=tables)
 
-    # cells in (SDS, university) order; (cell, publication) pairs in pub_id order
-    kept = set(retained)
-    cells = sorted((k for k in corpus.researchers_by_cell if k[1] in kept), key=lambda k: k[::-1])
-    row_of = {pub.pub_id: i for i, pub in enumerate(pubs)}
-    pairs = [(c, row_of[pid]) for c, key in enumerate(cells) for pid in corpus.cell_pubs(*key)]
-    inc = np.array(pairs, dtype=np.intp).reshape(-1, 2)
-    inc = inc[(pub_year[inc[:, 1]] >= pub_period[0]) & (pub_year[inc[:, 1]] <= pub_period[1])]
-    rs = np.array([corpus.cell_staff_count(u, s) for u, s in cells], dtype=float)
+    # staffed cells of the retained SDSs keyed sds * U + university, i.e. in
+    # (SDS, university) order; (cell, publication) pairs in pub_id order
+    sds_ids, univ = corpus.taxonomy.sds_ids, corpus.universities.tolist()
+    n_pubs = len(corpus.pub_ids)
+    cell_of = corpus.res_sds * len(univ) + corpus.res_univ
+    staff = np.bincount(cell_of, minlength=len(sds_ids) * len(univ))
+    kept = np.repeat(np.isin(sds_ids, retained), len(univ))
+    keys = np.flatnonzero(kept & (staff > 0))
+    cells = [(univ[k % len(univ)], sds_ids[k // len(univ)]) for k in keys.tolist()]
+    cell, pub = np.divmod(np.unique(cell_of[corpus.link_res] * n_pubs + corpus.link_pub), n_pubs)
+    py = corpus.pub_year[pub]
+    inc = np.stack([np.searchsorted(keys, cell), pub], axis=1)
+    inc = inc[kept[cell] & (py >= pub_period[0]) & (py <= pub_period[1])]
+    rs = staff[keys].astype(float)
     ss = _sum_rows(inc[:, 0], len(cells), impact[inc[:, 1]])
     p = ss / rs[:, None]
 
@@ -119,37 +123,29 @@ def run_analysis(
     return run
 
 
-def _citation_matrix(pubs: list, years: list[int]) -> np.ndarray:
+def _citation_matrix(corpus: Corpus, years: list[int]) -> np.ndarray:
     """C[P, Y]; fails naming the years every publication does cover."""
-    if not pubs:
+    if not len(corpus.pub_ids):
         raise AnalysisError("corpus has no publications")
-    try:
-        return np.array([[pub.citation_counts[y] for y in years] for pub in pubs], dtype=float)
-    except KeyError:
-        available = set.intersection(*(set(pub.citation_counts) for pub in pubs))
-        missing = sorted(set(years) - available)
+    available = corpus.obs_years[corpus.present.all(axis=0)].tolist()
+    missing = sorted(set(years) - set(available))
+    if missing:
         raise AnalysisError(
             f"observation year(s) {missing} not covered by every publication; "
-            f"years available for all publications: {sorted(available)}"
-        ) from None
+            f"years available for all publications: {available}"
+        )
+    return corpus.counts[:, np.searchsorted(corpus.obs_years, years)].astype(float)
 
 
 def _impact_matrix(
-    pubs: list, pub_year: np.ndarray, counts: np.ndarray, years: list[int]
+    corpus: Corpus, counts: np.ndarray, years: list[int]
 ) -> tuple[np.ndarray, dict[int, MedianTable]]:
     """I[P, Y] and each year's median table, from one sort of the cited entries."""
-    categories: dict[str, int] = {}
-    entry_pub, entry_cat, entry_weight = [], [], []
-    for i, pub in enumerate(pubs):
-        for cat, weight in pub.category_weights:
-            entry_pub.append(i)
-            entry_cat.append(categories.setdefault(cat, len(categories)))
-            entry_weight.append(weight)
-    entry_pub = np.array(entry_pub, dtype=np.intp)
-    pub_years, year_idx = np.unique(pub_year, return_inverse=True)
+    entry_pub, n_cats = corpus.entry_pub, len(corpus.categories)
+    pub_years, year_idx = np.unique(corpus.pub_year, return_inverse=True)
     n_years = len(years)
     # median cell (pub_year, category, obs_year) of every entry at every year
-    key = year_idx[entry_pub] * len(categories) + np.array(entry_cat, dtype=np.intp)
+    key = year_idx[entry_pub] * n_cats + corpus.entry_cat
     cell = key[:, None] * n_years + np.arange(n_years)
     entry_counts = counts[entry_pub]
     cited = entry_counts > 0
@@ -163,13 +159,13 @@ def _impact_matrix(
     cited_medians[order] = np.repeat(medians, ends - starts)
     ratio = np.zeros_like(entry_counts)
     ratio[cited] = cited_counts / cited_medians
-    impact = _sum_rows(entry_pub, len(pubs), np.array(entry_weight)[:, None] * ratio)
+    impact = _sum_rows(entry_pub, len(corpus.pub_ids), corpus.entry_weight[:, None] * ratio)
 
-    names = list(categories)
+    names = corpus.categories.tolist()
     tables: dict[int, dict[tuple[int, str], float]] = {y: {} for y in years}
     for key, median in zip(sorted_cells[starts].tolist(), medians.tolist()):
         rest, yi = divmod(key, n_years)
-        pyi, ci = divmod(rest, len(names))
+        pyi, ci = divmod(rest, n_cats)
         tables[years[yi]][(int(pub_years[pyi]), names[ci])] = median
     return impact, {y: MedianTable(y, t) for y, t in tables.items()}
 

@@ -101,9 +101,9 @@ def cmd_validate(directory: str) -> int:
         print(f"INVALID: {exc}", file=sys.stderr)
         return 1
     print(
-        f"OK: {len(corpus.publications)} publications, "
-        f"{len(corpus.researchers)} researchers, "
-        f"{len(corpus.authorships)} authorship links, "
+        f"OK: {len(corpus.pub_ids)} publications, "
+        f"{len(corpus.researcher_ids)} researchers, "
+        f"{len(corpus.link_pub)} authorship links, "
         f"{len(corpus.taxonomy.sds_ids)} SDSs in {len(corpus.taxonomy.uda_ids)} UDAs"
     )
     return 0

@@ -1,37 +1,38 @@
 """Flat-file corpus loading and the field representativity filter.
 
-The on-disk contract is a directory of five UTF-8 CSV files with header
-rows: publications.csv, citations.csv, authorship.csv, researchers.csv,
-fields.csv. Identifiers are restricted to [A-Za-z0-9_/-]+ so no quoting is
-ever needed.
+A corpus is a directory of the five UTF-8 CSV files of FILES, with header
+rows and no quoting. Each is read once: one regex checks the grammar of its
+whole body, which is then split into columns for the corpus.check_* functions.
 """
 
 from __future__ import annotations
 
-import csv
 import re
 from dataclasses import dataclass
 from pathlib import Path
+from typing import Callable
 
-from .corpus import (
-    AuthorshipLink,
-    Corpus,
-    FieldTaxonomy,
-    PublicationRecord,
-    ResearcherRecord,
-    build_corpus,
-)
+import numpy as np
+
+from .corpus import (Corpus, check_citations, check_links, check_publications, check_researchers,
+                     check_taxonomy)
 from .errors import MissingInputError, ParseError
 
-REQUIRED_FILES = (
-    "publications.csv",
-    "citations.csv",
-    "authorship.csv",
-    "researchers.csv",
-    "fields.csv",
-)
-
-_ID_RE = re.compile(r"^[A-Za-z0-9_/-]+$")
+_ID, _INT = r"[A-Za-z0-9_/-]+", r"-?[0-9]+"
+_WEIGHT = r"-?(?:[0-9]+(?:\.[0-9]*)?|\.[0-9]+)(?:[eE][-+]?[0-9]+)?"
+_KINDS = {"id": _ID, "int": _INT, "weight": _WEIGHT,
+          "categories": rf"{_ID}:{_WEIGHT}(?:;{_ID}:{_WEIGHT})*|{_ID}(?:;{_ID})*"}
+_FIELD = {kind: re.compile(pattern) for kind, pattern in _KINDS.items()}
+FILES = {
+    "publications.csv": (("pub_id", "id"), ("pub_year", "int"), ("categories", "categories")),
+    "citations.csv": (("pub_id", "id"), ("obs_year", "int"), ("cum_citations", "int")),
+    "authorship.csv": (("pub_id", "id"), ("researcher_id", "id")),
+    "researchers.csv": (("researcher_id", "id"), ("university_id", "id"), ("sds_id", "id")),
+    "fields.csv": (("sds_id", "id"), ("uda_id", "id")),
+}
+# rows and blank lines, possessive so a match ends in the first bad line: weighted categories first
+_BODY = {name: re.compile("(?:(?:{0})?+\n)*+(?:{0})?+".format(
+    ",".join(f"(?:{_KINDS[kind]})" for _c, kind in columns))) for name, columns in FILES.items()}
 
 
 @dataclass(frozen=True)
@@ -66,35 +67,29 @@ class RepresentativityReport:
 
 
 def load_corpus(directory: str | Path) -> Corpus:
-    """Parse and validate the five corpus files under `directory`.
+    """Parse and validate the five corpus files under `directory`, fields.csv first.
 
-    Raises MissingInputError when the directory or any required file is
-    absent, ParseError (with file and line) on malformed rows, and
-    IntegrityError on cross-file violations.
-    """
+    Raises MissingInputError when a file is absent, else the first offending row of a file:
+    IntegrityError when a researcher's SDS or an authorship row's publication or researcher
+    is not defined by an earlier file, ParseError otherwise."""
     root = Path(directory)
     if not root.is_dir():
         raise MissingInputError(f"corpus directory not found: {root}")
-    missing = [name for name in REQUIRED_FILES if not (root / name).is_file()]
+    missing = [name for name in FILES if not (root / name).is_file()]
     if missing:
         raise MissingInputError(f"missing corpus files in {root}: {', '.join(missing)}")
 
-    taxonomy = _read_fields(root / "fields.csv")
-    researchers = _read_researchers(root / "researchers.csv")
-    pubs = _read_publications(root / "publications.csv")
-    _attach_citations(root / "citations.csv", pubs)
-    links = _read_authorship(root / "authorship.csv")
-
-    records = [
-        PublicationRecord(pub_id=pid, pub_year=year, category_weights=cats, citation_counts=counts)
-        for pid, (year, cats, counts) in pubs.items()
-    ]
-    return build_corpus(records, researchers, links, taxonomy)
+    taxonomy = _checked(root, "fields.csv", lambda c, fail: check_taxonomy(*c, fail))
+    cols = _checked(root, "researchers.csv", lambda c, fail: check_researchers(taxonomy, *c, fail))
+    cols |= _checked(root, "publications.csv",
+                     lambda c, fail: check_publications(c[0], c[1], *_entries(c[2]), fail))
+    cols |= _checked(root, "citations.csv", lambda c, fail: check_citations(cols, *c, fail))
+    cols |= _checked(root, "authorship.csv", lambda c, fail: check_links(cols, *c, fail))
+    return Corpus(taxonomy=taxonomy, **cols)
 
 
-def representativity_filter(
-    corpus: Corpus, pub_period: tuple[int, int], threshold: float
-) -> RepresentativityReport:
+def representativity_filter(corpus: Corpus, pub_period: tuple[int, int],
+                            threshold: float) -> RepresentativityReport:
     """Flag which SDSs are representative enough to enter the evaluation.
 
     An SDS is retained iff the national fraction of its researchers with at
@@ -106,190 +101,91 @@ def representativity_filter(
     start, end = pub_period
     if start > end:
         raise ValueError(f"empty publication period {pub_period}")
-
-    staff_by_sds: dict[str, list[str]] = {s: [] for s in corpus.taxonomy.sds_ids}
-    for rid in sorted(corpus.researchers):
-        staff_by_sds[corpus.researchers[rid].sds_id].append(rid)
-
-    rows = []
-    for sds_id in corpus.taxonomy.sds_ids:
-        staff = staff_by_sds[sds_id]
-        if not staff:
-            rows.append(SdsCoverage(sds_id, 0, 0, None, retained=False, empty=True))
-            continue
-        publishing = sum(1 for rid in staff if _publishes_in(corpus, rid, start, end))
-        coverage = publishing / len(staff)
-        rows.append(
-            SdsCoverage(
-                sds_id,
-                len(staff),
-                publishing,
-                coverage,
-                retained=coverage >= threshold,
-                empty=False,
-            )
-        )
-    return RepresentativityReport(threshold=threshold, pub_period=(start, end), rows=tuple(rows))
+    sds_ids = corpus.taxonomy.sds_ids
+    in_period = (corpus.pub_year >= start) & (corpus.pub_year <= end)
+    publishing = np.unique(corpus.link_res[in_period[corpus.link_pub]])
+    staff = np.bincount(corpus.res_sds, minlength=len(sds_ids)).tolist()
+    active = np.bincount(corpus.res_sds[publishing], minlength=len(sds_ids)).tolist()
+    rows = tuple(SdsCoverage(sds_id, n, k, k / n, retained=k / n >= threshold, empty=False) if n
+                 else SdsCoverage(sds_id, 0, 0, None, retained=False, empty=True)
+                 for sds_id, n, k in zip(sds_ids, staff, active))
+    return RepresentativityReport(threshold=threshold, pub_period=(start, end), rows=rows)
 
 
-def _publishes_in(corpus: Corpus, researcher_id: str, start: int, end: int) -> bool:
-    for pid in corpus.pubs_by_researcher.get(researcher_id, ()):
-        if start <= corpus.publications[pid].pub_year <= end:
-            return True
-    return False
+def _checked(root: Path, name: str, check: Callable):
+    """`check(columns, fail)` over the rows of one file before the first one its grammar or
+    int64 rejects, then that row: an earlier offending row is still the one reported."""
+    path, columns = root / name, FILES[name]
+    text = path.read_text(encoding="utf-8", errors="replace")  # so the grammar rejects bad bytes
+    if not text:
+        raise ParseError(path, 1, "file is empty, expected a header row")
+    head, _, body = text.partition("\n")
+    header = [c for c, _k in columns]
+    if head.split(",") != header:
+        raise ParseError(path, 1, f"bad header {head.split(',')!r}, expected {header!r}")
+    error, end = None, _BODY[name].match(body).end()
+    if end < len(body):
+        start = body.rfind("\n", 0, end) + 1
+        bad = body[start:].partition("\n")[0]
+        error = ParseError(path, body.count("\n", 0, start) + 2, _grammar_error(bad, columns))
+        body = body[:start]
+    body, lines = body.rstrip("\n"), None
+    if "\n\n" in body or body.startswith("\n"):  # blank lines are skipped but counted
+        lines = np.flatnonzero([bool(row) for row in body.split("\n")]) + 2
+        body = "\n".join(filter(None, body.split("\n")))
+    flat = body.replace("\n", ",").split(",") if body else []
+    cols = [flat[i :: len(columns)] for i in range(len(columns))]
+    del text, body, flat
+
+    def line(row: int) -> int:
+        return row + 2 if lines is None else int(lines[row])
+
+    for i, (field, kind) in enumerate(columns):
+        if kind == "int":
+            if max(map(len, cols[i]), default=0) > 18:  # may fall outside int64
+                big = next((r for r, v in enumerate(cols[i]) if int(v) >> 63 not in (0, -1)), None)
+                if big is not None:
+                    error = ParseError(path, line(big), f"{field} {cols[i][big]!r} is outside "
+                                       "the 64-bit integer range")
+                    cols = [column[:big] for column in cols]
+            cols[i] = np.fromstring(",".join(cols[i]), dtype=np.int64, sep=",")
+
+    def fail(row: int, message: str, cls: type):
+        raise ParseError(path, line(row), message) if cls is ParseError else cls(
+            f"{path}:{line(row)}: {message}")
+
+    result = check(cols, fail)
+    if error is not None:
+        raise error
+    return result
 
 
-# ---------------------------------------------------------------------------
-# file readers
+def _grammar_error(text: str, columns: tuple[tuple[str, str], ...]) -> str:
+    """What is wrong with one line the body grammar rejects."""
+    values = text.split(",")
+    if len(values) != len(columns):
+        return f"expected {len(columns)} fields, got {len(values)}"
+    for value, (name, kind) in zip(values, columns):
+        if kind != "categories" and not _FIELD[kind].fullmatch(value):
+            problem = "is not an integer" if kind == "int" else f"does not match {_ID}"
+            return f"{name} {value!r} {problem}"
+        parts = [part.partition(":") for part in value.split(";")] if kind == "categories" else []
+        if parts and not value:
+            return "categories field is empty"
+        if 0 < sum(bool(colon) for _n, colon, _w in parts) < len(parts):
+            return f"mixed weighted/unweighted categories in {value!r}"
+        for cat, colon, weight in parts:
+            if colon and not _FIELD["weight"].fullmatch(weight):
+                return f"bad category weight {weight!r}"
+            if not _FIELD["id"].fullmatch(cat):
+                return f"category {cat!r} does not match {_ID}"
+    raise AssertionError(f"the grammar rejects {text!r} for no reason found")
 
 
-def _read_rows(path: Path, header: list[str]):
-    with open(path, encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
-        try:
-            first = next(reader)
-        except StopIteration:
-            raise ParseError(path, 1, "file is empty, expected a header row") from None
-        if first != header:
-            raise ParseError(path, 1, f"bad header {first!r}, expected {header!r}")
-        for row in reader:
-            if not row:
-                continue
-            if len(row) != len(header):
-                raise ParseError(path, reader.line_num, f"expected {len(header)} fields, got {len(row)}")
-            yield reader.line_num, row
-
-
-def _parse_id(path: Path, line: int, field: str, value: str) -> str:
-    if not _ID_RE.match(value):
-        raise ParseError(path, line, f"{field} {value!r} does not match [A-Za-z0-9_/-]+")
-    return value
-
-
-def _parse_int(path: Path, line: int, field: str, value: str) -> int:
-    # the grammar is -?[0-9]+; int() alone also takes "+5", " 5", "1_000" and non-ASCII digits
-    if not (value.isascii() and (value.isdigit() or value[:1] == "-" and value[1:].isdigit())):
-        raise ParseError(path, line, f"{field} {value!r} is not an integer")
-    return int(value)
-
-
-def _read_fields(path: Path) -> FieldTaxonomy:
-    mapping: dict[str, str] = {}
-    for line, (sds_id, uda_id) in _read_rows(path, ["sds_id", "uda_id"]):
-        sds_id = _parse_id(path, line, "sds_id", sds_id)
-        uda_id = _parse_id(path, line, "uda_id", uda_id)
-        if sds_id in mapping:
-            raise ParseError(path, line, f"duplicate sds_id {sds_id!r}")
-        mapping[sds_id] = uda_id
-    return FieldTaxonomy(sds_to_uda=mapping)
-
-
-def _read_researchers(path: Path) -> list[ResearcherRecord]:
-    out = []
-    seen: set[str] = set()
-    for line, (rid, univ, sds) in _read_rows(path, ["researcher_id", "university_id", "sds_id"]):
-        rid = _parse_id(path, line, "researcher_id", rid)
-        if rid in seen:
-            raise ParseError(path, line, f"duplicate researcher_id {rid!r}")
-        seen.add(rid)
-        out.append(
-            ResearcherRecord(
-                researcher_id=rid,
-                university_id=_parse_id(path, line, "university_id", univ),
-                sds_id=_parse_id(path, line, "sds_id", sds),
-            )
-        )
-    return out
-
-
-def _parse_categories(path: Path, line: int, spec: str) -> tuple[tuple[str, float], ...]:
-    """Parse "CAT;CAT2" (uniform weights) or "CAT:0.5;CAT2:0.5" (explicit).
-
-    Explicit and omitted weights cannot be mixed within one publication;
-    explicit weights must sum to 1 within 1e-9.
-    """
-    if not spec:
-        raise ParseError(path, line, "categories field is empty")
-    parts = spec.split(";")
-    explicit = [":" in p for p in parts]
-    if any(explicit) and not all(explicit):
-        raise ParseError(path, line, f"mixed weighted/unweighted categories in {spec!r}")
-    cats: list[tuple[str, float]] = []
-    seen: set[str] = set()
-    for part in parts:
-        if ":" in part:
-            name, _, raw = part.partition(":")
-            try:
-                weight = float(raw)
-            except ValueError:
-                raise ParseError(path, line, f"bad category weight {raw!r}") from None
-        else:
-            name, weight = part, 1.0 / len(parts)
-        name = _parse_id(path, line, "category", name)
-        if name in seen:
-            raise ParseError(path, line, f"category {name!r} listed twice")
-        seen.add(name)
-        if not (0.0 < weight <= 1.0):
-            raise ParseError(path, line, f"category weight {weight} outside (0, 1]")
-        cats.append((name, weight))
-    total = sum(w for _, w in cats)
-    if abs(total - 1.0) > 1e-9:
-        raise ParseError(path, line, f"category weights sum to {total}, expected 1")
-    return tuple(cats)
-
-
-def _read_publications(
-    path: Path,
-) -> dict[str, tuple[int, tuple[tuple[str, float], ...], dict[int, int]]]:
-    pubs: dict[str, tuple[int, tuple[tuple[str, float], ...], dict[int, int]]] = {}
-    for line, (pid, year, cats) in _read_rows(path, ["pub_id", "pub_year", "categories"]):
-        pid = _parse_id(path, line, "pub_id", pid)
-        if pid in pubs:
-            raise ParseError(path, line, f"duplicate pub_id {pid!r}")
-        pubs[pid] = (
-            _parse_int(path, line, "pub_year", year),
-            _parse_categories(path, line, cats),
-            {},
-        )
-    return pubs
-
-
-def _attach_citations(path: Path, pubs: dict) -> None:
-    for line, (pid, year, count) in _read_rows(path, ["pub_id", "obs_year", "cum_citations"]):
-        pid = _parse_id(path, line, "pub_id", pid)
-        if pid not in pubs:
-            raise ParseError(path, line, f"citation row references unknown pub_id {pid!r}")
-        obs_year = _parse_int(path, line, "obs_year", year)
-        n = _parse_int(path, line, "cum_citations", count)
-        if n < 0:
-            raise ParseError(path, line, f"negative citation count {n}")
-        pub_year, _, counts = pubs[pid]
-        if obs_year < pub_year:
-            raise ParseError(
-                path, line, f"obs_year {obs_year} precedes publication year {pub_year} of {pid!r}"
-            )
-        if obs_year in counts:
-            raise ParseError(path, line, f"duplicate citation row for ({pid!r}, {obs_year})")
-        # counts are cumulative; rows may arrive in any year order
-        for other_year, other in counts.items():
-            if (obs_year - other_year) * (n - other) < 0:
-                raise ParseError(
-                    path,
-                    line,
-                    f"cumulative citations of {pid!r} decrease between years "
-                    f"{min(other_year, obs_year)} and {max(other_year, obs_year)}",
-                )
-        counts[obs_year] = n
-
-
-def _read_authorship(path: Path) -> list[AuthorshipLink]:
-    out = []
-    seen: set[tuple[str, str]] = set()
-    for line, (pid, rid) in _read_rows(path, ["pub_id", "researcher_id"]):
-        pid = _parse_id(path, line, "pub_id", pid)
-        rid = _parse_id(path, line, "researcher_id", rid)
-        if (pid, rid) in seen:
-            raise ParseError(path, line, f"duplicate authorship pair ({pid!r}, {rid!r})")
-        seen.add((pid, rid))
-        out.append(AuthorshipLink(pub_id=pid, researcher_id=rid))
-    return out
+def _entries(specs: list[str]) -> tuple[np.ndarray, list[str], list[float]]:
+    """(row, category, weight) of every listed category; bare ones share weight 1 evenly."""
+    n_parts = [spec.count(";") + 1 for spec in specs]
+    rows = np.repeat(np.arange(len(specs)), n_parts)
+    parts = [part.partition(":") for part in ";".join(specs).split(";")] if specs else []
+    weights = [float(w) if w else 1.0 / n_parts[r] for (_n, _c, w), r in zip(parts, rows.tolist())]
+    return rows, [name for name, _c, _w in parts], weights

@@ -232,7 +232,7 @@ def quartile_classes(scores: Mapping[str, float]) -> QuartileAssignment:
     if len(scores) < 4:
         raise AnalysisError(f"quartile classes need at least 4 universities, got {len(scores)}")
     values = np.array([scores[u] for u in sorted(scores)])
-    q25, q50, q75 = (float(np.percentile(values, q, method="linear")) for q in (25, 50, 75))
+    q25, q50, q75 = np.percentile(values, (25, 50, 75), method="linear").tolist()
     classes = {
         u: 1 + (scores[u] > q25) + (scores[u] > q50) + (scores[u] > q75) for u in sorted(scores)
     }

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from itertools import accumulate
 from pathlib import Path
 from typing import Mapping, Sequence
 
@@ -160,14 +161,11 @@ def generate(config: SynthConfig, out_dir: str | Path, seed: int | None = None) 
                 if candidates and config.coauthor_rate > 0 and rng.random() < config.coauthor_rate:
                     co = researchers[candidates[int(rng.integers(len(candidates)))]][0]
                     authorship.append((pid, co))
-                cumulative = 0
-                increments = {}
-                for t in range(year, max_obs + 1):
-                    age = min(t - year, len(profile) - 1)
-                    increments[t] = int(rng.poisson(q * profile[age]))
-                for obs_year in sorted(config.observation_years):
-                    cumulative = sum(inc for t, inc in increments.items() if t <= obs_year)
-                    citation_rows.append((pid, obs_year, cumulative))
+                increments = [int(rng.poisson(q * profile[min(age, len(profile) - 1)]))
+                              for age in range(max_obs - year + 1)]
+                running = list(accumulate(increments))  # running[t - year]: citations by year t
+                for obs_year in sorted(config.observation_years):  # never before `year`
+                    citation_rows.append((pid, obs_year, running[obs_year - year]))
 
     _write_csv(out / "fields.csv", ["sds_id", "uda_id"], [[s, sds_uda[s]] for s in sds_list])
     _write_csv(

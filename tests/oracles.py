@@ -7,9 +7,12 @@ matters. Keep it slow and obvious.
 
 from __future__ import annotations
 
+import csv
 import math
+import re
 from fractions import Fraction
 from itertools import combinations
+from pathlib import Path
 from typing import Sequence
 
 
@@ -130,3 +133,191 @@ def uda_scores(corpus, cells, baselines, uda_id):
         univ: uda_productivity(univ, uda_id, group, baselines)
         for univ, group in sorted(by_univ.items())
     }
+
+
+# ---------------------------------------------------------------------------
+# the row-by-row corpus reader: csv.reader over each file, one row at a time,
+# the reference the columnar ingest is checked against. Within a row the
+# grammar of every field comes first, then the int64 range, then the values;
+# a reference to an earlier file is checked at the row that makes it.
+
+ID_RE = re.compile(r"[A-Za-z0-9_/-]+")
+INT_RE = re.compile(r"-?[0-9]+")
+WEIGHT_RE = re.compile(r"-?(?:[0-9]+(?:\.[0-9]*)?|\.[0-9]+)(?:[eE][-+]?[0-9]+)?")
+
+
+def read_corpus_rows(directory):
+    """(publications by id, researchers, authorship links, taxonomy) of a corpus directory."""
+    from citewin.corpus import FieldTaxonomy, PublicationRecord
+
+    root = Path(directory)
+    taxonomy = FieldTaxonomy(sds_to_uda=_read_fields(root / "fields.csv"))
+    researchers = _read_researchers(root / "researchers.csv", taxonomy)
+    pubs = _read_publications(root / "publications.csv")
+    _attach_citations(root / "citations.csv", pubs)
+    links = _read_authorship(root / "authorship.csv", pubs, {r.researcher_id for r in researchers})
+    records = {pid: PublicationRecord(pid, y, c, n) for pid, (y, c, n) in pubs.items()}
+    return records, researchers, links, taxonomy
+
+
+def _read_rows(path, columns):
+    """(line, values) of each non-blank row; ints converted, categories split."""
+    from citewin.errors import ParseError
+
+    header = [name for name, _kind in columns]
+    with open(path, encoding="utf-8", newline="") as fh:
+        reader = csv.reader(fh)
+        try:
+            first = next(reader)
+        except StopIteration:
+            raise ParseError(path, 1, "file is empty, expected a header row") from None
+        if first != header:
+            raise ParseError(path, 1, f"bad header {first!r}, expected {header!r}")
+        for row in reader:
+            if not row:
+                continue
+            line = reader.line_num
+            if len(row) != len(columns):
+                raise ParseError(path, line, f"expected {len(columns)} fields, got {len(row)}")
+            for value, (name, kind) in zip(row, columns):
+                if kind == "id" and not ID_RE.fullmatch(value):
+                    raise ParseError(path, line, f"{name} {value!r} does not match [A-Za-z0-9_/-]+")
+                if kind == "int" and not INT_RE.fullmatch(value):
+                    raise ParseError(path, line, f"{name} {value!r} is not an integer")
+                if kind == "categories":
+                    _check_category_grammar(path, line, value)
+            for value, (name, kind) in zip(row, columns):
+                if kind == "int" and not -(2**63) <= int(value) < 2**63:
+                    raise ParseError(path, line,
+                                     f"{name} {value!r} is outside the 64-bit integer range")
+            yield line, [
+                int(v) if kind == "int" else _categories(v) if kind == "categories" else v
+                for v, (_name, kind) in zip(row, columns)
+            ]
+
+
+def _check_category_grammar(path, line, spec):
+    from citewin.errors import ParseError
+
+    if not spec:
+        raise ParseError(path, line, "categories field is empty")
+    parts = spec.split(";")
+    explicit = [":" in p for p in parts]
+    if any(explicit) and not all(explicit):
+        raise ParseError(path, line, f"mixed weighted/unweighted categories in {spec!r}")
+    for part in parts:
+        name, colon, raw = part.partition(":")
+        if colon and not WEIGHT_RE.fullmatch(raw):
+            raise ParseError(path, line, f"bad category weight {raw!r}")
+        if not ID_RE.fullmatch(name):
+            raise ParseError(path, line, f"category {name!r} does not match [A-Za-z0-9_/-]+")
+
+
+def _categories(spec):
+    parts = spec.split(";")
+    out = []
+    for part in parts:
+        name, colon, raw = part.partition(":")
+        out.append((name, float(raw) if colon else 1.0 / len(parts)))
+    return out
+
+
+def _read_fields(path):
+    from citewin.errors import ParseError
+
+    mapping = {}
+    for line, (sds_id, uda_id) in _read_rows(path, [("sds_id", "id"), ("uda_id", "id")]):
+        if sds_id in mapping:
+            raise ParseError(path, line, f"duplicate sds_id {sds_id!r}")
+        mapping[sds_id] = uda_id
+    return mapping
+
+
+def _read_researchers(path, taxonomy):
+    from citewin.corpus import ResearcherRecord
+    from citewin.errors import IntegrityError, ParseError
+
+    out, seen = [], set()
+    columns = [("researcher_id", "id"), ("university_id", "id"), ("sds_id", "id")]
+    for line, (rid, univ, sds) in _read_rows(path, columns):
+        if rid in seen:
+            raise ParseError(path, line, f"duplicate researcher_id {rid!r}")
+        if sds not in taxonomy.sds_to_uda:
+            raise IntegrityError(
+                f"{path}:{line}: researcher {rid!r}: sds_id {sds!r} missing from taxonomy"
+            )
+        seen.add(rid)
+        out.append(ResearcherRecord(rid, univ, sds))
+    return out
+
+
+def _read_publications(path):
+    """pub_id -> [pub_year, categories, counts]"""
+    from citewin.errors import ParseError
+
+    pubs = {}
+    columns = [("pub_id", "id"), ("pub_year", "int"), ("categories", "categories")]
+    for line, (pid, year, cats) in _read_rows(path, columns):
+        if pid in pubs:
+            raise ParseError(path, line, f"duplicate pub_id {pid!r}")
+        seen = set()
+        for name, weight in cats:
+            if name in seen:
+                raise ParseError(path, line, f"category {name!r} listed twice")
+            seen.add(name)
+            if not (0.0 < weight <= 1.0):
+                raise ParseError(path, line, f"category weight {weight} outside (0, 1]")
+        total = 0
+        for _name, weight in cats:
+            total += weight
+        if abs(total - 1.0) > 1e-9:
+            raise ParseError(path, line, f"category weights sum to {total}, expected 1")
+        pubs[pid] = (year, tuple(cats), {})
+    return pubs
+
+
+def _attach_citations(path, pubs):
+    from citewin.errors import ParseError
+
+    columns = [("pub_id", "id"), ("obs_year", "int"), ("cum_citations", "int")]
+    for line, (pid, obs_year, n) in _read_rows(path, columns):
+        if pid not in pubs:
+            raise ParseError(path, line, f"citation row references unknown pub_id {pid!r}")
+        if n < 0:
+            raise ParseError(path, line, f"negative citation count {n}")
+        pub_year, _, counts = pubs[pid]
+        if obs_year < pub_year:
+            raise ParseError(
+                path, line, f"obs_year {obs_year} precedes publication year {pub_year} of {pid!r}"
+            )
+        if obs_year in counts:
+            raise ParseError(path, line, f"duplicate citation row for ({pid!r}, {obs_year})")
+        # counts are cumulative; rows may arrive in any year order
+        for other_year, other in counts.items():
+            if (obs_year - other_year) * (n - other) < 0:
+                raise ParseError(
+                    path,
+                    line,
+                    f"cumulative citations of {pid!r} decrease between years "
+                    f"{min(other_year, obs_year)} and {max(other_year, obs_year)}",
+                )
+        counts[obs_year] = n
+
+
+def _read_authorship(path, pubs, researcher_ids):
+    from citewin.corpus import AuthorshipLink
+    from citewin.errors import IntegrityError, ParseError
+
+    out, seen = [], set()
+    for line, (pid, rid) in _read_rows(path, [("pub_id", "id"), ("researcher_id", "id")]):
+        if pid not in pubs:
+            raise IntegrityError(f"{path}:{line}: authorship references unknown pub_id {pid!r}")
+        if rid not in researcher_ids:
+            raise IntegrityError(
+                f"{path}:{line}: authorship references unknown researcher_id {rid!r}"
+            )
+        if (pid, rid) in seen:
+            raise ParseError(path, line, f"duplicate authorship pair ({pid!r}, {rid!r})")
+        seen.add((pid, rid))
+        out.append(AuthorshipLink(pub_id=pid, researcher_id=rid))
+    return out

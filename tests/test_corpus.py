@@ -78,7 +78,7 @@ def test_same_cell_coauthors_count_publication_once():
     ],
 )
 def test_invalid_publication_rejected(bad):
-    with pytest.raises(IntegrityError):
+    with pytest.raises(IntegrityError, match="publication 'P1'"):
         build_corpus([bad], [], [], TAX)
 
 

@@ -2,12 +2,23 @@
 
 from __future__ import annotations
 
-import pytest
+import contextlib
+import functools
+import io
+import tempfile
+from pathlib import Path
 
-from citewin.errors import IntegrityError, MissingInputError, ParseError
-from citewin.ingest import load_corpus, representativity_filter
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from citewin.cli import main
+from citewin.errors import CitewinError, IntegrityError, MissingInputError, ParseError
+from citewin.ingest import FILES, load_corpus, representativity_filter
+from citewin.synth import SynthConfig, generate
 
 from conftest import make_random_corpus, write_corpus_dir
+from oracles import read_corpus_rows
 
 
 def small_fixture(tmp_path, **overrides):
@@ -66,6 +77,12 @@ def test_decreasing_citations_is_monotonicity_error(tmp_path):
     with pytest.raises(ParseError, match="decrease") as err:
         load_corpus(path)
     assert "citations.csv" in str(err.value)
+
+
+def test_decrease_names_the_first_earlier_year_it_contradicts(tmp_path):
+    path = small_fixture(tmp_path, citations=[("P1", 2005, 6), ("P1", 2004, 5), ("P1", 2006, 1)])
+    with pytest.raises(ParseError, match=r"citations\.csv:4: .* between years 2005 and 2006"):
+        load_corpus(path)
 
 
 @pytest.mark.parametrize(
@@ -130,6 +147,174 @@ def test_dangling_authorship_is_integrity_error(tmp_path):
     path = small_fixture(tmp_path, authorship=[("P1", "R9")])
     with pytest.raises(IntegrityError, match="R9"):
         load_corpus(path)
+
+
+def test_dangling_references_name_file_and_line(tmp_path):
+    path = small_fixture(tmp_path, authorship=[("P1", "R1"), ("P9", "R2")])
+    with pytest.raises(IntegrityError, match=r"authorship\.csv:3: .*unknown pub_id 'P9'"):
+        load_corpus(path)
+    path = small_fixture(tmp_path, researchers=[("R1", "U1", "S1"), ("R2", "U1", "S7")])
+    with pytest.raises(IntegrityError, match=r"researchers\.csv:3: .*sds_id 'S7' missing"):
+        load_corpus(path)
+
+
+def test_count_outside_int64_is_a_parse_error(tmp_path, capsys):
+    path = small_fixture(tmp_path, citations=[("P1", 2004, 2), ("P1", 2005, "9" * 20)])
+    with pytest.raises(ParseError, match=r"citations\.csv:3: cum_citations .* 64-bit"):
+        load_corpus(path)
+    assert main(["validate", str(path)]) == 1
+    assert "citations.csv:3:" in capsys.readouterr().err
+
+
+def test_int64_bounds_accepted(tmp_path):
+    top = str(2**63 - 1)
+    path = small_fixture(tmp_path, citations=[("P1", 2004, top), ("P2", 2004, 0), ("P3", 2004, 1)])
+    assert load_corpus(path).publications["P1"].citation_counts == {2004: 2**63 - 1}
+
+
+def rewrite(path, name, edit):
+    (path / name).write_bytes(edit((path / name).read_text(encoding="utf-8")).encode("utf-8"))
+
+
+def test_crlf_line_endings_keep_line_numbers(tmp_path):
+    path = small_fixture(tmp_path)
+    rewrite(path, "citations.csv", lambda t: t.replace("\n", "\r\n"))
+    assert load_corpus(path).publications["P1"].citation_counts == {2004: 2, 2005: 3}
+    rewrite(path, "citations.csv", lambda t: t.replace("P2,2005,1", "P2,2005,x"))
+    with pytest.raises(ParseError, match=r"citations\.csv:5: cum_citations 'x'"):
+        load_corpus(path)
+
+
+def test_blank_lines_skipped_but_counted(tmp_path):
+    path = small_fixture(tmp_path)
+    rewrite(path, "citations.csv", lambda t: t + "\n")
+    assert len(load_corpus(path).pub_ids) == 3
+    rewrite(path, "citations.csv", lambda t: t.replace("\n", "\n\n", 2))
+    assert len(load_corpus(path).pub_ids) == 3
+    rewrite(path, "citations.csv", lambda t: t.replace("P2,2005,1", "P2,2005,-1"))
+    with pytest.raises(ParseError, match=r"citations\.csv:7: negative citation count -1"):
+        load_corpus(path)
+
+
+def test_missing_final_newline(tmp_path):
+    path = small_fixture(tmp_path)
+    rewrite(path, "citations.csv", lambda t: t.rstrip("\n"))
+    assert load_corpus(path).publications["P3"].citation_counts == {2004: 1, 2005: 1}
+    rewrite(path, "citations.csv", lambda t: t + "_")
+    with pytest.raises(ParseError, match=r"citations\.csv:7: cum_citations '1_'"):
+        load_corpus(path)
+
+
+def test_quoted_field_rejected(tmp_path):
+    path = small_fixture(tmp_path)
+    rewrite(path, "researchers.csv", lambda t: t.replace("R2,U1", '"R2",U1'))
+    with pytest.raises(ParseError, match=r"researchers\.csv:3: researcher_id '\"R2\"'"):
+        load_corpus(path)
+
+
+def test_earlier_value_error_wins_over_later_grammar_error(tmp_path):
+    path = small_fixture(tmp_path, citations=[("P1", 2004, -1), ("P1", 2005, "x")])
+    with pytest.raises(ParseError, match=r"citations\.csv:2: negative"):
+        load_corpus(path)
+
+
+# ---------------------------------------------------------------------------
+# properties against the row-by-row reader in oracles.py
+
+
+@st.composite
+def synth_configs(draw):
+    udas = {f"D{d}": tuple(f"D{d}-S{s}" for s in range(draw(st.integers(1, 3))))
+            for d in range(draw(st.integers(1, 2)))}
+    return SynthConfig(
+        n_universities=draw(st.integers(1, 3)),
+        staff_range=(1, draw(st.integers(1, 3))),
+        udas=udas,
+        pub_period=(2001, 2002),
+        observation_years=tuple(sorted(draw(st.sets(st.integers(2002, 2005), min_size=1)))),
+        pub_rate=draw(st.sampled_from((0.3, 1.0))),
+        profiles={"default": (0.5, 1.0, 0.3)},
+        coauthor_rate=draw(st.sampled_from((0.0, 0.5))),
+        multi_category_rate=draw(st.sampled_from((0.0, 0.5))),
+        seed=draw(st.integers(0, 2**16)),
+    )
+
+
+def assert_matches_rows(corpus, directory):
+    pubs, researchers, links, taxonomy = read_corpus_rows(directory)
+    assert dict(corpus.publications) == pubs
+    assert dict(corpus.researchers) == {r.researcher_id: r for r in researchers}
+    assert list(corpus.authorships) == links
+    assert corpus.taxonomy == taxonomy
+
+
+@settings(max_examples=20, deadline=None)
+@given(config=synth_configs())
+def test_every_synth_corpus_loads_as_the_row_reader_reads_it(config):
+    with tempfile.TemporaryDirectory() as tmp:
+        directory = generate(config, Path(tmp) / "corpus")
+        assert_matches_rows(load_corpus(directory), directory)
+
+
+CORRUPTION_BASE = SynthConfig(
+    n_universities=2, staff_range=(1, 2), udas={"D1": ("D1-S1", "D1-S2"), "D2": ("D2-S1",)},
+    pub_period=(2001, 2002), observation_years=(2003, 2004, 2005), pub_rate=1.0,
+    profiles={"default": (0.5, 1.0, 0.3)}, coauthor_rate=0.5, multi_category_rate=0.5, seed=3,
+)
+FIELD_TEXT = st.text(alphabet="PRUDSCAT_0123456789-/:;.,e+ \u0665", max_size=8)
+
+
+@st.composite
+def corruptions(draw, rows):
+    """(file, data row, field, new text) with the text drawn around what the file holds."""
+    name = draw(st.sampled_from(sorted(rows)))
+    row = draw(st.integers(0, len(rows[name]) - 1))
+    field = draw(st.integers(0, len(FILES[name]) - 1))
+    column = sorted({r[field] for r in rows[name]})
+    # half of the changes copy what another row holds: repeats, reversed counts, references
+    value = draw(st.sampled_from(column) if draw(st.booleans()) else st.one_of(
+        FIELD_TEXT,
+        st.integers(-2, 2010).map(str),
+        st.sampled_from(["9" * 19, "-" + "9" * 19, str(2**63), str(-(2**63))]),
+        st.sampled_from(["", "CAT_D1-S1:0.5;CAT_D1-S1:0.5", "CAT_D1-S1:1.5",
+                         "CAT_D1-S1;CAT_D2-S1:1", "CAT_D1-S1:0.4;CAT_D2-S1:0.4",
+                         "CAT_D1-S1:.5e0;CAT_D2-S1:5E-1"]),
+    ))
+    return name, row, field, value
+
+
+@functools.cache
+def corruption_base() -> dict[str, str]:
+    with tempfile.TemporaryDirectory() as tmp:
+        directory = generate(CORRUPTION_BASE, Path(tmp) / "corpus")
+        return {name: (directory / name).read_text(encoding="utf-8") for name in FILES}
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_single_field_corruption_fails_like_the_row_reader(data):
+    files = corruption_base()
+    table = {name: [line.split(",") for line in text.splitlines()] for name, text in files.items()}
+    name, row, field, value = data.draw(corruptions({n: rows[1:] for n, rows in table.items()}))
+    rows = [list(r) for r in table[name]]
+    rows[row + 1][field] = value
+    with tempfile.TemporaryDirectory() as tmp:
+        directory = Path(tmp)
+        for other, text in files.items():
+            (directory / other).write_text(text, encoding="utf-8")
+        (directory / name).write_text("\n".join(",".join(r) for r in rows) + "\n", encoding="utf-8")
+        try:
+            read_corpus_rows(directory)
+        except CitewinError as exc:
+            with pytest.raises(type(exc)) as got:
+                load_corpus(directory)
+            assert str(got.value) == str(exc)
+            err = io.StringIO()
+            with contextlib.redirect_stderr(err):
+                assert main(["validate", str(directory)]) == 1
+            assert err.getvalue() == f"INVALID: {exc}\n"
+        else:
+            assert_matches_rows(load_corpus(directory), directory)
 
 
 # ---------------------------------------------------------------------------

@@ -308,6 +308,19 @@ def test_quartile_boundaries_are_linear_interpolation():
     assert (q25, q50, q75) == (2.0, 3.0, 4.0)
 
 
+def test_quartile_boundaries_equal_one_percentile_call_per_quartile():
+    rng = np.random.default_rng(5)
+    for _ in range(500):
+        n = int(rng.integers(4, 60))
+        values = rng.choice(rng.lognormal(size=n), size=n)  # with ties
+        if rng.random() < 0.3:
+            values = np.round(values, 1)
+        scores = {f"U{i:02d}": float(v) for i, v in enumerate(values)}
+        separate = [float(np.percentile(values, q, method="linear")) for q in (25, 50, 75)]
+        got = quartile_classes(scores).boundaries
+        assert [x.hex() for x in got] == [x.hex() for x in separate]
+
+
 @pytest.mark.parametrize("seed", range(10))
 def test_quartile_shifts_bounded(seed):
     rng = np.random.default_rng(seed)
