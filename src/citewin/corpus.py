@@ -149,8 +149,12 @@ class Corpus:
         return self.pubs_by_cell.get((university_id, sds_id), ())
 
 
-def build_corpus(publications: Iterable[PublicationRecord], researchers: Iterable[ResearcherRecord],
-                 authorships: Iterable[AuthorshipLink], taxonomy: FieldTaxonomy) -> Corpus:
+def build_corpus(
+    publications: Iterable[PublicationRecord],
+    researchers: Iterable[ResearcherRecord],
+    authorships: Iterable[AuthorshipLink],
+    taxonomy: FieldTaxonomy,
+) -> Corpus:
     """Check in-memory records and assemble them; IntegrityError names an offending record."""
     pubs, res, links = list(publications), list(researchers), list(authorships)
     pub_ids = [p.pub_id for p in pubs]

@@ -14,8 +14,14 @@ from typing import Callable
 
 import numpy as np
 
-from .corpus import (Corpus, check_citations, check_links, check_publications, check_researchers,
-                     check_taxonomy)
+from .corpus import (
+    Corpus,
+    check_citations,
+    check_links,
+    check_publications,
+    check_researchers,
+    check_taxonomy,
+)
 from .errors import MissingInputError, ParseError
 
 _ID, _INT = r"[A-Za-z0-9_/-]+", r"-?[0-9]+"
@@ -30,8 +36,8 @@ FILES = {
     "researchers.csv": (("researcher_id", "id"), ("university_id", "id"), ("sds_id", "id")),
     "fields.csv": (("sds_id", "id"), ("uda_id", "id")),
 }
-# rows and blank lines, possessive so a match ends in the first bad line: weighted categories first
-_BODY = {name: re.compile("(?:(?:{0})?+\n)*+(?:{0})?+".format(
+# a newline followed by neither a row nor a blank line starts the first line the grammar rejects
+_BAD_LINE = {name: re.compile("\n(?!(?:{0})?(?:\n|\\Z))".format(
     ",".join(f"(?:{_KINDS[kind]})" for _c, kind in columns))) for name, columns in FILES.items()}
 
 
@@ -88,8 +94,9 @@ def load_corpus(directory: str | Path) -> Corpus:
     return Corpus(taxonomy=taxonomy, **cols)
 
 
-def representativity_filter(corpus: Corpus, pub_period: tuple[int, int],
-                            threshold: float) -> RepresentativityReport:
+def representativity_filter(
+    corpus: Corpus, pub_period: tuple[int, int], threshold: float
+) -> RepresentativityReport:
     """Flag which SDSs are representative enough to enter the evaluation.
 
     An SDS is retained iff the national fraction of its researchers with at
@@ -123,9 +130,9 @@ def _checked(root: Path, name: str, check: Callable):
     header = [c for c, _k in columns]
     if head.split(",") != header:
         raise ParseError(path, 1, f"bad header {head.split(',')!r}, expected {header!r}")
-    error, end = None, _BODY[name].match(body).end()
-    if end < len(body):
-        start = body.rfind("\n", 0, end) + 1
+    error, found = None, _BAD_LINE[name].search(text, len(head))
+    if found:
+        start = found.start() - len(head)
         bad = body[start:].partition("\n")[0]
         error = ParseError(path, body.count("\n", 0, start) + 2, _grammar_error(bad, columns))
         body = body[:start]
