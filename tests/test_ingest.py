@@ -12,6 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from citewin import ingest
 from citewin.cli import main
 from citewin.errors import CitewinError, IntegrityError, MissingInputError, ParseError
 from citewin.ingest import FILES, load_corpus, representativity_filter
@@ -210,6 +211,25 @@ def test_quoted_field_rejected(tmp_path):
     rewrite(path, "researchers.csv", lambda t: t.replace("R2,U1", '"R2",U1'))
     with pytest.raises(ParseError, match=r"researchers\.csv:3: researcher_id '\"R2\"'"):
         load_corpus(path)
+
+
+def test_grammar_needs_no_regex_syntax_newer_than_python_3_10():
+    """Possessive repeats and atomic groups compile only from Python 3.11 on."""
+    from re import _parser
+
+    def opcodes(node):
+        if isinstance(node, _parser.SubPattern):
+            node = node.data
+        if isinstance(node, (list, tuple)):
+            for item in node:
+                yield from opcodes(item)
+        else:
+            yield str(node)
+
+    patterns = [*ingest._FIELD.values(), *ingest._BAD_LINE.values()]
+    used = {op for pattern in patterns for op in opcodes(_parser.parse(pattern.pattern))}
+    assert "MAX_REPEAT" in used
+    assert not used & {"POSSESSIVE_REPEAT", "ATOMIC_GROUP"}
 
 
 def test_earlier_value_error_wins_over_later_grammar_error(tmp_path):
