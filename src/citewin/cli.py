@@ -389,16 +389,14 @@ def _rank_range_rows(run) -> list[list[str]]:
 
 def _npc_rows(result: NpcCombinedResult, seed: int) -> list[list[str]]:
     """One row per discipline plus COMBINED; p_mc_se is the Monte Carlo
-    standard error sqrt(p(1-p)/B) of p, 0 for an enumerated p."""
+    standard error sqrt(p(1-p)/B) of p."""
     rows = [["uda_id", "observed_stat", "p_value", "p_mc_se", "direction", "n_perm", "seed"]]
-    tests = [(t.scope_id, t.observed, t.p_value, t.direction, t.n_perm, t.exhaustive)
-             for t in result.partials]
-    tests.append(("COMBINED", result.combined_statistic, result.combined_p, result.direction,
-                  result.n_perm, result.exhaustive))
-    for name, observed, p, direction, n_perm, exhaustive in tests:
-        se = 0.0 if exhaustive else math.sqrt(p * (1.0 - p) / n_perm)
+    tests = [(t.scope_id, t.observed, t.p_value, t.direction) for t in result.partials]
+    tests.append(("COMBINED", result.combined_statistic, result.combined_p, result.direction))
+    for name, observed, p, direction in tests:
+        se = math.sqrt(p * (1.0 - p) / result.n_perm)
         rows.append([name, _fmt(observed), format(p, ".6g"), format(se, ".6g"), direction,
-                     str(n_perm), str(seed)])
+                     str(result.n_perm), str(seed)])
     return rows
 
 

@@ -104,6 +104,12 @@ class Corpus:
     link_pub: np.ndarray  # authorship links, in input order
     link_res: np.ndarray
 
+    def __post_init__(self) -> None:
+        # the record views are cached, so the columns they read must not change
+        for column in vars(self).values():
+            if isinstance(column, np.ndarray):
+                column.setflags(write=False)
+
     @cached_property
     def publications(self) -> Mapping[str, PublicationRecord]:
         cats: list[list[tuple[str, float]]] = [[] for _ in self.pub_ids]

@@ -23,10 +23,6 @@ import numpy as np
 
 from .errors import AnalysisError
 
-# product-space enumeration is only attempted when every discipline has at
-# most this many label assignments
-EXHAUSTIVE_GROUP_LIMIT = 12
-
 _CHUNK_VALUES = 1 << 21  # random doubles per Monte Carlo block
 
 
@@ -103,7 +99,6 @@ class NpcCombinedResult:
     direction: str
     n_perm: int
     seed: int | None
-    exhaustive: bool
 
 
 def two_sample_perm_test(
@@ -119,7 +114,8 @@ def two_sample_perm_test(
     Relabelings are exhaustive when the number of assignments C(n, k) does
     not exceed n_perm (then p = count / total over the full enumeration,
     seed unused); otherwise n_perm uniformly random relabelings are drawn
-    and p = (b + 1) / (n_perm + 1). force_monte_carlo skips the automatic
+    by the sampler of npc_fisher_combine, as a single group, and
+    p = (b + 1) / (n_perm + 1). force_monte_carlo skips the automatic
     enumeration, e.g. to check the sampler against it. Identical pooled
     values short-circuit to p = 1 with the degenerate flag set.
     """
@@ -143,17 +139,10 @@ def two_sample_perm_test(
         p = count / total
         return PermTestResult(scope_id, float(t_obs), p, _direction(t_obs), total, seed, True)
 
-    rng = np.random.default_rng(seed)
-    t_obs = float(_group_stats(pool, np.arange(k, dtype=np.intp)[None, :])[0])
-    count = 0
-    done = 0
-    while done < n_perm:
-        rows = min(max(1, _CHUNK_VALUES // n), n_perm - done)
-        block = np.argsort(rng.random((rows, n)), axis=1)[:, :k]
-        stats = _group_stats(pool, block)
-        count += int(np.count_nonzero(np.abs(stats) >= abs(t_obs)))
-        done += rows
-    p = (count + 1) / (n_perm + 1)
+    positions = np.arange(n, dtype=np.intp)
+    (stats,) = _sample_stats([(pool, positions[:k], positions)], n, n_perm, seed, workers=1)
+    p = float(_significance_levels(np.abs(stats))[n_perm])
+    t_obs = float(stats[n_perm])
     return PermTestResult(scope_id, t_obs, p, _direction(t_obs), n_perm, seed, False)
 
 
@@ -165,20 +154,15 @@ def npc_fisher_combine(
 ) -> NpcCombinedResult:
     """Combine the per-discipline permutation tests with Fisher's function.
 
-    Monte Carlo mode (default): iteration b draws one random ordering of
-    the union of all universities; each discipline's permuted top group is
-    its first k members in that ordering, so all marginals stay uniform
-    and overlapping disciplines are relabeled consistently. Each
+    Iteration b draws one random ordering of the union of all universities;
+    each discipline's permuted top group is its first k members in that
+    ordering, so all marginals stay uniform and overlapping disciplines are
+    relabeled consistently. Each
     iteration's statistics are converted to empirical significance levels
     lambda within their own (observed-inclusive) distribution and combined
     as -2 * sum(log(lambda)); the combined p is the observed-inclusive
-    fraction of iterations at or above the observed combination.
-
-    Exhaustive mode replaces the shared stream with the Cartesian product
-    of the per-discipline label assignments when every discipline has at
-    most EXHAUSTIVE_GROUP_LIMIT assignments and the product fits in
-    n_perm. The product space treats the partial tests as independent;
-    the result is deterministic and seed-free.
+    fraction of iterations at or above the observed combination. n_perm
+    only sets the Monte Carlo precision, never the null model.
     """
     if n_perm < 1:
         raise ValueError(f"n_perm must be >= 1, got {n_perm}")
@@ -188,10 +172,35 @@ def npc_fisher_combine(
     for group in groups:
         group.validate()
 
-    sizes = [math.comb(len(g.values), len(g.top)) for g in groups]
-    if all(s <= EXHAUSTIVE_GROUP_LIMIT for s in sizes) and math.prod(sizes) <= n_perm:
-        return _combine_exhaustive(groups)
-    return _combine_monte_carlo(groups, n_perm, seed, workers)
+    universe = sorted({u for g in groups for u in g.values})
+    position = {u: i for i, u in enumerate(universe)}
+    prepared = [_prepared(g, position) for g in groups]
+    stats = _sample_stats(prepared, len(universe), n_perm, seed, workers)
+
+    lambdas = [_significance_levels(np.abs(s)) for s in stats]
+    fisher = -2.0 * np.sum(np.log(lambdas), axis=0)
+    combined_count = int(np.count_nonzero(fisher >= fisher[n_perm]))
+    partials = tuple(
+        PermTestResult(
+            scope_id=g.uda_id,
+            observed=float(stats[gi][n_perm]),
+            p_value=float(lambdas[gi][n_perm]),
+            direction=_direction(stats[gi][n_perm]),
+            n_perm=n_perm,
+            seed=seed,
+            exhaustive=False,
+        )
+        for gi, g in enumerate(groups)
+    )
+    observed_sum = sum(r.observed for r in partials)
+    return NpcCombinedResult(
+        partials=partials,
+        combined_statistic=float(fisher[n_perm]),
+        combined_p=combined_count / (n_perm + 1),
+        direction=_direction(observed_sum),
+        n_perm=n_perm,
+        seed=seed,
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -226,121 +235,50 @@ def _significance_levels(abs_stats: np.ndarray) -> np.ndarray:
     return count_ge / abs_stats.size
 
 
-def _prepared(group: UdaGroups) -> tuple[np.ndarray, np.ndarray, int]:
-    """(aligned values, observed top positions, k) with members sorted."""
+def _prepared(group: UdaGroups, position: Mapping[str, int]) -> tuple[np.ndarray, ...]:
+    """(values, observed top positions, positions in the universe) of the sorted members."""
     members = group.members()
     values = np.array([group.values[u] for u in members], dtype=float)
     obs_idx = np.array([i for i, u in enumerate(members) if u in group.top], dtype=np.intp)
-    return values, obs_idx, len(group.top)
+    member_pos = np.array([position[u] for u in members], dtype=np.intp)
+    return values, obs_idx, member_pos
 
 
-def _combine_monte_carlo(
-    groups: Sequence[UdaGroups], n_perm: int, seed: int | None, workers: int
-) -> NpcCombinedResult:
-    universe = sorted({u for g in groups for u in g.values})
-    position = {u: i for i, u in enumerate(universe)}
-    prepared = []
-    for group in groups:
-        values, obs_idx, k = _prepared(group)
-        member_pos = np.array([position[u] for u in group.members()], dtype=np.intp)
-        prepared.append((values, obs_idx, k, member_pos))
+def _sample_stats(
+    prepared: Sequence[tuple[np.ndarray, ...]],
+    n_all: int,
+    n_perm: int,
+    seed: int | None,
+    workers: int,
+) -> list[np.ndarray]:
+    """Each group's statistic under n_perm shared random orderings of the
+    n_all universities, with the observed labeling at index n_perm.
 
-    # stats[u] has length n_perm + 1; the observed labeling sits at the end
-    stats = [np.empty(n_perm + 1) for _ in groups]
+    Each ordering ranks one row of uniform keys; a group's permuted top set
+    is its first |top| members in that ranking.
+    """
+    stats = [np.empty(n_perm + 1) for _ in prepared]
     rng = np.random.default_rng(seed)
-    n_all = len(universe)
     done = 0
 
     def fill_block(args) -> None:
         gi, block_keys, start, rows = args
-        values, _obs, k, member_pos = prepared[gi]
+        values, obs_idx, member_pos = prepared[gi]
         order = np.argsort(block_keys[:, member_pos], axis=1)
-        stats[gi][start : start + rows] = _group_stats(values, order[:, :k])
+        stats[gi][start : start + rows] = _group_stats(values, order[:, : obs_idx.size])
 
-    pool = ThreadPoolExecutor(max_workers=max(1, workers)) if workers > 1 else None
+    executor = ThreadPoolExecutor(max_workers=workers) if workers > 1 else None
     try:
         while done < n_perm:
             rows = min(max(1, _CHUNK_VALUES // n_all), n_perm - done)
             block_keys = rng.random((rows, n_all))
-            tasks = [(gi, block_keys, done, rows) for gi in range(len(groups))]
-            if pool is None:
-                for task in tasks:
-                    fill_block(task)
-            else:
-                list(pool.map(fill_block, tasks))
+            tasks = [(gi, block_keys, done, rows) for gi in range(len(prepared))]
+            list((executor.map if executor else map)(fill_block, tasks))
             done += rows
     finally:
-        if pool is not None:
-            pool.shutdown()
+        if executor is not None:
+            executor.shutdown()
 
-    for gi, (values, obs_idx, _k, _pos) in enumerate(prepared):
+    for gi, (values, obs_idx, _pos) in enumerate(prepared):
         stats[gi][n_perm] = _group_stats(values, obs_idx[None, :])[0]
-
-    lambdas = [_significance_levels(np.abs(s)) for s in stats]
-    fisher = -2.0 * np.sum(np.log(lambdas), axis=0)
-    combined_count = int(np.count_nonzero(fisher >= fisher[n_perm]))
-    partials = tuple(
-        PermTestResult(
-            scope_id=g.uda_id,
-            observed=float(stats[gi][n_perm]),
-            p_value=float(lambdas[gi][n_perm]),
-            direction=_direction(stats[gi][n_perm]),
-            n_perm=n_perm,
-            seed=seed,
-            exhaustive=False,
-        )
-        for gi, g in enumerate(groups)
-    )
-    observed_sum = sum(r.observed for r in partials)
-    return NpcCombinedResult(
-        partials=partials,
-        combined_statistic=float(fisher[n_perm]),
-        combined_p=combined_count / (n_perm + 1),
-        direction=_direction(observed_sum),
-        n_perm=n_perm,
-        seed=seed,
-        exhaustive=False,
-    )
-
-
-def _combine_exhaustive(groups: Sequence[UdaGroups]) -> NpcCombinedResult:
-    log_lambdas: list[np.ndarray] = []
-    partials: list[PermTestResult] = []
-    for group in groups:
-        values, _obs_idx, k = _prepared(group)
-        # members are sorted and the top set maps to some combination; putting
-        # the observed combination first keeps index 0 = observed labeling
-        n = values.size
-        obs = tuple(i for i, u in enumerate(group.members()) if u in group.top)
-        combos = [obs] + [c for c in combinations(range(n), k) if c != obs]
-        stats = _group_stats(values, np.array(combos, dtype=np.intp))
-        lam = _significance_levels(np.abs(stats))
-        partials.append(
-            PermTestResult(
-                scope_id=group.uda_id,
-                observed=float(stats[0]),
-                p_value=float(lam[0]),
-                direction=_direction(stats[0]),
-                n_perm=len(combos),
-                seed=None,
-                exhaustive=True,
-            )
-        )
-        log_lambdas.append(np.log(lam))
-
-    total_log = np.zeros(1)
-    for ll in log_lambdas:
-        total_log = (total_log[:, None] + ll[None, :]).ravel()
-    fisher = -2.0 * total_log
-    # index 0 of the raveled product grid is (0, 0, ..., 0): all observed
-    combined_count = int(np.count_nonzero(fisher >= fisher[0]))
-    observed_sum = sum(r.observed for r in partials)
-    return NpcCombinedResult(
-        partials=tuple(partials),
-        combined_statistic=float(fisher[0]),
-        combined_p=combined_count / fisher.size,
-        direction=_direction(observed_sum),
-        n_perm=fisher.size,
-        seed=None,
-        exhaustive=True,
-    )
+    return stats

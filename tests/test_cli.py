@@ -261,16 +261,12 @@ def test_npc_smallest_attainable_p_prints_non_zero():
     partials = tuple(
         PermTestResult(uda, -1.5, smallest, "<", b, 42, exhaustive=False) for uda in ("UA", "UB")
     )
-    result = NpcCombinedResult(partials, 30.0, smallest, "<", b, 42, exhaustive=False)
+    result = NpcCombinedResult(partials, 30.0, smallest, "<", b, 42)
     header, *rows = _npc_rows(result, 42)
     assert header[2:4] == ["p_value", "p_mc_se"]
     for row in rows:
         assert 0.0 < float(row[2]) == pytest.approx(smallest, rel=1e-5)
         assert float(row[3]) == pytest.approx(math.sqrt(smallest * (1 - smallest) / b), rel=1e-5)
-    enumerated = PermTestResult("UA", 0.5, 0.25, ">", 4, None, exhaustive=True)
-    combined = NpcCombinedResult((enumerated,), 2.7, 0.25, ">", 4, None, exhaustive=True)
-    (_header, row, _combined_row) = _npc_rows(combined, 1)
-    assert row[2:4] == ["0.25", "0"]
 
 
 def test_npc_byte_identical_across_runs_and_workers(tmp_path):

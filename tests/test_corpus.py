@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
 from citewin.corpus import (
@@ -12,8 +13,9 @@ from citewin.corpus import (
     build_corpus,
 )
 from citewin.errors import IntegrityError
+from citewin.ingest import load_corpus
 
-from conftest import make_random_corpus
+from conftest import make_random_corpus, write_corpus_dir
 
 TAX = FieldTaxonomy({"S1": "UA", "S2": "UA", "S3": "UB"})
 
@@ -141,3 +143,27 @@ def test_random_corpus_record_invariants(seed):
         for a, b in zip(years, years[1:]):
             assert p.citation_counts[a] <= p.citation_counts[b]
         assert all(y >= p.pub_year for y in years)
+
+
+def test_corpus_columns_are_read_only(tmp_path):
+    built = make_random_corpus(0)
+    root = write_corpus_dir(
+        tmp_path / "corpus",
+        publications=[("P1", 2001, "K1"), ("P2", 2002, "K1:0.5;K2:0.5")],
+        citations=[("P1", 2004, 2), ("P1", 2005, 3), ("P2", 2004, 0)],
+        authorship=[("P1", "R1"), ("P2", "R2")],
+        researchers=[("R1", "U1", "S1"), ("R2", "U2", "S2")],
+        fields=[("S1", "UA"), ("S2", "UA")],
+    )
+    loaded = load_corpus(root)
+    for corpus in (built, loaded):
+        first = corpus.pub_ids[0]
+        before = corpus.publications[first].citation_counts
+        with pytest.raises(ValueError, match="read-only"):
+            corpus.counts[0, :] = 99
+        assert corpus.publications[first].citation_counts == before
+        columns = [v for v in vars(corpus).values() if isinstance(v, np.ndarray)]
+        assert len(columns) == 15
+        for column in columns:
+            with pytest.raises(ValueError, match="read-only"):
+                column[...] = column

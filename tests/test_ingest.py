@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import ast
 import contextlib
 import functools
 import io
@@ -230,6 +231,16 @@ def test_grammar_needs_no_regex_syntax_newer_than_python_3_10():
     used = {op for pattern in patterns for op in opcodes(_parser.parse(pattern.pattern))}
     assert "MAX_REPEAT" in used
     assert not used & {"POSSESSIVE_REPEAT", "ATOMIC_GROUP"}
+
+
+def test_package_parses_as_python_3_10():
+    """pyproject promises Python 3.10; syntax such as `except*` is newer."""
+    sources = sorted(Path(ingest.__file__).parent.glob("*.py"))
+    assert len(sources) >= 10
+    for source in sources:
+        ast.parse(source.read_text(encoding="utf-8"), str(source), feature_version=(3, 10))
+    with pytest.raises(SyntaxError, match="3.11"):
+        ast.parse("try:\n    pass\nexcept* ValueError:\n    pass\n", feature_version=(3, 10))
 
 
 def test_earlier_value_error_wins_over_later_grammar_error(tmp_path):

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import math
-from itertools import combinations
 
 import numpy as np
 import pytest
@@ -68,6 +67,17 @@ def test_perm_test_frozen_exhaustive_example():
     assert res.observed == 8.5
     assert res.p_value == 0.1
     assert res.direction == ">"
+
+
+def test_perm_test_frozen_monte_carlo_example():
+    # p-values of the seeded sampler, recorded before it was shared with NPC
+    top, rest = [2.0, 7.0, 5.0], [1.0, 1.0, 3.0, 4.0, 0.5, 6.0]
+    res = two_sample_perm_test(top, rest, n_perm=50, seed=2024)  # C(9,3) = 84 > 50
+    assert not res.exhaustive and res.n_perm == 50
+    assert res.observed == 2.0833333333333335
+    assert res.p_value == 13 / 51
+    forced = two_sample_perm_test(top, rest, n_perm=999, seed=2024, force_monte_carlo=True)
+    assert not forced.exhaustive and forced.p_value == 249 / 1000
 
 
 def test_perm_test_degenerate_flagged():
@@ -234,34 +244,6 @@ def test_npc_shared_stream_relabels_overlapping_universities_consistently():
     assert pa.p_value == pb.p_value
 
 
-def test_npc_exhaustive_mode_is_seed_free():
-    groups = [
-        UdaGroups("A", {"U1": 3.0, "U2": 1.0, "U3": 2.0, "U4": 0.0}, frozenset(["U1"])),
-        UdaGroups("B", {"V1": 5.0, "V2": 2.0, "V3": 0.0}, frozenset(["V1"])),
-    ]
-    # 4 and 3 assignments per group, product 12 <= n_perm
-    a = npc_fisher_combine(groups, n_perm=100, seed=1)
-    b = npc_fisher_combine(groups, n_perm=100, seed=999)
-    assert a.exhaustive and a == b
-    assert a.n_perm == 12
-    for partial, expected in zip(a.partials, (4, 3)):
-        assert partial.exhaustive and partial.n_perm == expected
-
-
-def test_npc_exhaustive_partials_match_standalone_exhaustive():
-    values_a = {"U1": 6.0, "U2": 1.0, "U3": 2.0, "U4": 0.0}
-    values_b = {"V1": 9.0, "V2": 2.0, "V3": 1.0}
-    groups = [
-        UdaGroups("A", values_a, frozenset(["U1"])),
-        UdaGroups("B", values_b, frozenset(["V1"])),
-    ]
-    combined = npc_fisher_combine(groups, n_perm=100, seed=0)
-    solo_a = two_sample_perm_test([6.0], [1.0, 2.0, 0.0], n_perm=100)
-    solo_b = two_sample_perm_test([9.0], [2.0, 1.0], n_perm=100)
-    assert combined.partials[0].p_value == solo_a.p_value
-    assert combined.partials[1].p_value == solo_b.p_value
-
-
 def test_npc_monotone_response_to_injected_separation():
     # shifting the top group upward in more disciplines should not raise the
     # median combined p over seeds
@@ -323,34 +305,56 @@ def test_pipeline_null_rarely_produces_tiny_partial_p(tmp_path):
     assert clean >= 95
 
 
-def test_npc_exhaustive_agrees_with_independent_fisher_product():
-    # with disjoint tiny groups the product-space enumeration must equal a
-    # hand-rolled independent combination
-    values_a = {"U1": 4.0, "U2": 1.0, "U3": 0.0}
-    values_b = {"V1": 7.0, "V2": 3.0, "V3": 1.0}
+@pytest.mark.parametrize("n_perm", [15, 16, 17])
+def test_npc_dependent_null_at_every_permutation_count(n_perm):
+    # two disciplines over the same universities with identical values: the
+    # partial tests are one test, so the exact combined p is the partial's,
+    # P(|T| >= 2) = 2/4, and no permutation count may treat them as independent
+    values = {"U1": 3.0, "U2": 1.0, "U3": 2.0, "U4": 0.0}
+    groups = [UdaGroups(uda, dict(values), frozenset(["U1"])) for uda in ("A", "B")]
+    result = npc_fisher_combine(groups, n_perm=n_perm, seed=7)
+    pa, pb = result.partials
+    assert result.n_perm == pa.n_perm == n_perm and result.seed == 7
+    assert pa.observed == pb.observed == 2.0
+    assert pa.p_value == pb.p_value == result.combined_p
+    large = npc_fisher_combine(groups, n_perm=100_000, seed=7)
+    assert abs(large.combined_p - 0.5) <= 0.01
+
+
+def test_npc_partials_equal_standalone_monte_carlo():
+    # when every group spans the whole universe and its top set is its first
+    # k sorted members, each partial sees exactly the standalone test's stream
+    rng = np.random.default_rng(8)
+    members = [f"U{i:02d}" for i in range(11)]
     groups = [
-        UdaGroups("A", values_a, frozenset(["U1"])),
-        UdaGroups("B", values_b, frozenset(["V1"])),
+        UdaGroups(f"UDA{g}", {u: float(rng.integers(0, 6)) for u in members},
+                  frozenset(members[:k]))
+        for g, k in enumerate((2, 3, 1))
     ]
-    result = npc_fisher_combine(groups, n_perm=50, seed=0)
-    assert result.exhaustive
+    result = npc_fisher_combine(groups, n_perm=1500, seed=31, workers=2)
+    for partial, group, k in zip(result.partials, groups, (2, 3, 1)):
+        values = [group.values[u] for u in members]
+        solo = two_sample_perm_test(values[:k], values[k:], n_perm=1500, seed=31,
+                                    scope_id=group.uda_id, force_monte_carlo=True)
+        assert partial == solo
 
-    def stats(values):
-        vals = [values[k] for k in sorted(values)]
-        out = []
-        for idx in combinations(range(3), 1):
-            chosen = sum(vals[i] for i in idx)
-            out.append(chosen - (sum(vals) - chosen) / 2)
-        return out
 
-    def lam(dist):
-        return [sum(1 for t in dist if abs(t) >= abs(s)) / len(dist) for s in dist]
-
-    la = lam(stats(values_a))
-    lb = lam(stats(values_b))
-    obs_a = la[[i for i, u in enumerate(sorted(values_a)) if u == "U1"][0]]
-    obs_b = lb[[i for i, u in enumerate(sorted(values_b)) if u == "V1"][0]]
-    t_obs = -2.0 * (math.log(obs_a) + math.log(obs_b))
-    grid = [-2.0 * (math.log(x) + math.log(y)) for x in la for y in lb]
-    expected_p = sum(1 for t in grid if t >= t_obs) / len(grid)
-    assert result.combined_p == pytest.approx(expected_p, abs=1e-12)
+def test_npc_null_calibration_with_overlapping_groups():
+    # three disciplines share 10 of their 12 universities and their top
+    # sets, and a university effect three times the noise makes the partial
+    # tests strongly dependent; the shared stream keeps the combined test at
+    # its nominal level (independent streams per discipline reject 10-13%)
+    rng = np.random.default_rng(4242)
+    universe = [f"U{i:02d}" for i in range(14)]
+    hits = 0
+    n_sets = 1000
+    for _ in range(n_sets):
+        effect = dict(zip(universe, 3.0 * rng.normal(size=len(universe))))
+        groups = []
+        for g in range(3):
+            members = universe[:10] + universe[10 + g : 12 + g]
+            values = {u: effect[u] + float(rng.normal()) for u in members}
+            groups.append(UdaGroups(f"UDA{g}", values, frozenset(sorted(members)[:3])))
+        result = npc_fisher_combine(groups, n_perm=299, seed=int(rng.integers(2**32)))
+        hits += result.combined_p <= 0.05
+    assert 0.02 <= hits / n_sets <= 0.08
