@@ -419,6 +419,16 @@ def _parse_years(text: str) -> tuple[int, ...]:
         raise argparse.ArgumentTypeError(f"bad years {text!r}, expected comma-separated") from None
 
 
+def _positive_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="citewin",
@@ -439,7 +449,7 @@ def build_parser() -> argparse.ArgumentParser:
         if with_years:
             p.add_argument("--years", type=_parse_years, default=DEFAULT_YEARS)
             p.add_argument("--benchmark", type=int, default=DEFAULT_BENCHMARK)
-            p.add_argument("--workers", type=int, default=1)
+            p.add_argument("--workers", type=_positive_int, default=1)
 
     p = sub.add_parser("rankings", help="productivity rankings for one observation year")
     common(p, with_years=False)
@@ -452,7 +462,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("npc", help="top-vs-rest permutation tests and Fisher combination")
     common(p, with_years=True)
     p.add_argument("--top-percentile", type=float, default=DEFAULT_TOP_PERCENTILE)
-    p.add_argument("--permutations", type=int, default=DEFAULT_PERMUTATIONS)
+    p.add_argument("--permutations", type=_positive_int, default=DEFAULT_PERMUTATIONS)
     p.add_argument("--seed", type=int, default=DEFAULT_SEED)
 
     p = sub.add_parser("synth", help="generate a synthetic corpus directory")

@@ -166,6 +166,8 @@ def npc_fisher_combine(
     """
     if n_perm < 1:
         raise ValueError(f"n_perm must be >= 1, got {n_perm}")
+    if workers < 1:
+        raise ValueError(f"workers must be >= 1, got {workers}")
     if len(groups) < 2:
         raise AnalysisError(f"nonparametric combination needs >= 2 disciplines, got {len(groups)}")
     groups = sorted(groups, key=lambda g: g.uda_id)
@@ -231,7 +233,8 @@ def _group_stats(pool: np.ndarray, top_idx: np.ndarray) -> np.ndarray:
 def _significance_levels(abs_stats: np.ndarray) -> np.ndarray:
     """Empirical P(|T| >= t) within the given distribution, for each element."""
     ordered = np.sort(abs_stats)
-    count_ge = abs_stats.size - np.searchsorted(ordered, abs_stats, side="left")
+    first = np.flatnonzero(np.r_[True, ordered[1:] != ordered[:-1]])  # start of each run of ties
+    count_ge = abs_stats.size - first[np.searchsorted(ordered[first], abs_stats)]
     return count_ge / abs_stats.size
 
 
@@ -254,26 +257,36 @@ def _sample_stats(
     """Each group's statistic under n_perm shared random orderings of the
     n_all universities, with the observed labeling at index n_perm.
 
-    Each ordering ranks one row of uniform keys; a group's permuted top set
-    is its first |top| members in that ranking.
+    Each ordering ranks one row of uniform keys, drawn block by block in
+    this thread; a group's permuted top set is its first |top| members in
+    that ranking. Groups with the same members share one argsort per block,
+    and each of the workers threads ranks a contiguous slice of the block's
+    rows, so every row is computed as it would be in a single thread.
     """
     stats = [np.empty(n_perm + 1) for _ in prepared]
+    member_sets: dict[bytes, tuple[np.ndarray, list[int]]] = {}
+    for gi, (_values, _obs_idx, member_pos) in enumerate(prepared):
+        member_sets.setdefault(member_pos.tobytes(), (member_pos, []))[1].append(gi)
     rng = np.random.default_rng(seed)
     done = 0
 
-    def fill_block(args) -> None:
-        gi, block_keys, start, rows = args
-        values, obs_idx, member_pos = prepared[gi]
-        order = np.argsort(block_keys[:, member_pos], axis=1)
-        stats[gi][start : start + rows] = _group_stats(values, order[:, : obs_idx.size])
+    def fill_rows(args) -> None:
+        keys, start = args
+        span = slice(start, start + len(keys))
+        for member_pos, group_ids in member_sets.values():
+            order = np.argsort(keys[:, member_pos], axis=1)
+            for gi in group_ids:
+                values, obs_idx, _pos = prepared[gi]
+                stats[gi][span] = _group_stats(values, order[:, : obs_idx.size])
 
     executor = ThreadPoolExecutor(max_workers=workers) if workers > 1 else None
     try:
         while done < n_perm:
             rows = min(max(1, _CHUNK_VALUES // n_all), n_perm - done)
             block_keys = rng.random((rows, n_all))
-            tasks = [(gi, block_keys, done, rows) for gi in range(len(prepared))]
-            list((executor.map if executor else map)(fill_block, tasks))
+            cuts = [rows * t // workers for t in range(workers + 1)]
+            tasks = [(block_keys[lo:hi], done + lo) for lo, hi in zip(cuts, cuts[1:])]
+            list((executor.map if executor else map)(fill_rows, tasks))
             done += rows
     finally:
         if executor is not None:

@@ -61,6 +61,12 @@ def perm_test_exhaustive(top: Sequence[float], rest: Sequence[float]) -> tuple[F
     return t_obs, Fraction(count, len(stats))
 
 
+def significance_levels(values: Sequence[float]) -> list[float]:
+    """For each element, the fraction of all elements >= it."""
+    n = len(values)
+    return [sum(1 for y in values if y >= x) / n for x in values]
+
+
 def moment_stats(xs: Sequence[float]) -> dict:
     """Population central-moment descriptives via exact rationals."""
     n = len(xs)

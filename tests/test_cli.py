@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import csv
+import hashlib
 import json
 import math
 
@@ -280,6 +281,45 @@ def test_npc_byte_identical_across_runs_and_workers(tmp_path):
         ) == 0
         outs.append((out / "npc_results.csv").read_bytes())
     assert outs[0] == outs[1] == outs[2]
+
+
+# sha256 of npc_results.csv as the per-discipline sampler wrote it, before
+# groups with the same members shared one argsort and threads split rows
+FROZEN_NPC_RESULTS_SHA256 = "cd07644833dbe9c304cf056daadfb84ecfd8a88c4da70156cdbcdc791afa49a2"
+
+
+@pytest.mark.parametrize("workers", ["1", "2"])
+def test_npc_results_bytes_frozen(tmp_path, workers):
+    root = generate(stability_config(), tmp_path / "corpus", seed=6)
+    out = tmp_path / "npc"
+    assert run(
+        "npc", root, "--out", out, "--permutations", "5000",
+        "--seed", "42", "--workers", workers,
+    ) == 0
+    digest = hashlib.sha256((out / "npc_results.csv").read_bytes()).hexdigest()
+    assert digest == FROZEN_NPC_RESULTS_SHA256
+
+
+@pytest.mark.parametrize(
+    "command, flag, value",
+    [
+        ("sensitivity", "--workers", "0"),
+        ("npc", "--workers", "0"),
+        ("npc", "--workers", "-2"),
+        ("npc", "--permutations", "0"),
+    ],
+)
+def test_count_below_one_is_usage_error_before_any_work(
+    golden_corpus_dir, tmp_path, capsys, command, flag, value
+):
+    out = tmp_path / "out"
+    with pytest.raises(SystemExit) as exc:
+        run(command, golden_corpus_dir, "--out", out, flag, value)
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage:")
+    assert f"argument {flag}: expected a positive integer, got '{value}'" in err
+    assert not out.exists()
 
 
 def test_baseline_rule_switch_changes_scores(tmp_path):

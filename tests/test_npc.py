@@ -6,17 +6,21 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import citewin.npc as npc_mod
 from citewin.errors import AnalysisError
 from citewin.npc import (
     UdaGroups,
+    _significance_levels,
     max_rank_shift,
     npc_fisher_combine,
     top_partition,
     two_sample_perm_test,
 )
 
-from oracles import perm_test_exhaustive
+from oracles import perm_test_exhaustive, significance_levels
 
 
 def test_max_rank_shift_examples():
@@ -138,8 +142,6 @@ def test_perm_test_deterministic_under_seed():
 
 
 def test_block_size_does_not_change_the_stream(monkeypatch):
-    import citewin.npc as npc_mod
-
     rng = np.random.default_rng(4)
     top = rng.normal(size=6).tolist()
     rest = rng.normal(size=18).tolist()
@@ -180,6 +182,26 @@ def test_null_calibration_quick():
         res = two_sample_perm_test(values[:5], values[5:], n_perm=499, seed=int(rng.integers(2**32)))
         hits += res.p_value <= 0.05
     assert 0.02 <= hits / n_sets <= 0.08
+
+
+@st.composite
+def stat_arrays(draw):
+    """1 to 2,000 values in random order: heavy ties, all distinct or all equal."""
+    n = draw(st.integers(1, 2000))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    kind = draw(st.sampled_from(("ties", "distinct", "equal")))
+    if kind == "ties":
+        return rng.integers(0, 12, size=n) / 2
+    if kind == "distinct":
+        return rng.permutation(n) / 3 + draw(st.floats(0, 100))
+    return np.full(n, draw(st.floats(0, 100)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(values=stat_arrays())
+def test_significance_levels_match_brute_force_count(values):
+    got = _significance_levels(values)
+    assert [float(x).hex() for x in got] == [x.hex() for x in significance_levels(values.tolist())]
 
 
 # ---------------------------------------------------------------------------
@@ -229,6 +251,64 @@ def test_npc_deterministic_and_worker_independent():
     b = npc_fisher_combine(groups, n_perm=4000, seed=11, workers=4)
     c = npc_fisher_combine(groups, n_perm=4000, seed=11, workers=1)
     assert a == b == c
+
+
+def test_npc_rejects_fewer_than_one_worker():
+    groups = null_groups(np.random.default_rng(0))
+    for workers in (0, -2):
+        with pytest.raises(ValueError, match="workers"):
+            npc_fisher_combine(groups, n_perm=100, seed=0, workers=workers)
+
+
+def frozen_groups():
+    # non-dyadic values, so any change in the order of the float sums shows;
+    # A and B share all ten universities with top sets of different sizes,
+    # and C spans seven of them
+    univ = [f"U{i}" for i in range(10)]
+    a = [0.1, 2.3, 0.7, 1.9, 3.1, 0.3, 2.9, 1.1, 0.6, 4.2]
+    b = [1.3, 0.2, 2.7, 0.9, 1.7, 3.3, 0.4, 2.1, 1.5, 0.8]
+    c = [0.7, 1.9, 0.1, 2.6, 0.3, 1.3, 1.1]
+    return [
+        UdaGroups("A", dict(zip(univ, a)), frozenset({"U0", "U9"})),
+        UdaGroups("B", dict(zip(univ, b)), frozenset({"U0", "U3", "U5"})),
+        UdaGroups("C", dict(zip(univ[2:9], c)), frozenset({"U2", "U8"})),
+    ]
+
+
+# float.hex of (observed, p) per partial, then the Fisher statistic and the
+# combined p, recorded with the per-discipline sampler this one replaced
+FROZEN_NPC = {
+    999: (
+        [("0x1.1333333333334p-1", "0x1.451eb851eb852p-1"),
+         ("0x1.f63f63f63f63cp-2", "0x1.0189374bc6a7fp-1"),
+         ("-0x1.5c28f5c28f5c2p-2", "0x1.5f3b645a1cac1p-1")],
+        "0x1.84a6fd0572d4dp+1",
+        "0x1.83126e978d4fep-1",
+    ),
+    1: (
+        [("0x1.1333333333334p-1", "0x1.0000000000000p+0"),
+         ("0x1.f63f63f63f63cp-2", "0x1.0000000000000p-1"),
+         ("-0x1.5c28f5c28f5c2p-2", "0x1.0000000000000p+0")],
+        "0x1.62e42fefa39efp+0",
+        "0x1.0000000000000p+0",
+    ),
+}
+
+
+@pytest.mark.parametrize(
+    "n_perm, workers, chunk",
+    [(999, 1, None), (999, 2, None), (999, 3, None), (999, 3, 64), (1, 3, None)],
+)
+def test_npc_frozen_bits_at_any_worker_count(monkeypatch, n_perm, workers, chunk):
+    if chunk is not None:
+        monkeypatch.setattr(npc_mod, "_CHUNK_VALUES", chunk)  # 6-row blocks
+    result = npc_fisher_combine(frozen_groups(), n_perm=n_perm, seed=2718, workers=workers)
+    got = (
+        [(p.observed.hex(), p.p_value.hex()) for p in result.partials],
+        result.combined_statistic.hex(),
+        result.combined_p.hex(),
+    )
+    assert got == FROZEN_NPC[n_perm]
 
 
 def test_npc_shared_stream_relabels_overlapping_universities_consistently():
