@@ -40,9 +40,6 @@ class AnalysisRun:
     def scopes(self, level: str) -> list[str]:
         return sorted({s for (lvl, s, _y) in self.rankings if lvl == level})
 
-    def years_of(self, level: str, scope_id: str) -> list[int]:
-        return sorted(y for (lvl, s, y) in self.rankings if lvl == level and s == scope_id)
-
     def ranking(self, level: str, scope_id: str, year: int) -> Ranking:
         return self.rankings[(level, scope_id, year)]
 
@@ -54,13 +51,8 @@ def run_analysis(
     threshold: float,
     baseline: str,
     levels: Sequence[str] = ("uda", "sds"),
-    workers: int = 1,
 ) -> AnalysisRun:
-    """Full pipeline (filter, medians, impact, strength, productivity, rank).
-
-    `workers` is accepted for compatibility and has no effect: the analysis
-    is one single-threaded array pass.
-    """
+    """Full pipeline (filter, medians, impact, strength, productivity, rank)."""
     years = sorted(set(years))
     counts = _citation_matrix(corpus, years)
     report = representativity_filter(corpus, pub_period, threshold)

@@ -12,7 +12,6 @@ import json
 import logging
 import math
 import sys
-from dataclasses import dataclass
 from pathlib import Path
 from typing import Mapping, Sequence
 
@@ -45,45 +44,9 @@ DEFAULT_PERMUTATIONS = 10_000
 DEFAULT_SEED = 42
 
 
-@dataclass(frozen=True)
-class RunManifest:
-    """Reproducibility record written next to every output set."""
-
-    command: str
-    input_dir: str
-    pub_period: tuple[int, int]
-    observation_years: tuple[int, ...]
-    threshold: float
-    baseline: str
-    benchmark_year: int | None = None
-    level: str | None = None
-    top_percentile: float | None = None
-    n_perm: int | None = None
-    seed: int | None = None
-    outputs: tuple[str, ...] = ()
-    tool_version: str = __version__
-
-    def write(self, out_dir: Path) -> None:
-        payload = {
-            "command": self.command,
-            "tool_version": self.tool_version,
-            "input_dir": self.input_dir,
-            "parameters": {
-                "pub_period": list(self.pub_period),
-                "observation_years": list(self.observation_years),
-                "threshold": self.threshold,
-                "baseline": self.baseline,
-                "benchmark_year": self.benchmark_year,
-                "level": self.level,
-                "top_percentile": self.top_percentile,
-                "n_perm": self.n_perm,
-                "seed": self.seed,
-            },
-            "outputs": sorted(self.outputs),
-        }
-        (out_dir / "manifest.json").write_text(
-            json.dumps(payload, indent=2, sort_keys=True) + "\n", encoding="utf-8"
-        )
+# manifest.json records each of these, null where a command does not set it
+MANIFEST_PARAMETERS = ("pub_period", "observation_years", "threshold", "baseline",
+                       "benchmark_year", "level", "top_percentile", "n_perm", "seed")
 
 
 # ---------------------------------------------------------------------------
@@ -121,18 +84,10 @@ def cmd_rankings(
     """Write rankings.csv for one observation year at one level."""
     corpus = load_corpus(directory)
     run = run_analysis(corpus, pub_period, [obs_year], threshold, baseline, levels=(level,))
-    out, outputs = _write_tables(out_dir, _analysis_tables(run))
-    RunManifest(
-        command="rankings",
-        input_dir=str(directory),
-        pub_period=pub_period,
-        observation_years=(obs_year,),
-        threshold=threshold,
-        baseline=baseline,
-        level=level,
-        outputs=outputs,
-    ).write(out)
-    return out
+    return _write_run(
+        out_dir, "rankings", directory, _analysis_tables(run), pub_period=pub_period,
+        observation_years=[obs_year], threshold=threshold, baseline=baseline, level=level,
+    )
 
 
 def cmd_sensitivity(
@@ -143,37 +98,17 @@ def cmd_sensitivity(
     benchmark_year: int = DEFAULT_BENCHMARK,
     threshold: float = DEFAULT_THRESHOLD,
     baseline: str = DEFAULT_BASELINE,
-    workers: int = 1,
 ) -> Path:
     """Write the full rank-stability battery against the benchmark year."""
-    years = sorted(set(years))
-    if benchmark_year not in years:
-        raise AnalysisError(f"benchmark year {benchmark_year} not among years {years}")
-    if len(years) < 2:
-        raise AnalysisError("sensitivity analysis needs at least two observation years")
+    years = _check_years(years, benchmark_year)
     corpus = load_corpus(directory)
-    run = run_analysis(corpus, pub_period, years, threshold, baseline, workers=workers)
-    comparison = [y for y in years if y != benchmark_year]
-    out, outputs = _write_tables(out_dir, {
-        "shift_descriptives.csv": _shift_descriptives_rows(run, comparison, benchmark_year),
-        "stability_summary.csv": _stability_rows(run, benchmark_year),
-        "spearman.csv": _spearman_rows(run, comparison, benchmark_year),
-        "small_shift_pcts.csv": _small_shift_rows(run, comparison, benchmark_year),
-        "quartile_stats.csv": _quartile_rows(run, comparison, benchmark_year),
-        "rank_ranges.csv": _rank_range_rows(run),
-        **_analysis_tables(run),
-    })
-    RunManifest(
-        command="sensitivity",
-        input_dir=str(directory),
-        pub_period=pub_period,
-        observation_years=tuple(years),
-        threshold=threshold,
-        baseline=baseline,
+    run = run_analysis(corpus, pub_period, years, threshold, baseline)
+    tables = {**_battery_tables(run, years, benchmark_year), **_analysis_tables(run)}
+    return _write_run(
+        out_dir, "sensitivity", directory, tables, pub_period=pub_period,
+        observation_years=years, threshold=threshold, baseline=baseline,
         benchmark_year=benchmark_year,
-        outputs=outputs,
-    ).write(out)
-    return out
+    )
 
 
 def cmd_npc(
@@ -190,11 +125,7 @@ def cmd_npc(
     workers: int = 1,
 ) -> Path:
     """Top-vs-rest permutation test per UDA plus the Fisher combination."""
-    years = sorted(set(years))
-    if benchmark_year not in years:
-        raise AnalysisError(f"benchmark year {benchmark_year} not among years {years}")
-    if len(years) < 2:
-        raise AnalysisError("the rank-shift test needs at least two observation years")
+    years = _check_years(years, benchmark_year)
     corpus = load_corpus(directory)
     run = run_analysis(corpus, pub_period, years, threshold, baseline, levels=("uda",))
 
@@ -217,25 +148,13 @@ def cmd_npc(
             f"only {len(groups)} UDA(s) usable for the combined test; need at least 2"
         )
     result = npc_fisher_combine(groups, n_perm=n_perm, seed=seed, workers=workers)
-
-    out, outputs = _write_tables(out_dir, {
-        "npc_results.csv": _npc_rows(result, seed),
-        "representativity.csv": run.report.csv_rows(),
-    })
-    RunManifest(
-        command="npc",
-        input_dir=str(directory),
-        pub_period=pub_period,
-        observation_years=tuple(years),
-        threshold=threshold,
-        baseline=baseline,
-        benchmark_year=benchmark_year,
-        top_percentile=top_percentile,
-        n_perm=n_perm,
-        seed=seed,
-        outputs=outputs,
-    ).write(out)
-    return out
+    tables = {"npc_results.csv": _npc_rows(result, seed),
+              "representativity.csv": run.report.csv_rows()}
+    return _write_run(
+        out_dir, "npc", directory, tables, pub_period=pub_period, observation_years=years,
+        threshold=threshold, baseline=baseline, benchmark_year=benchmark_year,
+        top_percentile=top_percentile, n_perm=n_perm, seed=seed,
+    )
 
 
 def cmd_synth(config_path: str, out_dir: str, seed: int | None = None) -> Path:
@@ -243,19 +162,43 @@ def cmd_synth(config_path: str, out_dir: str, seed: int | None = None) -> Path:
     return generate(config, out_dir, seed=seed)
 
 
+def _check_years(years: Sequence[int], benchmark_year: int) -> list[int]:
+    """The distinct years in order; the benchmark and one more must be among them."""
+    years = sorted(set(years))
+    if benchmark_year not in years:
+        raise AnalysisError(f"benchmark year {benchmark_year} not among years {years}")
+    if len(years) < 2:
+        raise AnalysisError("comparing rankings across years needs at least two observation years")
+    return years
+
+
 # ---------------------------------------------------------------------------
-# table writers
+# output tables
 
 
-def _write_tables(
-    out_dir: str | Path, tables: Mapping[str, Sequence[Sequence[str]]]
-) -> tuple[Path, tuple[str, ...]]:
-    """Write each named table as a CSV file under out_dir; returns (dir, names)."""
+def _write_run(
+    out_dir: str | Path,
+    command: str,
+    directory: str,
+    tables: Mapping[str, Sequence[Sequence[str]]],
+    **parameters: object,
+) -> Path:
+    """Write each named table as a CSV file under out_dir, then manifest.json."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     for name, rows in tables.items():
         (out / name).write_text("\n".join(",".join(row) for row in rows) + "\n", encoding="utf-8")
-    return out, tuple(tables)
+    manifest = {
+        "command": command,
+        "tool_version": __version__,
+        "input_dir": str(directory),
+        "parameters": {name: parameters.get(name) for name in MANIFEST_PARAMETERS},
+        "outputs": sorted(tables),
+    }
+    (out / "manifest.json").write_text(
+        json.dumps(manifest, indent=2, sort_keys=True) + "\n", encoding="utf-8"
+    )
+    return out
 
 
 def _fmt(x: float | None, decimals: int = 6) -> str:
@@ -275,116 +218,67 @@ def _analysis_tables(run: AnalysisRun) -> dict[str, list[list[str]]]:
             "medians.csv": medians}
 
 
-def _each_scope(run: AnalysisRun):
+def _battery_tables(
+    run: AnalysisRun,
+    years: list[int],
+    benchmark_year: int,
+) -> dict[str, list[list[str]]]:
+    """The six rank-stability tables, each scope's rankings looked up once.
+
+    Every statistic comes from its function in sensitivity.py; rows follow
+    the scopes, uda before sds.
+    """
+    comparison = [y for y in years if y != benchmark_year]
+    earliest = comparison[0]
+    tables = {
+        "shift_descriptives.csv": [["scope_level", "scope_id", "statistic", *map(str, comparison)]],
+        "stability_summary.csv": [["scope_level", "scope_id", "n_universities", "pct_change",
+                                   "average", "median", "std_dev", "max_ranking_variation"]],
+        "spearman.csv": [["scope_level", "scope_id", *(f"rank_{y}" for y in comparison)]],
+        "small_shift_pcts.csv": [["scope_level", "scope_id", "n_universities", "comparison_year",
+                                  "no_change_pct", "leq3_pct"]],
+        "quartile_stats.csv": [["scope_level", "scope_id", "measure", *map(str, comparison)]],
+        "rank_ranges.csv": [["scope_level", "scope_id", "university_id", "min_rank", "max_rank"]],
+    }
+    shifts, summaries, spearman, small, quartiles, ranges = tables.values()
     for level in ("uda", "sds"):
         for scope in run.scopes(level):
-            yield level, scope
-
-
-def _shift_descriptives_rows(run, comparison_years, benchmark_year) -> list[list[str]]:
-    header = ["scope_level", "scope_id", "statistic"] + [str(y) for y in comparison_years]
-    rows = [header]
-    for level, scope in _each_scope(run):
-        bench = run.ranking(level, scope, benchmark_year)
-        stats = {}
-        for year in comparison_years:
-            shifts = [a for _s, a in rank_shifts(run.ranking(level, scope, year), bench).values()]
-            stats[year] = shift_descriptives(shifts)
-        for name in ("mean", "median", "std_dev", "skewness", "kurtosis"):
-            rows.append(
-                [level, scope, name]
-                + [_fmt(getattr(stats[y], name)) for y in comparison_years]
-            )
-    return rows
-
-
-def _stability_rows(run, benchmark_year) -> list[list[str]]:
-    rows = [["scope_level", "scope_id", "n_universities", "pct_change", "average", "median",
-             "std_dev", "max_ranking_variation"]]
-    for level, scope in _each_scope(run):
-        rankings = {y: run.ranking(level, scope, y) for y in run.years_of(level, scope)}
-        summary = stability_summary(rankings, benchmark_year)
-        rows.append(
-            [
-                level,
-                scope,
-                str(summary.n_universities),
-                str(round_half_up(100.0 * summary.pct_any_change)),
-                _fmt(summary.mean_shift_average),
-                _fmt(summary.mean_shift_median),
-                _fmt(summary.mean_shift_std_dev),
-                str(summary.max_ranking_variation),
+            rankings = {y: run.ranking(level, scope, y) for y in years}
+            bench = rankings[benchmark_year]
+            stats = [
+                shift_descriptives([a for _s, a in rank_shifts(rankings[y], bench).values()])
+                for y in comparison
             ]
-        )
-    return rows
-
-
-def _spearman_rows(run, comparison_years, benchmark_year) -> list[list[str]]:
-    header = ["scope_level", "scope_id"] + [f"rank_{y}" for y in comparison_years]
-    rows = [header]
-    for level, scope in _each_scope(run):
-        bench = run.ranking(level, scope, benchmark_year)
-        values = []
-        for year in comparison_years:
-            ranking = run.ranking(level, scope, year)
-            if len(ranking.entries) < 2:
-                values.append("NA")
+            for name in ("mean", "median", "std_dev", "skewness", "kurtosis"):
+                shifts.append([level, scope, name, *(_fmt(getattr(s, name)) for s in stats)])
+            summary = stability_summary(rankings, benchmark_year)
+            summaries.append([
+                level, scope, str(summary.n_universities),
+                str(round_half_up(100.0 * summary.pct_any_change)),
+                _fmt(summary.mean_shift_average), _fmt(summary.mean_shift_median),
+                _fmt(summary.mean_shift_std_dev), str(summary.max_ranking_variation),
+            ])
+            spearman.append([level, scope, *(
+                "NA" if len(rankings[y].entries) < 2 else _fmt(spearman_rho(rankings[y], bench))
+                for y in comparison
+            )])
+            pcts = no_change_and_small_shift_pcts(rankings[earliest], bench)
+            small.append([level, scope, str(len(bench.entries)), str(earliest), *map(str, pcts)])
+            if len(bench.entries) < 4:
+                logger.warning("skipping quartile stats for %s %s: fewer than 4 universities",
+                               level, scope)
             else:
-                values.append(_fmt(spearman_rho(ranking, bench)))
-        rows.append([level, scope] + values)
-    return rows
-
-
-def _small_shift_rows(run, comparison_years, benchmark_year) -> list[list[str]]:
-    earliest = comparison_years[0]
-    rows = [
-        ["scope_level", "scope_id", "n_universities", "comparison_year", "no_change_pct", "leq3_pct"]
-    ]
-    for level, scope in _each_scope(run):
-        bench = run.ranking(level, scope, benchmark_year)
-        ranking = run.ranking(level, scope, earliest)
-        no_change, small = no_change_and_small_shift_pcts(ranking, bench)
-        rows.append(
-            [level, scope, str(len(bench.entries)), str(earliest), str(no_change), str(small)]
-        )
-    return rows
-
-
-def _quartile_rows(run, comparison_years, benchmark_year) -> list[list[str]]:
-    header = ["scope_level", "scope_id", "measure"] + [str(y) for y in comparison_years]
-    rows = [header]
-    for level, scope in _each_scope(run):
-        years = run.years_of(level, scope)
-        if len(run.ranking(level, scope, benchmark_year).entries) < 4:
-            logger.warning("skipping quartile stats for %s %s: fewer than 4 universities", level, scope)
-            continue
-        assignments = {
-            y: quartile_classes(run.ranking(level, scope, y).scores()) for y in years
-        }
-        shifts = quartile_shift_stats(assignments, benchmark_year)
-        rows.append(
-            [level, scope, "avg_class_shift"]
-            + [_fmt(shifts[y].average_abs_shift) for y in comparison_years]
-        )
-        rows.append(
-            [level, scope, "outliers"] + [str(shifts[y].outliers) for y in comparison_years]
-        )
-    return rows
-
-
-def _rank_range_rows(run) -> list[list[str]]:
-    rows = [["scope_level", "scope_id", "university_id", "min_rank", "max_rank"]]
-    for level, scope in _each_scope(run):
-        years = run.years_of(level, scope)
-        ranks_by_univ: dict[str, list[int]] = {}
-        for year in years:
-            for univ, rank in run.ranking(level, scope, year).display_ranks().items():
-                ranks_by_univ.setdefault(univ, []).append(rank)
-        for univ in sorted(ranks_by_univ):
-            rows.append(
-                [level, scope, univ, str(min(ranks_by_univ[univ])), str(max(ranks_by_univ[univ]))]
-            )
-    return rows
+                classes = {y: quartile_classes(r.scores()) for y, r in rankings.items()}
+                moves = quartile_shift_stats(classes, benchmark_year)
+                quartiles.append([level, scope, "avg_class_shift",
+                                  *(_fmt(moves[y].average_abs_shift) for y in comparison)])
+                quartiles.append([level, scope, "outliers",
+                                  *(str(moves[y].outliers) for y in comparison)])
+            ranks = [r.display_ranks() for r in rankings.values()]
+            for univ in sorted(bench.universities()):
+                mine = [r[univ] for r in ranks]
+                ranges.append([level, scope, univ, str(min(mine)), str(max(mine))])
+    return tables
 
 
 def _npc_rows(result: NpcCombinedResult, seed: int) -> list[list[str]]:
@@ -442,13 +336,15 @@ def build_parser() -> argparse.ArgumentParser:
 
     def common(p: argparse.ArgumentParser, with_years: bool) -> None:
         p.add_argument("directory")
-        p.add_argument("--out", required=True, help="output directory")
-        p.add_argument("--period", type=_parse_period, default=DEFAULT_PERIOD)
+        p.add_argument("--out", dest="out_dir", metavar="OUT", required=True, help="output directory")
+        p.add_argument("--period", dest="pub_period", metavar="PERIOD", type=_parse_period,
+                       default=DEFAULT_PERIOD)
         p.add_argument("--threshold", type=float, default=DEFAULT_THRESHOLD)
         p.add_argument("--baseline", choices=("aggregate", "mean"), default=DEFAULT_BASELINE)
         if with_years:
             p.add_argument("--years", type=_parse_years, default=DEFAULT_YEARS)
-            p.add_argument("--benchmark", type=int, default=DEFAULT_BENCHMARK)
+            p.add_argument("--benchmark", dest="benchmark_year", metavar="BENCHMARK", type=int,
+                           default=DEFAULT_BENCHMARK)
             p.add_argument("--workers", type=_positive_int, default=1)
 
     p = sub.add_parser("rankings", help="productivity rankings for one observation year")
@@ -462,68 +358,38 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("npc", help="top-vs-rest permutation tests and Fisher combination")
     common(p, with_years=True)
     p.add_argument("--top-percentile", type=float, default=DEFAULT_TOP_PERCENTILE)
-    p.add_argument("--permutations", type=_positive_int, default=DEFAULT_PERMUTATIONS)
+    p.add_argument("--permutations", dest="n_perm", metavar="PERMUTATIONS", type=_positive_int,
+                   default=DEFAULT_PERMUTATIONS)
     p.add_argument("--seed", type=int, default=DEFAULT_SEED)
 
     p = sub.add_parser("synth", help="generate a synthetic corpus directory")
-    p.add_argument("--config", required=True)
+    p.add_argument("--config", dest="config_path", metavar="CONFIG", required=True)
     p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--out", required=True)
+    p.add_argument("--out", dest="out_dir", metavar="OUT", required=True)
     return parser
 
 
 def main(argv: Sequence[str] | None = None) -> int:
     logging.basicConfig(level=logging.WARNING, format="%(levelname)s %(name)s: %(message)s")
-    args = build_parser().parse_args(argv)
+    args = vars(build_parser().parse_args(argv))
+    # parser dests are the commands' parameter names, looked up when main runs
+    commands = {
+        "validate": cmd_validate,
+        "rankings": cmd_rankings,
+        "sensitivity": lambda workers, **kwargs: cmd_sensitivity(**kwargs),  # --workers is ignored
+        "npc": cmd_npc,
+        "synth": cmd_synth,
+    }
     try:
-        if args.command == "validate":
-            return cmd_validate(args.directory)
-        if args.command == "rankings":
-            out = cmd_rankings(
-                args.directory,
-                args.out,
-                pub_period=args.period,
-                obs_year=args.obs_year,
-                level=args.level,
-                threshold=args.threshold,
-                baseline=args.baseline,
-            )
-        elif args.command == "sensitivity":
-            out = cmd_sensitivity(
-                args.directory,
-                args.out,
-                pub_period=args.period,
-                years=args.years,
-                benchmark_year=args.benchmark,
-                threshold=args.threshold,
-                baseline=args.baseline,
-                workers=args.workers,
-            )
-        elif args.command == "npc":
-            out = cmd_npc(
-                args.directory,
-                args.out,
-                pub_period=args.period,
-                years=args.years,
-                benchmark_year=args.benchmark,
-                threshold=args.threshold,
-                baseline=args.baseline,
-                top_percentile=args.top_percentile,
-                n_perm=args.permutations,
-                seed=args.seed,
-                workers=args.workers,
-            )
-        else:
-            out = cmd_synth(args.config, args.out, seed=args.seed)
-    except MissingInputError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except ValueError as exc:
+        out = commands[args.pop("command")](**args)
+    except (MissingInputError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except CitewinError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    if isinstance(out, int):
+        return out  # validate prints its own findings
     print(out)
     return 0
 

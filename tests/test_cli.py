@@ -224,6 +224,16 @@ def test_sensitivity_skips_quartiles_for_tiny_scopes(tmp_path):
     assert len(read_csv(out / "stability_summary.csv")) == 2  # uda + sds rows
 
 
+@pytest.mark.parametrize("command", ["sensitivity", "npc"])
+def test_single_observation_year_is_rejected_before_any_work(
+    golden_corpus_dir, tmp_path, capsys, command
+):
+    out = tmp_path / "out"
+    assert run(command, golden_corpus_dir, "--out", out, "--years", "2008", "--benchmark", "2008") == 1
+    assert "needs at least two observation years" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_rankings_on_uncited_corpus_gives_all_zero_scores(tmp_path):
     root = write_corpus_dir(
         tmp_path / "uncited",
@@ -298,6 +308,62 @@ def test_npc_results_bytes_frozen(tmp_path, workers):
     ) == 0
     digest = hashlib.sha256((out / "npc_results.csv").read_bytes()).hexdigest()
     assert digest == FROZEN_NPC_RESULTS_SHA256
+
+
+def _digests(out_dir) -> dict[str, str]:
+    return {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in sorted(out_dir.iterdir())}
+
+
+# sha256 of every file each command writes, manifest.json included, on the
+# stability corpus at seed 6 given by the relative path "corpus"; recorded
+# before the table writers were folded into one run writer
+FROZEN_RUN_SHA256 = {
+    ("rankings",): {
+        "manifest.json": "8f792143f625b5478a9990fcedd1da5b565d1196b30e9915c0367242924543dc",
+        "medians.csv": "9b6f6b63e26f7fd32104bf7064cd6fd59f763e8a9586ee82561e1fbf041fc179",
+        "rankings.csv": "931f6ae1898a11a728f9e1ed0dc50d4850c2ed4cfd68840b8cac4b6f9a85175d",
+        "representativity.csv": "2d3ba06d75f434350b025393dcf4a8e6f36d6a2ceb075d938d4b816b1c49387b",
+    },
+    ("rankings", "--level", "sds", "--baseline", "mean"): {
+        "manifest.json": "5b1c1813293701c55c62213b05361d934aed1c1617b2c3f237d71fa4379b29c5",
+        "medians.csv": "9b6f6b63e26f7fd32104bf7064cd6fd59f763e8a9586ee82561e1fbf041fc179",
+        "rankings.csv": "ed7c6d342e4513acdfd9449b80cb923aebd41a85017dc6393c9fc648339edee0",
+        "representativity.csv": "2d3ba06d75f434350b025393dcf4a8e6f36d6a2ceb075d938d4b816b1c49387b",
+    },
+    ("sensitivity",): {
+        "manifest.json": "0f57169f1a0fbc0207f51ab9cfc7d78f09003a370603cfc1386ee3e236a6dbef",
+        "medians.csv": "a990cad812a091cb85bc6523c2174acd75020c7d1e56aeaed27edeac9ae97ced",
+        "quartile_stats.csv": "ccd641e167122b20ce3825155e6528f5b41e1af459d735a096c6f03c314ece7c",
+        "rank_ranges.csv": "417b753f762c642bbd6268721cce052512ceb9347b9bdb2b57dd82587a275f25",
+        "rankings.csv": "4c01ff7c7e386efca867876ae9c71ad69e48f51227b7e37f369ef77f317ae94d",
+        "representativity.csv": "2d3ba06d75f434350b025393dcf4a8e6f36d6a2ceb075d938d4b816b1c49387b",
+        "shift_descriptives.csv": "fdc8b7fccade1b20ff0f8a2433fa582bf9e5e7509d68d7b0bb7b25f1fdb58991",
+        "small_shift_pcts.csv": "dc168d682d01bf24f7aa9a2506c8f9f075e0838928f8ad0bd6c1dd886749565d",
+        "spearman.csv": "ee520e7c6f0460c93c929f21d3b31862801f161fba740693e3eed67d66452cd1",
+        "stability_summary.csv": "0559d927441c368b1b192ff4a51f82f8a548fab3fbf86d0a81d10656cd6d17c8",
+    },
+    ("npc", "--permutations", "2000"): {
+        "manifest.json": "8563adcb1d21480c5fac29f5f92e1cc3bb7841a630bb571d5ffb1c26e3ed10dd",
+        "npc_results.csv": "f4fb0f0dd3bea1b1d42bbe2a5a5989d5e914f698faf851b540183c47fd736471",
+        "representativity.csv": "2d3ba06d75f434350b025393dcf4a8e6f36d6a2ceb075d938d4b816b1c49387b",
+    },
+}
+
+
+@pytest.mark.parametrize("argv", list(FROZEN_RUN_SHA256), ids=lambda argv: "_".join(argv).replace("-", ""))
+def test_run_bytes_frozen(tmp_path, monkeypatch, argv):
+    # a relative input path keeps manifest.json's input_dir independent of tmp_path
+    monkeypatch.chdir(tmp_path)
+    generate(stability_config(), "corpus", seed=6)
+    assert run(argv[0], "corpus", "--out", "out", *argv[1:]) == 0
+    assert _digests(tmp_path / "out") == FROZEN_RUN_SHA256[argv]
+
+
+def test_sensitivity_workers_flag_is_accepted_and_ignored(tmp_path):
+    root = generate(stability_config(), tmp_path / "corpus", seed=6)
+    assert run("sensitivity", root, "--out", tmp_path / "plain") == 0
+    assert run("sensitivity", root, "--out", tmp_path / "w2", "--workers", "2") == 0
+    assert _digests(tmp_path / "plain") == _digests(tmp_path / "w2")
 
 
 @pytest.mark.parametrize(
