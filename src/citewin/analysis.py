@@ -7,7 +7,8 @@ staff of each (university, SDS) cell. Medians, impact scores, cell
 strengths, baselines and discipline scores then come out for all years at
 once. Every sum is a np.bincount over entries in the order the scalar
 definitions in impact.py and productivity.py add them, so each score is
-bit-identical to theirs.
+bit-identical to theirs. Each level's [scope x university, year] score
+matrix is then ranked for every year at once (sensitivity.rank_scopes).
 """
 
 from __future__ import annotations
@@ -23,25 +24,32 @@ from .errors import AnalysisError
 from .impact import MedianTable
 from .ingest import RepresentativityReport, representativity_filter
 from .productivity import BASELINE_RULES
-from .sensitivity import Ranking, rank_universities
+from .sensitivity import LevelRanks, Ranking, rank_scopes
 
 logger = logging.getLogger(__name__)
 
 
 @dataclass
 class AnalysisRun:
-    """Rankings for every requested (level, scope, year), plus provenance."""
+    """Scores and ranks of every requested level, scope and year, plus provenance."""
 
     corpus: Corpus
     report: RepresentativityReport
     median_tables: dict[int, MedianTable] = field(default_factory=dict)
-    rankings: dict[tuple[str, str, int], Ranking] = field(default_factory=dict)
+    levels: dict[str, LevelRanks] = field(default_factory=dict)
+
+    @property
+    def rankings(self) -> dict[tuple[str, str, int], Ranking]:
+        """A Ranking view of every (level, scope, year), built on request."""
+        return {(level, scope, year): ranks.ranking(scope, year)
+                for level, ranks in self.levels.items()
+                for scope in ranks.scope_ids for year in ranks.years}
 
     def scopes(self, level: str) -> list[str]:
-        return sorted({s for (lvl, s, _y) in self.rankings if lvl == level})
+        return list(self.levels[level].scope_ids) if level in self.levels else []
 
     def ranking(self, level: str, scope_id: str, year: int) -> Ranking:
-        return self.rankings[(level, scope_id, year)]
+        return self.levels[level].ranking(scope_id, year)
 
 
 def run_analysis(
@@ -93,25 +101,19 @@ def run_analysis(
 
     # discipline score of each (UDA, university): sum over its cells in SDS
     # order of (p / p_bar) * (RS / RS_total), degenerate (p_bar = 0) cells adding 0
-    members: dict[tuple[str, str], list[tuple[str, int]]] = {}
     groups: dict[tuple[str, str], int] = {}
-    for c, (univ, sds) in enumerate(cells):
-        members.setdefault(("sds", sds), []).append((univ, c))
-        groups.setdefault((corpus.taxonomy.uda_of(sds), univ), len(groups))
+    for u, s in cells:
+        groups.setdefault((corpus.taxonomy.uda_of(s), u), len(groups))
     group_of = np.array([groups[(corpus.taxonomy.uda_of(s), u)] for u, s in cells], np.intp)
     share = rs / np.bincount(group_of, weights=rs)[group_of]
     bar = p_bar[sds_of]
     ratio = np.divide(p, bar, out=np.zeros_like(p), where=bar != 0.0)
     value = _sum_rows(group_of, len(groups), ratio * share[:, None])
-    for (uda, univ), g in groups.items():
-        members.setdefault(("uda", uda), []).append((univ, g))
 
-    scores = {"sds": p.tolist(), "uda": value.tolist()}
-    for (level, scope), rows in members.items():
+    scored = {"uda": (list(groups), value), "sds": ([(s, u) for u, s in cells], p)}
+    for level, (pairs, scores) in scored.items():
         if level in levels:
-            for yi, year in enumerate(years):
-                by_univ = {univ: scores[level][r][yi] for univ, r in rows}
-                run.rankings[(level, scope, year)] = rank_universities(by_univ, level, scope, year)
+            run.levels[level] = rank_scopes(level, pairs, years, scores)
     return run
 
 

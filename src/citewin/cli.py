@@ -15,21 +15,14 @@ import sys
 from pathlib import Path
 from typing import Mapping, Sequence
 
+import numpy as np
+
 from . import __version__
 from .analysis import AnalysisRun, run_analysis
 from .errors import AnalysisError, CitewinError, MissingInputError
 from .ingest import load_corpus
-from .npc import NpcCombinedResult, UdaGroups, max_rank_shift, npc_fisher_combine, top_partition
-from .sensitivity import (
-    no_change_and_small_shift_pcts,
-    quartile_classes,
-    quartile_shift_stats,
-    rank_shifts,
-    round_half_up,
-    shift_descriptives,
-    spearman_rho,
-    stability_summary,
-)
+from .npc import NpcCombinedResult, UdaGroups, npc_fisher_combine, top_partition
+from .sensitivity import _fmt, battery_tables
 from .synth import SynthConfig, generate
 
 logger = logging.getLogger(__name__)
@@ -103,7 +96,8 @@ def cmd_sensitivity(
     years = _check_years(years, benchmark_year)
     corpus = load_corpus(directory)
     run = run_analysis(corpus, pub_period, years, threshold, baseline)
-    tables = {**_battery_tables(run, years, benchmark_year), **_analysis_tables(run)}
+    tables = {**battery_tables([run.levels["uda"], run.levels["sds"]], benchmark_year),
+              **_analysis_tables(run)}
     return _write_run(
         out_dir, "sensitivity", directory, tables, pub_period=pub_period,
         observation_years=years, threshold=threshold, baseline=baseline,
@@ -129,20 +123,22 @@ def cmd_npc(
     corpus = load_corpus(directory)
     run = run_analysis(corpus, pub_period, years, threshold, baseline, levels=("uda",))
 
+    uda = run.levels["uda"]
+    bench = uda.years.index(benchmark_year)
+    # each university's largest rank move against the benchmark over the years
+    moves = np.abs(uda.ranks - uda.ranks[:, bench:bench + 1]).max(axis=1).astype(float).tolist()
+    scores = uda.scores[:, bench].tolist()
     groups = []
-    for uda in run.scopes("uda"):
-        bench = run.ranking("uda", uda, benchmark_year)
+    for s, scope in enumerate(uda.scope_ids):
+        rows = range(uda.bounds[s], uda.bounds[s + 1])
         try:
-            top, _rest = top_partition(bench.scores(), top_percentile)
+            top, _rest = top_partition({uda.university_ids[r]: scores[r] for r in rows},
+                                       top_percentile)
         except AnalysisError as exc:
-            logger.warning("excluding UDA %s from the combined test: %s", uda, exc)
+            logger.warning("excluding UDA %s from the combined test: %s", scope, exc)
             continue
-        ranks = {y: run.ranking("uda", uda, y).display_ranks() for y in years}
-        values = {
-            u: float(max_rank_shift({y: ranks[y][u] for y in years}, benchmark_year))
-            for u in sorted(bench.universities())
-        }
-        groups.append(UdaGroups(uda_id=uda, values=values, top=top))
+        values = {uda.university_ids[r]: moves[r] for r in rows}
+        groups.append(UdaGroups(uda_id=scope, values=values, top=top))
     if len(groups) < 2:
         raise AnalysisError(
             f"only {len(groups)} UDA(s) usable for the combined test; need at least 2"
@@ -201,84 +197,23 @@ def _write_run(
     return out
 
 
-def _fmt(x: float | None, decimals: int = 6) -> str:
-    return "NA" if x is None else f"{x:.{decimals}f}"
-
-
 def _analysis_tables(run: AnalysisRun) -> dict[str, list[list[str]]]:
     """rankings.csv, representativity.csv and medians.csv of an analysis run."""
     rankings = [["scope_level", "scope_id", "obs_year", "university_id", "score", "rank"]]
-    for (level, scope, year) in sorted(run.rankings):
-        for e in run.rankings[(level, scope, year)].entries:
-            rankings.append([level, scope, str(year), e.university_id, _fmt(e.score), str(e.rank)])
+    for level, ranks in sorted(run.levels.items()):
+        scores, ranked = ranks.scores.tolist(), ranks.ranks.tolist()
+        for s, scope in enumerate(ranks.scope_ids):
+            for y, year in enumerate(ranks.years):
+                rankings.extend(
+                    [level, scope, str(year), ranks.university_ids[r], _fmt(scores[r][y]),
+                     str(ranked[r][y])]
+                    for r in ranks.ranked[y, ranks.bounds[s]:ranks.bounds[s + 1]].tolist()
+                )
     medians = [["pub_year", "category_id", "obs_year", "median"]]
     for year in sorted(run.median_tables):
         medians.extend(run.median_tables[year].csv_rows()[1:])
     return {"rankings.csv": rankings, "representativity.csv": run.report.csv_rows(),
             "medians.csv": medians}
-
-
-def _battery_tables(
-    run: AnalysisRun,
-    years: list[int],
-    benchmark_year: int,
-) -> dict[str, list[list[str]]]:
-    """The six rank-stability tables, each scope's rankings looked up once.
-
-    Every statistic comes from its function in sensitivity.py; rows follow
-    the scopes, uda before sds.
-    """
-    comparison = [y for y in years if y != benchmark_year]
-    earliest = comparison[0]
-    tables = {
-        "shift_descriptives.csv": [["scope_level", "scope_id", "statistic", *map(str, comparison)]],
-        "stability_summary.csv": [["scope_level", "scope_id", "n_universities", "pct_change",
-                                   "average", "median", "std_dev", "max_ranking_variation"]],
-        "spearman.csv": [["scope_level", "scope_id", *(f"rank_{y}" for y in comparison)]],
-        "small_shift_pcts.csv": [["scope_level", "scope_id", "n_universities", "comparison_year",
-                                  "no_change_pct", "leq3_pct"]],
-        "quartile_stats.csv": [["scope_level", "scope_id", "measure", *map(str, comparison)]],
-        "rank_ranges.csv": [["scope_level", "scope_id", "university_id", "min_rank", "max_rank"]],
-    }
-    shifts, summaries, spearman, small, quartiles, ranges = tables.values()
-    for level in ("uda", "sds"):
-        for scope in run.scopes(level):
-            rankings = {y: run.ranking(level, scope, y) for y in years}
-            bench = rankings[benchmark_year]
-            stats = [
-                shift_descriptives([a for _s, a in rank_shifts(rankings[y], bench).values()])
-                for y in comparison
-            ]
-            for name in ("mean", "median", "std_dev", "skewness", "kurtosis"):
-                shifts.append([level, scope, name, *(_fmt(getattr(s, name)) for s in stats)])
-            summary = stability_summary(rankings, benchmark_year)
-            summaries.append([
-                level, scope, str(summary.n_universities),
-                str(round_half_up(100.0 * summary.pct_any_change)),
-                _fmt(summary.mean_shift_average), _fmt(summary.mean_shift_median),
-                _fmt(summary.mean_shift_std_dev), str(summary.max_ranking_variation),
-            ])
-            spearman.append([level, scope, *(
-                "NA" if len(rankings[y].entries) < 2 else _fmt(spearman_rho(rankings[y], bench))
-                for y in comparison
-            )])
-            pcts = no_change_and_small_shift_pcts(rankings[earliest], bench)
-            small.append([level, scope, str(len(bench.entries)), str(earliest), *map(str, pcts)])
-            if len(bench.entries) < 4:
-                logger.warning("skipping quartile stats for %s %s: fewer than 4 universities",
-                               level, scope)
-            else:
-                classes = {y: quartile_classes(r.scores()) for y, r in rankings.items()}
-                moves = quartile_shift_stats(classes, benchmark_year)
-                quartiles.append([level, scope, "avg_class_shift",
-                                  *(_fmt(moves[y].average_abs_shift) for y in comparison)])
-                quartiles.append([level, scope, "outliers",
-                                  *(str(moves[y].outliers) for y in comparison)])
-            ranks = [r.display_ranks() for r in rankings.values()]
-            for univ in sorted(bench.universities()):
-                mine = [r[univ] for r in ranks]
-                ranges.append([level, scope, univ, str(min(mine)), str(max(mine))])
-    return tables
 
 
 def _npc_rows(result: NpcCombinedResult, seed: int) -> list[list[str]]:

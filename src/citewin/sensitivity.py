@@ -4,17 +4,29 @@ Rankings order universities by descending score. Ties receive the same
 competition rank (1, 2, 2, 4) for display and shift computations, and
 averaged fractional ranks (1, 2.5, 2.5, 4) for correlations, which keeps
 the rank correlation tie-robust.
+
+A level's scores and ranks are [row, year] matrices whose rows are the
+(scope, university) pairs in (scope id, university id) order. Each battery
+statistic has one implementation, over blocks [..., year, n] of scopes that
+rank the same number n of universities, with the benchmark year last and
+the universities, in id order, contiguous along the last axis: every numpy
+reduction over that axis then adds in the order a 1-D call on one scope's
+row does. The per-Ranking functions are one-scope calls of the same code.
 """
 
 from __future__ import annotations
 
+import logging
 import math
+from collections import Counter
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 import numpy as np
 
 from .errors import AnalysisError
+
+logger = logging.getLogger(__name__)
 
 
 @dataclass(frozen=True)
@@ -45,6 +57,87 @@ class Ranking:
         return frozenset(e.university_id for e in self.entries)
 
 
+@dataclass(frozen=True, eq=False)
+class LevelRanks:
+    """Scores and ranks of every scope of one level at every year.
+
+    Rows are (scope, university) pairs in (scope id, university id) order;
+    scope s owns rows bounds[s]:bounds[s + 1]. ranked[y] lists the rows in
+    ranking order at year y: scope by scope, by descending score, ties by
+    university id.
+    """
+
+    level: str
+    scope_ids: tuple[str, ...]
+    bounds: np.ndarray  # [S + 1]
+    university_ids: tuple[str, ...]  # [R]
+    years: tuple[int, ...]
+    scores: np.ndarray  # [R, Y]
+    ranks: np.ndarray  # [R, Y] competition ranks
+    fractional: np.ndarray  # [R, Y]
+    ranked: np.ndarray  # [Y, R]
+
+    def __post_init__(self) -> None:
+        for column in (self.bounds, self.scores, self.ranks, self.fractional, self.ranked):
+            column.flags.writeable = False
+
+    def ranking(self, scope_id: str, year: int) -> Ranking:
+        """One scope at one year as a Ranking; KeyError if the level has neither."""
+        try:
+            s, y = self.scope_ids.index(scope_id), self.years.index(year)
+        except ValueError:
+            raise KeyError((self.level, scope_id, year)) from None
+        return Ranking(self.level, scope_id, year, tuple(
+            RankEntry(self.university_ids[r], float(self.scores[r, y]), int(self.ranks[r, y]),
+                      float(self.fractional[r, y]))
+            for r in self.ranked[y, self.bounds[s]:self.bounds[s + 1]].tolist()
+        ))
+
+
+def rank_scopes(
+    level: str,
+    keys: Sequence[tuple[str, str]],
+    years: Sequence[int],
+    scores: np.ndarray,
+) -> LevelRanks:
+    """Rank every scope's universities at every year; keys[row] is the
+    (scope id, university id) of scores[row, year].
+
+    One lexsort orders each year's rows by (scope, -score), ties keeping the
+    (scope, university id) order of the rows.
+    """
+    order = sorted(range(len(keys)), key=keys.__getitem__)
+    keys = [keys[r] for r in order]
+    scores = np.asarray(scores, dtype=float)[order]
+    bad = np.argwhere(~np.isfinite(scores))
+    if len(bad):
+        r, y = bad[0]
+        raise ValueError(f"non-finite score {scores[r, y]} for {keys[r][1]!r}")
+    sizes = Counter(scope for scope, _univ in keys)  # in scope id order
+    bounds = np.cumsum([0, *sizes.values()])
+    scope = np.repeat(np.arange(len(sizes)), list(sizes.values()))
+    neg = -scores.T
+    ranked = np.lexsort((neg, np.broadcast_to(scope, neg.shape)))
+    # tie groups of each year's ranked rows, each scope starting a new one;
+    # a group spans positions [start, stop)
+    value = np.take_along_axis(neg, ranked, axis=1)
+    tie = np.ones(ranked.shape, dtype=bool)
+    tie[:, 1:] = value[:, 1:] != value[:, :-1]
+    tie[:, bounds[:-1]] = True
+    pos = np.arange(len(keys))
+    start = np.maximum.accumulate(np.where(tie, pos, 0), axis=1)
+    last = np.append(tie[:, 1:], np.ones((len(years), 1), dtype=bool), axis=1)
+    stop = np.minimum.accumulate(np.where(last, pos + 1, len(keys))[:, ::-1], axis=1)[:, ::-1]
+    first = bounds[scope[ranked]]
+    ranks = np.empty(scores.shape, dtype=np.intp)
+    fractional = np.empty_like(scores)
+    columns = np.arange(len(years))[:, None]
+    ranks[ranked, columns] = start - first + 1
+    fractional[ranked, columns] = (start + stop - 2 * first + 1) / 2
+    return LevelRanks(level, tuple(sizes), bounds, tuple(univ for _scope, univ in keys),
+                      tuple(years), scores, ranks, fractional, ranked)
+
+
 def rank_universities(
     scores: Mapping[str, float],
     scope_level: str = "",
@@ -54,22 +147,9 @@ def rank_universities(
     """Order universities by descending score with deterministic tie handling."""
     if not scores:
         raise ValueError("cannot rank an empty score map")
-    for univ, score in scores.items():
-        if not math.isfinite(score):
-            raise ValueError(f"non-finite score {score} for {univ!r}")
-    ordered = sorted(scores.items(), key=lambda kv: (-kv[1], kv[0]))
-    entries: list[RankEntry] = []
-    i = 0
-    while i < len(ordered):
-        j = i
-        while j < len(ordered) and ordered[j][1] == ordered[i][1]:
-            j += 1
-        # positions i+1 .. j (1-based) share the score
-        fractional = (i + 1 + j) / 2
-        for univ, score in ordered[i:j]:
-            entries.append(RankEntry(univ, score, rank=i + 1, fractional_rank=fractional))
-        i = j
-    return Ranking(scope_level, scope_id, obs_year, tuple(entries))
+    keys = [(scope_id, univ) for univ in scores]
+    values = np.array(list(scores.values()), dtype=float)[:, None]
+    return rank_scopes(scope_level, keys, [obs_year], values).ranking(scope_id, obs_year)
 
 
 def rank_shifts(ranking: Ranking, benchmark: Ranking) -> dict[str, tuple[int, int]]:
@@ -79,13 +159,8 @@ def rank_shifts(ranking: Ranking, benchmark: Ranking) -> dict[str, tuple[int, in
     benchmark. Uses competition ranks. Both rankings must cover the same
     universities.
     """
-    _require_same_universities(ranking, benchmark)
-    ranks = ranking.display_ranks()
-    bench = benchmark.display_ranks()
-    return {
-        univ: (ranks[univ] - bench[univ], abs(ranks[univ] - bench[univ]))
-        for univ in sorted(ranks)
-    }
+    signed = _shifts(_columns([ranking, benchmark], "rank"))[0].tolist()
+    return {u: (d, abs(d)) for u, d in zip(sorted(benchmark.universities()), signed)}
 
 
 @dataclass(frozen=True)
@@ -107,22 +182,7 @@ class ShiftStats:
 def shift_descriptives(shifts: Sequence[float]) -> ShiftStats:
     if len(shifts) < 1:
         raise ValueError("need at least one shift")
-    xs = np.asarray(shifts, dtype=float)
-    mean = float(xs.mean())
-    dev = xs - mean
-    m2 = float((dev**2).mean())
-    if m2 == 0.0:
-        return ShiftStats(len(xs), mean, float(np.median(xs)), 0.0, None, None)
-    m3 = float((dev**3).mean())
-    m4 = float((dev**4).mean())
-    return ShiftStats(
-        n=len(xs),
-        mean=mean,
-        median=float(np.median(xs)),
-        std_dev=math.sqrt(m2),
-        skewness=m3 / m2**1.5,
-        kurtosis=m4 / m2**2 - 3.0,
-    )
+    return _descriptives(np.asarray(shifts, dtype=float))[0]
 
 
 def spearman_rho(ranking_a: Ranking, ranking_b: Ranking) -> float | None:
@@ -131,21 +191,10 @@ def spearman_rho(ranking_a: Ranking, ranking_b: Ranking) -> float | None:
     Returns None (undefined) when either side has zero rank variance,
     i.e. all universities tied.
     """
-    _require_same_universities(ranking_a, ranking_b)
-    universities = sorted(ranking_a.universities())
-    if len(universities) < 2:
+    fractional = _columns([ranking_a, ranking_b], "fractional_rank")
+    if fractional.shape[1] < 2:
         raise AnalysisError("rank correlation needs at least two universities")
-    fa = ranking_a.fractional_ranks()
-    fb = ranking_b.fractional_ranks()
-    xs = np.array([fa[u] for u in universities])
-    ys = np.array([fb[u] for u in universities])
-    xd = xs - xs.mean()
-    yd = ys - ys.mean()
-    sx = float((xd**2).sum())
-    sy = float((yd**2).sum())
-    if sx == 0.0 or sy == 0.0:
-        return None
-    return float((xd * yd).sum() / math.sqrt(sx * sy))
+    return _spearman(fractional[0], fractional[1])[0]
 
 
 @dataclass(frozen=True)
@@ -176,41 +225,14 @@ def stability_summary(
         # only the benchmark itself: trivially no change anywhere
         n = len(rankings[benchmark_year].entries)
         return StabilitySummary(n, 0.0, 0.0, 0.0, 0.0, 0)
-    years = sorted(rankings)
-    benchmark = rankings[benchmark_year]
-    universities = sorted(benchmark.universities())
-
-    shifts_by_univ: dict[str, list[int]] = {u: [] for u in universities}
-    for year in years:
-        if year == benchmark_year:
-            _require_same_universities(rankings[year], benchmark)
-            continue
-        for univ, (_signed, absolute) in rank_shifts(rankings[year], benchmark).items():
-            shifts_by_univ[univ].append(absolute)
-
-    ranks = [rankings[y].display_ranks() for y in years]
-    ranks_by_univ = {u: [r[u] for r in ranks] for u in universities}
-    changed = sum(1 for u in universities if len(set(ranks_by_univ[u])) > 1)
-    mean_shifts = np.array([np.mean(shifts_by_univ[u]) for u in universities])
-    return StabilitySummary(
-        n_universities=len(universities),
-        pct_any_change=changed / len(universities),
-        mean_shift_average=float(mean_shifts.mean()),
-        mean_shift_median=float(np.median(mean_shifts)),
-        mean_shift_std_dev=float(mean_shifts.std()),
-        max_ranking_variation=max(
-            max(ranks_by_univ[u]) - min(ranks_by_univ[u]) for u in universities
-        ),
-    )
+    years = [y for y in sorted(rankings) if y != benchmark_year] + [benchmark_year]
+    return _stability(_columns([rankings[y] for y in years], "rank"))[0][0]
 
 
 def no_change_and_small_shift_pcts(ranking: Ranking, benchmark: Ranking) -> tuple[int, int]:
     """Whole-number percentages of universities with shift 0 and shift <= 3."""
-    shifts = [absolute for _signed, absolute in rank_shifts(ranking, benchmark).values()]
-    n = len(shifts)
-    no_change = sum(1 for s in shifts if s == 0)
-    small = sum(1 for s in shifts if s <= 3)
-    return round_half_up(100.0 * no_change / n), round_half_up(100.0 * small / n)
+    moves = np.abs(_shifts(_columns([ranking, benchmark], "rank")))
+    return tuple(_small_shift_pcts(moves[0]).tolist())
 
 
 @dataclass(frozen=True)
@@ -231,12 +253,9 @@ def quartile_classes(scores: Mapping[str, float]) -> QuartileAssignment:
     """
     if len(scores) < 4:
         raise AnalysisError(f"quartile classes need at least 4 universities, got {len(scores)}")
-    values = np.array([scores[u] for u in sorted(scores)])
-    q25, q50, q75 = np.percentile(values, (25, 50, 75), method="linear").tolist()
-    classes = {
-        u: 1 + (scores[u] > q25) + (scores[u] > q50) + (scores[u] > q75) for u in sorted(scores)
-    }
-    return QuartileAssignment(boundaries=(q25, q50, q75), classes=classes)
+    universities = sorted(scores)
+    boundaries, classes = _quartile_classes(np.array([scores[u] for u in universities]))
+    return QuartileAssignment(tuple(boundaries.tolist()), dict(zip(universities, classes.tolist())))
 
 
 @dataclass(frozen=True)
@@ -252,32 +271,186 @@ def quartile_shift_stats(
     if benchmark_year not in assignments:
         raise AnalysisError(f"benchmark year {benchmark_year} not among the assignments")
     bench = assignments[benchmark_year].classes
-    out: dict[int, QuartileShiftStats] = {}
-    for year in sorted(assignments):
-        if year == benchmark_year:
-            continue
-        classes = assignments[year].classes
-        if set(classes) != set(bench):
+    years = [y for y in sorted(assignments) if y != benchmark_year]
+    for year in years:
+        if set(assignments[year].classes) != set(bench):
             raise AnalysisError(f"university sets differ between {year} and {benchmark_year}")
-        shifts = [abs(classes[u] - bench[u]) for u in sorted(bench)]
-        out[year] = QuartileShiftStats(
-            average_abs_shift=sum(shifts) / len(shifts),
-            outliers=sum(1 for s in shifts if s >= 2),
-        )
+    classes = [[assignments[y].classes[u] for u in sorted(bench)] for y in years + [benchmark_year]]
+    return dict(zip(years, _class_shifts(np.array(classes))))
+
+
+@dataclass(frozen=True)
+class ScopeStability:
+    """The whole battery of one scope against the benchmark year; every
+    tuple over years follows the comparison years in order."""
+
+    level: str
+    scope_id: str
+    universities: tuple[str, ...]  # in id order
+    shifts: tuple[ShiftStats, ...]  # of the absolute rank shifts
+    summary: StabilitySummary
+    changed: int  # universities whose rank moves in some year
+    spearman: tuple[float | None, ...]
+    small_shift_pcts: tuple[int, int]  # shift 0 and <= 3 at the earliest comparison year
+    quartiles: tuple[QuartileShiftStats, ...] | None  # None below 4 universities
+    rank_ranges: tuple[tuple[int, int], ...]  # (min, max) rank of each university
+
+
+def stability_battery(ranks: LevelRanks, benchmark_year: int) -> list[ScopeStability]:
+    """Every battery statistic of every scope of one level, in scope order.
+
+    The scopes ranking n universities form one [scope, year, n] block per n,
+    and each statistic is computed for the whole block at once.
+    """
+    if benchmark_year not in ranks.years or len(ranks.years) < 2:
+        raise AnalysisError(f"the battery needs benchmark year {benchmark_year} and another "
+                            f"year, got {list(ranks.years)}")
+    b = ranks.years.index(benchmark_year)
+    years = [y for y in range(len(ranks.years)) if y != b] + [b]
+    sizes = np.diff(ranks.bounds)
+    out: list = [None] * len(sizes)
+    for n in np.unique(sizes).tolist():
+        scopes = np.flatnonzero(sizes == n)
+        rows = ranks.bounds[scopes, None] + np.arange(n)
+        rank, fractional, score = (np.ascontiguousarray(m[rows][..., years].transpose(0, 2, 1))
+                                   for m in (ranks.ranks, ranks.fractional, ranks.scores))
+        moves = np.abs(_shifts(rank))
+        shifts = _descriptives(moves.astype(float))
+        summaries = _stability(rank)
+        rho = _spearman(fractional[:, :-1], fractional[:, -1:])
+        pcts = _small_shift_pcts(moves[:, 0]).tolist()
+        quartiles = _class_shifts(_quartile_classes(score)[1]) if n >= 4 else None
+        low, high = rank.min(axis=1).tolist(), rank.max(axis=1).tolist()
+        k = len(years) - 1
+        for i, s in enumerate(scopes.tolist()):
+            each = slice(i * k, (i + 1) * k)
+            out[s] = ScopeStability(
+                ranks.level, ranks.scope_ids[s], ranks.university_ids[rows[i, 0]:rows[i, 0] + n],
+                tuple(shifts[each]), *summaries[i], tuple(rho[each]), tuple(pcts[i]),
+                None if quartiles is None else tuple(quartiles[each]),
+                tuple(zip(low[i], high[i])),
+            )
     return out
 
 
-def _require_same_universities(a: Ranking, b: Ranking) -> None:
-    ua, ub = a.universities(), b.universities()
-    if ua != ub:
-        only_a = sorted(ua - ub)
-        only_b = sorted(ub - ua)
-        raise AnalysisError(
-            f"rankings cover different universities (only in first: {only_a}, "
-            f"only in second: {only_b})"
-        )
+def battery_tables(levels: Sequence[LevelRanks], benchmark_year: int) -> dict[str, list[list[str]]]:
+    """The six rank-stability tables, rows scope by scope, level by level."""
+    comparison = [y for y in levels[0].years if y != benchmark_year]
+    tables = {
+        "shift_descriptives.csv": [["scope_level", "scope_id", "statistic", *map(str, comparison)]],
+        "stability_summary.csv": [["scope_level", "scope_id", "n_universities", "pct_change",
+                                   "average", "median", "std_dev", "max_ranking_variation"]],
+        "spearman.csv": [["scope_level", "scope_id", *(f"rank_{y}" for y in comparison)]],
+        "small_shift_pcts.csv": [["scope_level", "scope_id", "n_universities", "comparison_year",
+                                  "no_change_pct", "leq3_pct"]],
+        "quartile_stats.csv": [["scope_level", "scope_id", "measure", *map(str, comparison)]],
+        "rank_ranges.csv": [["scope_level", "scope_id", "university_id", "min_rank", "max_rank"]],
+    }
+    shifts, summaries, spearman, small, quartiles, ranges = tables.values()
+    for level in levels:
+        for st in stability_battery(level, benchmark_year):
+            scope, n, s = [st.level, st.scope_id], len(st.universities), st.summary
+            for name in ("mean", "median", "std_dev", "skewness", "kurtosis"):
+                shifts.append([*scope, name, *(_fmt(getattr(x, name)) for x in st.shifts)])
+            summaries.append([*scope, str(n), str(_percent(st.changed, n)), _fmt(s.mean_shift_average),
+                              _fmt(s.mean_shift_median), _fmt(s.mean_shift_std_dev),
+                              str(s.max_ranking_variation)])
+            spearman.append([*scope, *map(_fmt, st.spearman)])
+            small.append([*scope, str(n), str(comparison[0]), *map(str, st.small_shift_pcts)])
+            if st.quartiles is None:
+                logger.warning("skipping quartile stats for %s %s: fewer than 4 universities", *scope)
+            else:
+                quartiles.append([*scope, "avg_class_shift",
+                                  *(_fmt(q.average_abs_shift) for q in st.quartiles)])
+                quartiles.append([*scope, "outliers", *(str(q.outliers) for q in st.quartiles)])
+            ranges.extend([*scope, u, str(lo), str(hi)]
+                          for u, (lo, hi) in zip(st.universities, st.rank_ranges))
+    return tables
 
 
-def round_half_up(x: float) -> int:
-    """Nearest integer, halves rounded up (so 12.5 -> 13, unlike round())."""
-    return int(math.floor(x + 0.5))
+# ---------------------------------------------------------------------------
+# the statistics over blocks [..., year, n] (benchmark year last) or rows [..., n]
+
+
+def _shifts(ranks: np.ndarray) -> np.ndarray:
+    """Signed shifts [..., comparison year, n]; positive = ranked worse than at the benchmark."""
+    return ranks[..., :-1, :] - ranks[..., -1:, :]
+
+
+def _descriptives(xs: np.ndarray) -> list[ShiftStats]:
+    """ShiftStats of each row of xs[..., n]."""
+    n, mean = xs.shape[-1], xs.mean(axis=-1)
+    dev = xs - mean[..., None]
+    columns = (mean, np.median(xs, axis=-1), *((dev**k).mean(axis=-1) for k in (2, 3, 4)))
+    return [ShiftStats(n, mu, median, 0.0, None, None) if m2 == 0.0
+            else ShiftStats(n, mu, median, math.sqrt(m2), m3 / m2**1.5, m4 / m2**2 - 3.0)
+            for mu, median, m2, m3, m4 in zip(*(np.ravel(c).tolist() for c in columns))]
+
+
+def _spearman(xs: np.ndarray, ys: np.ndarray) -> list[float | None]:
+    """Pearson correlation of each row pair of fractional ranks [..., n]
+    (broadcast); None where either side has zero variance."""
+    xd = xs - xs.mean(axis=-1, keepdims=True)
+    yd = ys - ys.mean(axis=-1, keepdims=True)
+    sums = np.broadcast_arrays((xd**2).sum(axis=-1), (yd**2).sum(axis=-1), (xd * yd).sum(axis=-1))
+    return [None if sx == 0.0 or sy == 0.0 else sxy / math.sqrt(sx * sy)
+            for sx, sy, sxy in zip(*(s.ravel().tolist() for s in sums))]
+
+
+def _stability(ranks: np.ndarray) -> list[tuple[StabilitySummary, int]]:
+    """(StabilitySummary, universities that move) of each block of ranks[..., year, n]."""
+    moves = np.abs(_shifts(ranks))
+    mean_shifts = moves.sum(axis=-2) / moves.shape[-2]
+    spread = ranks.max(axis=-2) - ranks.min(axis=-2)
+    changed = (spread > 0).sum(axis=-1)
+    columns = (changed, mean_shifts.mean(axis=-1), np.median(mean_shifts, axis=-1),
+               mean_shifts.std(axis=-1), spread.max(axis=-1))
+    n = ranks.shape[-1]
+    return [(StabilitySummary(n, c / n, average, median, std_dev, variation), c)
+            for c, average, median, std_dev, variation in zip(*(np.ravel(a).tolist() for a in columns))]
+
+
+def _small_shift_pcts(moves: np.ndarray) -> np.ndarray:
+    """[..., 2] percentages of universities with shift 0 and <= 3, per row of moves[..., n]."""
+    counts = np.stack([(moves == 0).sum(axis=-1), (moves <= 3).sum(axis=-1)], axis=-1)
+    return _percent(counts, moves.shape[-1])
+
+
+def _quartile_classes(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Quartile boundaries [3, ...] and classes [..., n] of each row of values[..., n]."""
+    q = np.percentile(values, (25, 50, 75), axis=-1, method="linear")
+    return q, 1 + sum(values > boundary[..., None] for boundary in q)
+
+
+def _class_shifts(classes: np.ndarray) -> list[QuartileShiftStats]:
+    """QuartileShiftStats of each comparison year of classes[..., year, n]."""
+    moves = np.abs(_shifts(classes))
+    averages = (moves.sum(axis=-1) / moves.shape[-1]).ravel().tolist()
+    outliers = (moves >= 2).sum(axis=-1).ravel().tolist()
+    return [QuartileShiftStats(a, o) for a, o in zip(averages, outliers)]
+
+
+def _columns(rankings: Sequence[Ranking], field: str) -> np.ndarray:
+    """[ranking, university] array of one RankEntry field, universities in id
+    order; every ranking must cover the universities of the last."""
+    universities = rankings[-1].universities()
+    for ranking in rankings:
+        if ranking.universities() != universities:
+            only_a = sorted(ranking.universities() - universities)
+            only_b = sorted(universities - ranking.universities())
+            raise AnalysisError(
+                f"rankings cover different universities (only in first: {only_a}, "
+                f"only in second: {only_b})"
+            )
+    values = [{e.university_id: getattr(e, field) for e in r.entries} for r in rankings]
+    return np.array([[v[u] for u in sorted(universities)] for v in values])
+
+
+def _percent(count, n):
+    """Whole-number percentage 100 * count / n, halves rounded up, in exact
+    integer arithmetic (12.5 -> 13; floats would print 23/40 as 57)."""
+    return (200 * count + n) // (2 * n)
+
+
+def _fmt(x: float | None, decimals: int = 6) -> str:
+    return "NA" if x is None else f"{x:.{decimals}f}"

@@ -13,7 +13,19 @@ import re
 from fractions import Fraction
 from itertools import combinations
 from pathlib import Path
-from typing import Sequence
+from typing import Mapping, Sequence
+
+import numpy as np
+
+from citewin.errors import AnalysisError
+from citewin.sensitivity import (
+    QuartileAssignment,
+    QuartileShiftStats,
+    RankEntry,
+    Ranking,
+    ShiftStats,
+    StabilitySummary,
+)
 
 
 def fractional_ranks_desc(scores: Sequence[float]) -> list[float]:
@@ -91,6 +103,258 @@ def moment_stats(xs: Sequence[float]) -> dict:
         out["skewness"] = float(m3) / float(m2) ** 1.5
         out["kurtosis"] = float(m4) / float(m2) ** 2 - 3.0
     return out
+
+
+# ---------------------------------------------------------------------------
+# the per-Ranking stability battery as it was before the grouped one: each
+# statistic of one scope per call, over dicts and 1-D numpy arrays. The
+# grouped battery in sensitivity.py must reproduce it bit for bit.
+
+
+def rank_universities(
+    scores: Mapping[str, float],
+    scope_level: str = "",
+    scope_id: str = "",
+    obs_year: int = 0,
+) -> Ranking:
+    """Order universities by descending score with deterministic tie handling."""
+    if not scores:
+        raise ValueError("cannot rank an empty score map")
+    for univ, score in scores.items():
+        if not math.isfinite(score):
+            raise ValueError(f"non-finite score {score} for {univ!r}")
+    ordered = sorted(scores.items(), key=lambda kv: (-kv[1], kv[0]))
+    entries: list[RankEntry] = []
+    i = 0
+    while i < len(ordered):
+        j = i
+        while j < len(ordered) and ordered[j][1] == ordered[i][1]:
+            j += 1
+        # positions i+1 .. j (1-based) share the score
+        fractional = (i + 1 + j) / 2
+        for univ, score in ordered[i:j]:
+            entries.append(RankEntry(univ, score, rank=i + 1, fractional_rank=fractional))
+        i = j
+    return Ranking(scope_level, scope_id, obs_year, tuple(entries))
+
+
+def rank_shifts(ranking: Ranking, benchmark: Ranking) -> dict[str, tuple[int, int]]:
+    """Per-university (signed, absolute) rank shift against the benchmark.
+
+    Positive signed shift = ranked worse (larger rank number) than in the
+    benchmark. Uses competition ranks. Both rankings must cover the same
+    universities.
+    """
+    _require_same_universities(ranking, benchmark)
+    ranks = ranking.display_ranks()
+    bench = benchmark.display_ranks()
+    return {
+        univ: (ranks[univ] - bench[univ], abs(ranks[univ] - bench[univ]))
+        for univ in sorted(ranks)
+    }
+
+
+def shift_descriptives(shifts: Sequence[float]) -> ShiftStats:
+    if len(shifts) < 1:
+        raise ValueError("need at least one shift")
+    xs = np.asarray(shifts, dtype=float)
+    mean = float(xs.mean())
+    dev = xs - mean
+    m2 = float((dev**2).mean())
+    if m2 == 0.0:
+        return ShiftStats(len(xs), mean, float(np.median(xs)), 0.0, None, None)
+    m3 = float((dev**3).mean())
+    m4 = float((dev**4).mean())
+    return ShiftStats(
+        n=len(xs),
+        mean=mean,
+        median=float(np.median(xs)),
+        std_dev=math.sqrt(m2),
+        skewness=m3 / m2**1.5,
+        kurtosis=m4 / m2**2 - 3.0,
+    )
+
+
+def spearman_rho(ranking_a: Ranking, ranking_b: Ranking) -> float | None:
+    """Rank correlation: Pearson correlation of the fractional ranks.
+
+    Returns None (undefined) when either side has zero rank variance,
+    i.e. all universities tied.
+    """
+    _require_same_universities(ranking_a, ranking_b)
+    universities = sorted(ranking_a.universities())
+    if len(universities) < 2:
+        raise AnalysisError("rank correlation needs at least two universities")
+    fa = ranking_a.fractional_ranks()
+    fb = ranking_b.fractional_ranks()
+    xs = np.array([fa[u] for u in universities])
+    ys = np.array([fb[u] for u in universities])
+    xd = xs - xs.mean()
+    yd = ys - ys.mean()
+    sx = float((xd**2).sum())
+    sy = float((yd**2).sum())
+    if sx == 0.0 or sy == 0.0:
+        return None
+    return float((xd * yd).sum() / math.sqrt(sx * sy))
+
+
+def stability_summary(
+    rankings: Mapping[int, Ranking], benchmark_year: int
+) -> StabilitySummary:
+    if benchmark_year not in rankings:
+        raise AnalysisError(f"benchmark year {benchmark_year} not among the rankings")
+    if len(rankings) == 1:
+        # only the benchmark itself: trivially no change anywhere
+        n = len(rankings[benchmark_year].entries)
+        return StabilitySummary(n, 0.0, 0.0, 0.0, 0.0, 0)
+    years = sorted(rankings)
+    benchmark = rankings[benchmark_year]
+    universities = sorted(benchmark.universities())
+
+    shifts_by_univ: dict[str, list[int]] = {u: [] for u in universities}
+    for year in years:
+        if year == benchmark_year:
+            _require_same_universities(rankings[year], benchmark)
+            continue
+        for univ, (_signed, absolute) in rank_shifts(rankings[year], benchmark).items():
+            shifts_by_univ[univ].append(absolute)
+
+    ranks = [rankings[y].display_ranks() for y in years]
+    ranks_by_univ = {u: [r[u] for r in ranks] for u in universities}
+    changed = sum(1 for u in universities if len(set(ranks_by_univ[u])) > 1)
+    mean_shifts = np.array([np.mean(shifts_by_univ[u]) for u in universities])
+    return StabilitySummary(
+        n_universities=len(universities),
+        pct_any_change=changed / len(universities),
+        mean_shift_average=float(mean_shifts.mean()),
+        mean_shift_median=float(np.median(mean_shifts)),
+        mean_shift_std_dev=float(mean_shifts.std()),
+        max_ranking_variation=max(
+            max(ranks_by_univ[u]) - min(ranks_by_univ[u]) for u in universities
+        ),
+    )
+
+
+def no_change_and_small_shift_pcts(ranking: Ranking, benchmark: Ranking) -> tuple[int, int]:
+    """Whole-number percentages of universities with shift 0 and shift <= 3."""
+    shifts = [absolute for _signed, absolute in rank_shifts(ranking, benchmark).values()]
+    n = len(shifts)
+    no_change = sum(1 for s in shifts if s == 0)
+    small = sum(1 for s in shifts if s <= 3)
+    return round_half_up(100.0 * no_change / n), round_half_up(100.0 * small / n)
+
+
+def quartile_classes(scores: Mapping[str, float]) -> QuartileAssignment:
+    """Classify universities by score quartile.
+
+    Boundaries are linear-interpolation percentiles of the score
+    distribution; a university is in class 4 when its score lies strictly
+    above the 75th-percentile boundary, and so on downward. Equal scores
+    always land in the same class.
+    """
+    if len(scores) < 4:
+        raise AnalysisError(f"quartile classes need at least 4 universities, got {len(scores)}")
+    values = np.array([scores[u] for u in sorted(scores)])
+    q25, q50, q75 = np.percentile(values, (25, 50, 75), method="linear").tolist()
+    classes = {
+        u: 1 + (scores[u] > q25) + (scores[u] > q50) + (scores[u] > q75) for u in sorted(scores)
+    }
+    return QuartileAssignment(boundaries=(q25, q50, q75), classes=classes)
+
+
+def quartile_shift_stats(
+    assignments: Mapping[int, QuartileAssignment], benchmark_year: int
+) -> dict[int, QuartileShiftStats]:
+    """Average absolute class shift and 2-3-class outlier count per year."""
+    if benchmark_year not in assignments:
+        raise AnalysisError(f"benchmark year {benchmark_year} not among the assignments")
+    bench = assignments[benchmark_year].classes
+    out: dict[int, QuartileShiftStats] = {}
+    for year in sorted(assignments):
+        if year == benchmark_year:
+            continue
+        classes = assignments[year].classes
+        if set(classes) != set(bench):
+            raise AnalysisError(f"university sets differ between {year} and {benchmark_year}")
+        shifts = [abs(classes[u] - bench[u]) for u in sorted(bench)]
+        out[year] = QuartileShiftStats(
+            average_abs_shift=sum(shifts) / len(shifts),
+            outliers=sum(1 for s in shifts if s >= 2),
+        )
+    return out
+
+
+def _require_same_universities(a: Ranking, b: Ranking) -> None:
+    ua, ub = a.universities(), b.universities()
+    if ua != ub:
+        only_a = sorted(ua - ub)
+        only_b = sorted(ub - ua)
+        raise AnalysisError(
+            f"rankings cover different universities (only in first: {only_a}, "
+            f"only in second: {only_b})"
+        )
+
+
+def round_half_up(x: float) -> int:
+    """Nearest integer, halves rounded up (so 12.5 -> 13, unlike round())."""
+    return int(math.floor(x + 0.5))
+
+
+def battery_rows(rankings, years, benchmark_year):
+    """The six stability tables from {(level, scope): {year: Ranking}}, rows in
+    that order, statistics from the functions above; pct_change is rounded
+    half up in exact rational arithmetic."""
+    comparison = [y for y in years if y != benchmark_year]
+    earliest = comparison[0]
+    tables = {
+        "shift_descriptives.csv": [["scope_level", "scope_id", "statistic", *map(str, comparison)]],
+        "stability_summary.csv": [["scope_level", "scope_id", "n_universities", "pct_change",
+                                   "average", "median", "std_dev", "max_ranking_variation"]],
+        "spearman.csv": [["scope_level", "scope_id", *(f"rank_{y}" for y in comparison)]],
+        "small_shift_pcts.csv": [["scope_level", "scope_id", "n_universities", "comparison_year",
+                                  "no_change_pct", "leq3_pct"]],
+        "quartile_stats.csv": [["scope_level", "scope_id", "measure", *map(str, comparison)]],
+        "rank_ranges.csv": [["scope_level", "scope_id", "university_id", "min_rank", "max_rank"]],
+    }
+    shifts, summaries, spearman, small, quartiles, ranges = tables.values()
+    for (level, scope), by_year in rankings.items():
+        bench = by_year[benchmark_year]
+        stats = [
+            shift_descriptives([a for _s, a in rank_shifts(by_year[y], bench).values()])
+            for y in comparison
+        ]
+        for name in ("mean", "median", "std_dev", "skewness", "kurtosis"):
+            shifts.append([level, scope, name, *(_fmt(getattr(s, name)) for s in stats)])
+        summary = stability_summary(by_year, benchmark_year)
+        n = summary.n_universities
+        changed = round(summary.pct_any_change * n)
+        summaries.append([
+            level, scope, str(n), str(math.floor(Fraction(100 * changed, n) + Fraction(1, 2))),
+            _fmt(summary.mean_shift_average), _fmt(summary.mean_shift_median),
+            _fmt(summary.mean_shift_std_dev), str(summary.max_ranking_variation),
+        ])
+        spearman.append([level, scope, *(
+            "NA" if len(by_year[y].entries) < 2 else _fmt(spearman_rho(by_year[y], bench))
+            for y in comparison
+        )])
+        pcts = no_change_and_small_shift_pcts(by_year[earliest], bench)
+        small.append([level, scope, str(len(bench.entries)), str(earliest), *map(str, pcts)])
+        if len(bench.entries) >= 4:
+            classes = {y: quartile_classes(r.scores()) for y, r in by_year.items()}
+            moves = quartile_shift_stats(classes, benchmark_year)
+            quartiles.append([level, scope, "avg_class_shift",
+                              *(_fmt(moves[y].average_abs_shift) for y in comparison)])
+            quartiles.append([level, scope, "outliers",
+                              *(str(moves[y].outliers) for y in comparison)])
+        ranks = [r.display_ranks() for r in by_year.values()]
+        for univ in sorted(bench.universities()):
+            mine = [r[univ] for r in ranks]
+            ranges.append([level, scope, univ, str(min(mine)), str(max(mine))])
+    return tables
+
+
+def _fmt(x, decimals=6):
+    return "NA" if x is None else f"{x:.{decimals}f}"
 
 
 # ---------------------------------------------------------------------------

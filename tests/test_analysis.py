@@ -23,9 +23,8 @@ from citewin.errors import AnalysisError
 from citewin.impact import compute_median_table
 from citewin.ingest import representativity_filter
 from citewin.productivity import BASELINE_RULES
-from citewin.sensitivity import rank_universities
 
-from oracles import compute_baselines, compute_cells, sds_scores, uda_scores
+from oracles import compute_baselines, compute_cells, rank_universities, sds_scores, uda_scores
 
 PERIOD = (2001, 2003)
 YEARS = (2004, 2005, 2006, 2007)

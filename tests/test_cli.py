@@ -224,6 +224,29 @@ def test_sensitivity_skips_quartiles_for_tiny_scopes(tmp_path):
     assert len(read_csv(out / "stability_summary.csv")) == 2  # uda + sds rows
 
 
+def test_pct_change_rounds_exact_halves_up(tmp_path):
+    # 23 of 40 universities change rank (the first 23 rotate by one place in
+    # 2004): 57.5 % prints as 58, where 100.0 * (23 / 40) = 57.49999999999999
+    n, moved = 40, 23
+    early = [500 - ((i + 1) % moved if i < moved else i) for i in range(n)]
+    root = write_corpus_dir(
+        tmp_path / "forty",
+        publications=[(f"P{i:02d}", 2001, "K1") for i in range(n)],
+        citations=[(f"P{i:02d}", y, c) for i in range(n) for y, c in ((2004, early[i]), (2008, 1000 - i))],
+        authorship=[(f"P{i:02d}", f"R{i:02d}") for i in range(n)],
+        researchers=[(f"R{i:02d}", f"U{i:02d}", "S1") for i in range(n)],
+        fields=[("S1", "UA")],
+    )
+    out = tmp_path / "out"
+    assert run("sensitivity", root, "--out", out, "--years", "2004,2008", "--benchmark", "2008") == 0
+    rows = read_csv(out / "stability_summary.csv")
+    assert [(r["scope_level"], r["n_universities"], r["pct_change"]) for r in rows] == [
+        ("uda", "40", "58"), ("sds", "40", "58"),
+    ]
+    small = read_csv(out / "small_shift_pcts.csv")  # 17 unmoved (42.5 %), 39 within 3 (97.5 %)
+    assert [(r["no_change_pct"], r["leq3_pct"]) for r in small] == [("43", "98"), ("43", "98")]
+
+
 @pytest.mark.parametrize("command", ["sensitivity", "npc"])
 def test_single_observation_year_is_rejected_before_any_work(
     golden_corpus_dir, tmp_path, capsys, command
@@ -316,7 +339,8 @@ def _digests(out_dir) -> dict[str, str]:
 
 # sha256 of every file each command writes, manifest.json included, on the
 # stability corpus at seed 6 given by the relative path "corpus"; recorded
-# before the table writers were folded into one run writer
+# before the table writers were folded into one run writer, and the
+# mean-baseline sensitivity run before the battery was grouped by scope size
 FROZEN_RUN_SHA256 = {
     ("rankings",): {
         "manifest.json": "8f792143f625b5478a9990fcedd1da5b565d1196b30e9915c0367242924543dc",
@@ -341,6 +365,18 @@ FROZEN_RUN_SHA256 = {
         "small_shift_pcts.csv": "dc168d682d01bf24f7aa9a2506c8f9f075e0838928f8ad0bd6c1dd886749565d",
         "spearman.csv": "ee520e7c6f0460c93c929f21d3b31862801f161fba740693e3eed67d66452cd1",
         "stability_summary.csv": "0559d927441c368b1b192ff4a51f82f8a548fab3fbf86d0a81d10656cd6d17c8",
+    },
+    ("sensitivity", "--baseline", "mean"): {
+        "manifest.json": "85b332bad3af6d151dea5b9c63123077a06c083f688ed9407d93bfbe80909f36",
+        "medians.csv": "a990cad812a091cb85bc6523c2174acd75020c7d1e56aeaed27edeac9ae97ced",
+        "quartile_stats.csv": "ccd641e167122b20ce3825155e6528f5b41e1af459d735a096c6f03c314ece7c",
+        "rank_ranges.csv": "e9e3846f471caaaa847f5320a75c41542e8d154dba0f035bd119f0d0a6ec5891",
+        "rankings.csv": "c67b9dba682e38f5463c6db9039a55f8176b3b68b431dbc4c469e762e17c52f0",
+        "representativity.csv": "2d3ba06d75f434350b025393dcf4a8e6f36d6a2ceb075d938d4b816b1c49387b",
+        "shift_descriptives.csv": "972a73c91a826b5455e15915145dbf7b3422a635b7faf1216d3f995976bf5e98",
+        "small_shift_pcts.csv": "ddd89ea1acbf3ffea2894c8c63f768acb0fc44d3876e5e69fe40a4fcd881a5a4",
+        "spearman.csv": "2b76da939c36fea6035e5c1319dcb76b257f11d8a8485c443966485b0dd274ec",
+        "stability_summary.csv": "d236a0729aa5e489cfa1198e9f582cd6eabec6b40fd323230e6d800e3b96a194",
     },
     ("npc", "--permutations", "2000"): {
         "manifest.json": "8563adcb1d21480c5fac29f5f92e1cc3bb7841a630bb571d5ffb1c26e3ed10dd",

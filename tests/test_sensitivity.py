@@ -2,20 +2,28 @@
 
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
+import oracles
 from citewin.corpus import build_corpus
 from citewin.errors import AnalysisError
 from citewin.impact import compute_median_table
 from citewin.sensitivity import (
+    battery_tables,
     no_change_and_small_shift_pcts,
     quartile_classes,
     quartile_shift_stats,
+    rank_scopes,
     rank_shifts,
     rank_universities,
     shift_descriptives,
     spearman_rho,
+    stability_battery,
     stability_summary,
 )
 
@@ -442,3 +450,121 @@ def test_leader_keeps_rank_under_median_preserving_accrual():
     scores2 = {u: up.value for u, up in uda_scores(corpus2, cells2, baselines2, uda).items()}
     ranking2 = rank_universities(scores2)
     assert ranking2.display_ranks()[leader] <= ranking.display_ranks()[leader]
+
+
+# ---------------------------------------------------------------------------
+# the grouped battery against the per-Ranking reference in oracles.py
+
+
+# both sides of numpy's pairwise-summation thresholds (blocks of 8 below 128),
+# and 40, where 23 changed universities are 57.5 %
+SCOPE_SIZES = (1, 2, 3, 4, 5, 7, 8, 9, 12, 40, 127, 128, 129)
+
+
+@st.composite
+def levels(draw):
+    """(level, years, benchmark year): scopes of several sizes whose scores
+    are all tied in every year, or per year all tied, coarse (many ties,
+    non-dyadic) or continuous."""
+    years = list(range(2004, 2004 + draw(st.integers(2, 6))))
+    benchmark = draw(st.sampled_from(years))
+    sizes = draw(st.lists(st.sampled_from(SCOPE_SIZES), min_size=1, max_size=6))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    keys, rows = [], []
+    for s, n in enumerate(sizes):
+        ids = rng.choice(1000, size=n, replace=False)
+        keys += [(f"S{s}", f"U{i:03d}") for i in ids]
+        columns = []
+        tied = draw(st.booleans())
+        for _year in years:
+            kind = "tied" if tied else draw(st.sampled_from(["tied", "coarse", "continuous"]))
+            if kind == "tied":
+                columns.append(np.full(n, float(rng.integers(0, 3)) / 3))
+            elif kind == "coarse":
+                columns.append(rng.integers(0, 4, n) / 7)
+            else:
+                columns.append(rng.lognormal(size=n))
+        rows.append(np.stack(columns, axis=1))
+    scores = np.concatenate(rows)
+    shuffle = rng.permutation(len(keys))  # rank_scopes must order the rows itself
+    level = rank_scopes("sds", [keys[i] for i in shuffle], years, scores[shuffle])
+    return level, years, benchmark
+
+
+def bits(x):
+    """x with every float as its hex string, recursively through dataclasses and sequences."""
+    if dataclasses.is_dataclass(x):
+        return tuple(bits(getattr(x, f.name)) for f in dataclasses.fields(x))
+    if isinstance(x, dict):
+        return {k: bits(v) for k, v in x.items()}
+    if isinstance(x, (tuple, list)):
+        return tuple(bits(v) for v in x)
+    return x.hex() if isinstance(x, float) else x
+
+
+@settings(max_examples=100, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(levels())
+def test_grouped_battery_matches_per_ranking_reference(case):
+    level, years, benchmark = case
+    assert not level.ranks.flags.writeable and not level.scores.flags.writeable
+    comparison = [y for y in years if y != benchmark]
+    reference = {}
+    for s, scope in enumerate(level.scope_ids):
+        rows = range(level.bounds[s], level.bounds[s + 1])
+        reference[("sds", scope)] = {
+            year: oracles.rank_universities(
+                {level.university_ids[r]: float(level.scores[r, y]) for r in rows}, "sds", scope, year
+            )
+            for y, year in enumerate(years)
+        }
+    # ranks, and the one-scope rank_universities
+    for (_level, scope), by_year in reference.items():
+        for year, want in by_year.items():
+            assert bits(level.ranking(scope, year)) == bits(want)
+            assert bits(rank_universities(want.scores(), "sds", scope, year)) == bits(want)
+
+    # every statistic of every scope, grouped and one scope at a time
+    for got in stability_battery(level, benchmark):
+        by_year = reference[("sds", got.scope_id)]
+        bench = by_year[benchmark]
+        n = len(bench.entries)
+        assert got.universities == tuple(sorted(bench.universities()))
+        summary = oracles.stability_summary(by_year, benchmark)
+        assert bits(got.summary) == bits(summary) == bits(stability_summary(by_year, benchmark))
+        assert got.changed == round(summary.pct_any_change * n)
+        for y, year in enumerate(comparison):
+            shifts = [a for _s, a in oracles.rank_shifts(by_year[year], bench).values()]
+            assert rank_shifts(by_year[year], bench) == oracles.rank_shifts(by_year[year], bench)
+            want = oracles.shift_descriptives(shifts)
+            assert bits(got.shifts[y]) == bits(want) == bits(shift_descriptives(shifts))
+            rho = oracles.spearman_rho(by_year[year], bench) if n >= 2 else None
+            assert bits(got.spearman[y]) == bits(rho)
+            if n >= 2:
+                assert bits(spearman_rho(by_year[year], bench)) == bits(rho)
+        earliest = by_year[comparison[0]]
+        pcts = oracles.no_change_and_small_shift_pcts(earliest, bench)
+        assert got.small_shift_pcts == pcts == no_change_and_small_shift_pcts(earliest, bench)
+        if n < 4:
+            assert got.quartiles is None
+        else:
+            classes = {year: oracles.quartile_classes(r.scores()) for year, r in by_year.items()}
+            for year, r in by_year.items():
+                assert bits(quartile_classes(r.scores())) == bits(classes[year])
+            moves = oracles.quartile_shift_stats(classes, benchmark)
+            assert bits(got.quartiles) == bits([moves[year] for year in comparison])
+            assert bits(quartile_shift_stats(classes, benchmark)) == bits(moves)
+        ranks = [r.display_ranks() for r in by_year.values()]
+        assert got.rank_ranges == tuple(
+            (min(r[u] for r in ranks), max(r[u] for r in ranks)) for u in got.universities
+        )
+
+    # and the six tables, row by row
+    assert battery_tables([level], benchmark) == oracles.battery_rows(reference, years, benchmark)
+
+
+def test_stability_battery_needs_the_benchmark_and_another_year():
+    level = rank_scopes("sds", [("S", "U1"), ("S", "U2")], [2008], np.array([[1.0], [2.0]]))
+    for benchmark in (2008, 2007):
+        with pytest.raises(AnalysisError):
+            stability_battery(level, benchmark)
