@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
@@ -38,9 +39,9 @@ class AnalysisRun:
     median_tables: dict[int, MedianTable] = field(default_factory=dict)
     levels: dict[str, LevelRanks] = field(default_factory=dict)
 
-    @property
+    @cached_property
     def rankings(self) -> dict[tuple[str, str, int], Ranking]:
-        """A Ranking view of every (level, scope, year), built on request."""
+        """A Ranking view of every (level, scope, year), built on first request."""
         return {(level, scope, year): ranks.ranking(scope, year)
                 for level, ranks in self.levels.items()
                 for scope in ranks.scope_ids for year in ranks.years}

@@ -15,14 +15,12 @@ import sys
 from pathlib import Path
 from typing import Mapping, Sequence
 
-import numpy as np
-
 from . import __version__
 from .analysis import AnalysisRun, run_analysis
 from .errors import AnalysisError, CitewinError, MissingInputError
 from .ingest import load_corpus
-from .npc import NpcCombinedResult, UdaGroups, npc_fisher_combine, top_partition
-from .sensitivity import _fmt, battery_tables
+from .npc import NpcCombinedResult, UdaGroups, max_rank_shifts, npc_fisher_combine, top_partition
+from .sensitivity import battery_tables, ranking_rows
 from .synth import SynthConfig, generate
 
 logger = logging.getLogger(__name__)
@@ -125,20 +123,15 @@ def cmd_npc(
 
     uda = run.levels["uda"]
     bench = uda.years.index(benchmark_year)
-    # each university's largest rank move against the benchmark over the years
-    moves = np.abs(uda.ranks - uda.ranks[:, bench:bench + 1]).max(axis=1).astype(float).tolist()
-    scores = uda.scores[:, bench].tolist()
+    scores = uda.by_scope(uda.scores[:, bench])
     groups = []
-    for s, scope in enumerate(uda.scope_ids):
-        rows = range(uda.bounds[s], uda.bounds[s + 1])
+    for scope, moves in uda.by_scope(max_rank_shifts(uda.ranks, bench).astype(float)).items():
         try:
-            top, _rest = top_partition({uda.university_ids[r]: scores[r] for r in rows},
-                                       top_percentile)
+            top, _rest = top_partition(scores[scope], top_percentile)
         except AnalysisError as exc:
             logger.warning("excluding UDA %s from the combined test: %s", scope, exc)
             continue
-        values = {uda.university_ids[r]: moves[r] for r in rows}
-        groups.append(UdaGroups(uda_id=scope, values=values, top=top))
+        groups.append(UdaGroups(uda_id=scope, values=moves, top=top))
     if len(groups) < 2:
         raise AnalysisError(
             f"only {len(groups)} UDA(s) usable for the combined test; need at least 2"
@@ -199,20 +192,10 @@ def _write_run(
 
 def _analysis_tables(run: AnalysisRun) -> dict[str, list[list[str]]]:
     """rankings.csv, representativity.csv and medians.csv of an analysis run."""
-    rankings = [["scope_level", "scope_id", "obs_year", "university_id", "score", "rank"]]
-    for level, ranks in sorted(run.levels.items()):
-        scores, ranked = ranks.scores.tolist(), ranks.ranks.tolist()
-        for s, scope in enumerate(ranks.scope_ids):
-            for y, year in enumerate(ranks.years):
-                rankings.extend(
-                    [level, scope, str(year), ranks.university_ids[r], _fmt(scores[r][y]),
-                     str(ranked[r][y])]
-                    for r in ranks.ranked[y, ranks.bounds[s]:ranks.bounds[s + 1]].tolist()
-                )
     medians = [["pub_year", "category_id", "obs_year", "median"]]
     for year in sorted(run.median_tables):
         medians.extend(run.median_tables[year].csv_rows()[1:])
-    return {"rankings.csv": rankings, "representativity.csv": run.report.csv_rows(),
+    return {"rankings.csv": ranking_rows(run.levels), "representativity.csv": run.report.csv_rows(),
             "medians.csv": medians}
 
 
@@ -224,7 +207,7 @@ def _npc_rows(result: NpcCombinedResult, seed: int) -> list[list[str]]:
     tests.append(("COMBINED", result.combined_statistic, result.combined_p, result.direction))
     for name, observed, p, direction in tests:
         se = math.sqrt(p * (1.0 - p) / result.n_perm)
-        rows.append([name, _fmt(observed), format(p, ".6g"), format(se, ".6g"), direction,
+        rows.append([name, format(observed, ".6f"), format(p, ".6g"), format(se, ".6g"), direction,
                      str(result.n_perm), str(seed)])
     return rows
 

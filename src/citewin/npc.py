@@ -26,15 +26,19 @@ from .errors import AnalysisError
 _CHUNK_VALUES = 1 << 21  # random doubles per Monte Carlo block
 
 
+def max_rank_shifts(ranks: np.ndarray, bench_col: int) -> np.ndarray:
+    """Largest absolute rank move of each row of ranks[row, year] vs. column bench_col."""
+    return np.abs(ranks - ranks[:, bench_col, None]).max(axis=1)
+
+
 def max_rank_shift(ranks_by_year: Mapping[int, int], benchmark_year: int) -> int:
     """Largest absolute rank move of one university vs. the benchmark year."""
     if benchmark_year not in ranks_by_year:
         raise AnalysisError(f"benchmark year {benchmark_year} missing from ranks")
-    others = [y for y in ranks_by_year if y != benchmark_year]
-    if not others:
+    if len(ranks_by_year) < 2:
         raise AnalysisError("need at least one non-benchmark year")
-    bench = ranks_by_year[benchmark_year]
-    return max(abs(ranks_by_year[y] - bench) for y in others)
+    ranks = np.array([list(ranks_by_year.values())])
+    return int(max_rank_shifts(ranks, list(ranks_by_year).index(benchmark_year))[0])
 
 
 def top_partition(

@@ -81,16 +81,27 @@ class LevelRanks:
         for column in (self.bounds, self.scores, self.ranks, self.fractional, self.ranked):
             column.flags.writeable = False
 
-    def ranking(self, scope_id: str, year: int) -> Ranking:
-        """One scope at one year as a Ranking; KeyError if the level has neither."""
+    def by_scope(self, values: np.ndarray) -> dict[str, dict[str, float]]:
+        """{scope id: {university id: values[row]}} of one value per row."""
+        values, bounds = values.tolist(), self.bounds.tolist()
+        return {scope: dict(zip(self.university_ids[lo:hi], values[lo:hi]))
+                for scope, lo, hi in zip(self.scope_ids, bounds, bounds[1:])}
+
+    def _ranked_rows(self, scope_id: str, year: int) -> list[int]:
+        """One scope's rows in ranking order at one year; KeyError if the level has neither."""
         try:
             s, y = self.scope_ids.index(scope_id), self.years.index(year)
         except ValueError:
             raise KeyError((self.level, scope_id, year)) from None
+        return self.ranked[y, self.bounds[s]:self.bounds[s + 1]].tolist()
+
+    def ranking(self, scope_id: str, year: int) -> Ranking:
+        """One scope at one year as a Ranking; KeyError if the level has neither."""
+        rows, y = self._ranked_rows(scope_id, year), self.years.index(year)
         return Ranking(self.level, scope_id, year, tuple(
             RankEntry(self.university_ids[r], float(self.scores[r, y]), int(self.ranks[r, y]),
                       float(self.fractional[r, y]))
-            for r in self.ranked[y, self.bounds[s]:self.bounds[s + 1]].tolist()
+            for r in rows
         ))
 
 
@@ -118,22 +129,20 @@ def rank_scopes(
     scope = np.repeat(np.arange(len(sizes)), list(sizes.values()))
     neg = -scores.T
     ranked = np.lexsort((neg, np.broadcast_to(scope, neg.shape)))
-    # tie groups of each year's ranked rows, each scope starting a new one;
-    # a group spans positions [start, stop)
+    # tie groups of the ranked rows, numbered across all years; every year
+    # and every scope starts a new group
     value = np.take_along_axis(neg, ranked, axis=1)
-    tie = np.ones(ranked.shape, dtype=bool)
-    tie[:, 1:] = value[:, 1:] != value[:, :-1]
-    tie[:, bounds[:-1]] = True
-    pos = np.arange(len(keys))
-    start = np.maximum.accumulate(np.where(tie, pos, 0), axis=1)
-    last = np.append(tie[:, 1:], np.ones((len(years), 1), dtype=bool), axis=1)
-    stop = np.minimum.accumulate(np.where(last, pos + 1, len(keys))[:, ::-1], axis=1)[:, ::-1]
-    first = bounds[scope[ranked]]
+    new = np.ones(ranked.shape, dtype=bool)
+    new[:, 1:] = value[:, 1:] != value[:, :-1]
+    new[:, bounds[:-1]] = True
+    group = np.cumsum(new).reshape(new.shape) - 1
+    start = np.flatnonzero(new)[group] % len(keys)  # position of the group's first row
+    rank = start - bounds[scope[ranked]] + 1
     ranks = np.empty(scores.shape, dtype=np.intp)
     fractional = np.empty_like(scores)
     columns = np.arange(len(years))[:, None]
-    ranks[ranked, columns] = start - first + 1
-    fractional[ranked, columns] = (start + stop - 2 * first + 1) / 2
+    ranks[ranked, columns] = rank
+    fractional[ranked, columns] = rank + (np.bincount(group.ravel())[group] - 1) / 2
     return LevelRanks(level, tuple(sizes), bounds, tuple(univ for _scope, univ in keys),
                       tuple(years), scores, ranks, fractional, ranked)
 
@@ -284,7 +293,6 @@ class ScopeStability:
     """The whole battery of one scope against the benchmark year; every
     tuple over years follows the comparison years in order."""
 
-    level: str
     scope_id: str
     universities: tuple[str, ...]  # in id order
     shifts: tuple[ShiftStats, ...]  # of the absolute rank shifts
@@ -325,7 +333,7 @@ def stability_battery(ranks: LevelRanks, benchmark_year: int) -> list[ScopeStabi
         for i, s in enumerate(scopes.tolist()):
             each = slice(i * k, (i + 1) * k)
             out[s] = ScopeStability(
-                ranks.level, ranks.scope_ids[s], ranks.university_ids[rows[i, 0]:rows[i, 0] + n],
+                ranks.scope_ids[s], ranks.university_ids[rows[i, 0]:rows[i, 0] + n],
                 tuple(shifts[each]), *summaries[i], tuple(rho[each]), tuple(pcts[i]),
                 None if quartiles is None else tuple(quartiles[each]),
                 tuple(zip(low[i], high[i])),
@@ -349,7 +357,7 @@ def battery_tables(levels: Sequence[LevelRanks], benchmark_year: int) -> dict[st
     shifts, summaries, spearman, small, quartiles, ranges = tables.values()
     for level in levels:
         for st in stability_battery(level, benchmark_year):
-            scope, n, s = [st.level, st.scope_id], len(st.universities), st.summary
+            scope, n, s = [level.level, st.scope_id], len(st.universities), st.summary
             for name in ("mean", "median", "std_dev", "skewness", "kurtosis"):
                 shifts.append([*scope, name, *(_fmt(getattr(x, name)) for x in st.shifts)])
             summaries.append([*scope, str(n), str(_percent(st.changed, n)), _fmt(s.mean_shift_average),
@@ -366,6 +374,18 @@ def battery_tables(levels: Sequence[LevelRanks], benchmark_year: int) -> dict[st
             ranges.extend([*scope, u, str(lo), str(hi)]
                           for u, (lo, hi) in zip(st.universities, st.rank_ranges))
     return tables
+
+
+def ranking_rows(levels: Mapping[str, LevelRanks]) -> list[list[str]]:
+    """rankings.csv: level by level, scope by scope, year by year, in ranking order."""
+    rows = [["scope_level", "scope_id", "obs_year", "university_id", "score", "rank"]]
+    for level, ranks in sorted(levels.items()):
+        scores, competition = ranks.scores.tolist(), ranks.ranks.tolist()
+        for scope in ranks.scope_ids:
+            for y, year in enumerate(ranks.years):
+                rows.extend([level, scope, str(year), ranks.university_ids[r], _fmt(scores[r][y]),
+                             str(competition[r][y])] for r in ranks._ranked_rows(scope, year))
+    return rows
 
 
 # ---------------------------------------------------------------------------

@@ -15,6 +15,7 @@ from citewin.npc import (
     UdaGroups,
     _significance_levels,
     max_rank_shift,
+    max_rank_shifts,
     npc_fisher_combine,
     top_partition,
     two_sample_perm_test,
@@ -34,6 +35,14 @@ def test_max_rank_shift_requires_other_years():
         max_rank_shift({2008: 1}, 2008)
     with pytest.raises(AnalysisError):
         max_rank_shift({2004: 1}, 2008)
+
+
+def test_max_rank_shifts_is_max_rank_shift_of_each_row():
+    years = [2004, 2005, 2006, 2007, 2008]
+    ranks = np.random.default_rng(3).integers(1, 40, size=(25, len(years)))
+    for bench, year in enumerate(years):
+        got = max_rank_shifts(ranks, bench)
+        assert got.tolist() == [max_rank_shift(dict(zip(years, row)), year) for row in ranks.tolist()]
 
 
 def test_top_partition_decile_structure():

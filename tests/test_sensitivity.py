@@ -10,6 +10,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import oracles
+from citewin.analysis import AnalysisRun
 from citewin.corpus import build_corpus
 from citewin.errors import AnalysisError
 from citewin.impact import compute_median_table
@@ -21,6 +22,7 @@ from citewin.sensitivity import (
     rank_scopes,
     rank_shifts,
     rank_universities,
+    ranking_rows,
     shift_descriptives,
     spearman_rho,
     stability_battery,
@@ -568,3 +570,25 @@ def test_stability_battery_needs_the_benchmark_and_another_year():
     for benchmark in (2008, 2007):
         with pytest.raises(AnalysisError):
             stability_battery(level, benchmark)
+
+
+def test_level_views_follow_the_row_layout():
+    keys = [("S2", "U1"), ("S1", "U3"), ("S1", "U1"), ("S2", "U2"), ("S1", "U2")]
+    scores = np.array([[1.0, 2.0], [5.0, 5.0], [3.0, 5.0], [1.0, 0.0], [5.0, 1.0]])
+    level = rank_scopes("sds", keys, [2007, 2008], scores)
+    assert level.by_scope(level.scores[:, 0]) == {
+        "S1": {"U1": 3.0, "U2": 5.0, "U3": 5.0}, "S2": {"U1": 1.0, "U2": 1.0}
+    }
+    assert [e.university_id for e in level.ranking("S1", 2007).entries] == ["U2", "U3", "U1"]
+    assert level.ranking("S1", 2008).display_ranks() == {"U1": 1, "U3": 1, "U2": 3}
+    for scope, year in (("S3", 2008), ("S1", 2006)):
+        with pytest.raises(KeyError):
+            level.ranking(scope, year)
+    rows = ranking_rows({"sds": level})
+    assert rows[1:4] == [["sds", "S1", "2007", "U2", "5.000000", "1"],
+                         ["sds", "S1", "2007", "U3", "5.000000", "1"],
+                         ["sds", "S1", "2007", "U1", "3.000000", "3"]]
+    assert len(rows) == 1 + len(keys) * 2
+    run = AnalysisRun(corpus=None, report=None, levels={"sds": level})
+    assert run.rankings is run.rankings
+    assert run.rankings[("sds", "S2", 2008)] == level.ranking("S2", 2008)
