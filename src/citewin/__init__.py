@@ -25,7 +25,6 @@ from .npc import (
     NpcCombinedResult,
     PermTestResult,
     UdaGroups,
-    max_rank_shift,
     npc_fisher_combine,
     top_partition,
     two_sample_perm_test,
@@ -39,20 +38,7 @@ from .productivity import (
     sds_productivity,
     uda_productivity,
 )
-from .sensitivity import (
-    QuartileAssignment,
-    Ranking,
-    ShiftStats,
-    StabilitySummary,
-    no_change_and_small_shift_pcts,
-    quartile_classes,
-    quartile_shift_stats,
-    rank_shifts,
-    rank_universities,
-    shift_descriptives,
-    spearman_rho,
-    stability_summary,
-)
+from .sensitivity import ShiftStats, StabilitySummary
 from .synth import SynthConfig, generate
 
 __all__ = [
@@ -71,8 +57,6 @@ __all__ = [
     "PermTestResult",
     "ProductivityCell",
     "PublicationRecord",
-    "QuartileAssignment",
-    "Ranking",
     "RepresentativityReport",
     "ResearcherRecord",
     "SynthConfig",
@@ -85,20 +69,11 @@ __all__ = [
     "compute_median_table",
     "generate",
     "load_corpus",
-    "max_rank_shift",
     "national_baseline",
-    "no_change_and_small_shift_pcts",
     "npc_fisher_combine",
-    "quartile_classes",
-    "quartile_shift_stats",
-    "rank_shifts",
-    "rank_universities",
     "representativity_filter",
     "scientific_strength",
     "sds_productivity",
-    "shift_descriptives",
-    "spearman_rho",
-    "stability_summary",
     "top_partition",
     "two_sample_perm_test",
     "uda_productivity",

@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass, field
-from functools import cached_property
 from typing import Sequence
 
 import numpy as np
@@ -25,7 +24,7 @@ from .errors import AnalysisError
 from .impact import MedianTable
 from .ingest import RepresentativityReport, representativity_filter
 from .productivity import BASELINE_RULES
-from .sensitivity import LevelRanks, Ranking, rank_scopes
+from .sensitivity import LevelRanks, rank_scopes
 
 logger = logging.getLogger(__name__)
 
@@ -38,19 +37,6 @@ class AnalysisRun:
     report: RepresentativityReport
     median_tables: dict[int, MedianTable] = field(default_factory=dict)
     levels: dict[str, LevelRanks] = field(default_factory=dict)
-
-    @cached_property
-    def rankings(self) -> dict[tuple[str, str, int], Ranking]:
-        """A Ranking view of every (level, scope, year), built on first request."""
-        return {(level, scope, year): ranks.ranking(scope, year)
-                for level, ranks in self.levels.items()
-                for scope in ranks.scope_ids for year in ranks.years}
-
-    def scopes(self, level: str) -> list[str]:
-        return list(self.levels[level].scope_ids) if level in self.levels else []
-
-    def ranking(self, level: str, scope_id: str, year: int) -> Ranking:
-        return self.levels[level].ranking(scope_id, year)
 
 
 def run_analysis(

@@ -31,16 +31,6 @@ def max_rank_shifts(ranks: np.ndarray, bench_col: int) -> np.ndarray:
     return np.abs(ranks - ranks[:, bench_col, None]).max(axis=1)
 
 
-def max_rank_shift(ranks_by_year: Mapping[int, int], benchmark_year: int) -> int:
-    """Largest absolute rank move of one university vs. the benchmark year."""
-    if benchmark_year not in ranks_by_year:
-        raise AnalysisError(f"benchmark year {benchmark_year} missing from ranks")
-    if len(ranks_by_year) < 2:
-        raise AnalysisError("need at least one non-benchmark year")
-    ranks = np.array([list(ranks_by_year.values())])
-    return int(max_rank_shifts(ranks, list(ranks_by_year).index(benchmark_year))[0])
-
-
 def top_partition(
     scores: Mapping[str, float], percentile: float
 ) -> tuple[frozenset[str], frozenset[str]]:

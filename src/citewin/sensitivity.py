@@ -11,7 +11,7 @@ statistic has one implementation, over blocks [..., year, n] of scopes that
 rank the same number n of universities, with the benchmark year last and
 the universities, in id order, contiguous along the last axis: every numpy
 reduction over that axis then adds in the order a 1-D call on one scope's
-row does. The per-Ranking functions are one-scope calls of the same code.
+row does.
 """
 
 from __future__ import annotations
@@ -27,34 +27,6 @@ import numpy as np
 from .errors import AnalysisError
 
 logger = logging.getLogger(__name__)
-
-
-@dataclass(frozen=True)
-class RankEntry:
-    university_id: str
-    score: float
-    rank: int  # competition rank, 1 = highest score
-    fractional_rank: float
-
-
-@dataclass(frozen=True)
-class Ranking:
-    scope_level: str
-    scope_id: str
-    obs_year: int
-    entries: tuple[RankEntry, ...]
-
-    def display_ranks(self) -> dict[str, int]:
-        return {e.university_id: e.rank for e in self.entries}
-
-    def fractional_ranks(self) -> dict[str, float]:
-        return {e.university_id: e.fractional_rank for e in self.entries}
-
-    def scores(self) -> dict[str, float]:
-        return {e.university_id: e.score for e in self.entries}
-
-    def universities(self) -> frozenset[str]:
-        return frozenset(e.university_id for e in self.entries)
 
 
 @dataclass(frozen=True, eq=False)
@@ -86,23 +58,6 @@ class LevelRanks:
         values, bounds = values.tolist(), self.bounds.tolist()
         return {scope: dict(zip(self.university_ids[lo:hi], values[lo:hi]))
                 for scope, lo, hi in zip(self.scope_ids, bounds, bounds[1:])}
-
-    def _ranked_rows(self, scope_id: str, year: int) -> list[int]:
-        """One scope's rows in ranking order at one year; KeyError if the level has neither."""
-        try:
-            s, y = self.scope_ids.index(scope_id), self.years.index(year)
-        except ValueError:
-            raise KeyError((self.level, scope_id, year)) from None
-        return self.ranked[y, self.bounds[s]:self.bounds[s + 1]].tolist()
-
-    def ranking(self, scope_id: str, year: int) -> Ranking:
-        """One scope at one year as a Ranking; KeyError if the level has neither."""
-        rows, y = self._ranked_rows(scope_id, year), self.years.index(year)
-        return Ranking(self.level, scope_id, year, tuple(
-            RankEntry(self.university_ids[r], float(self.scores[r, y]), int(self.ranks[r, y]),
-                      float(self.fractional[r, y]))
-            for r in rows
-        ))
 
 
 def rank_scopes(
@@ -147,31 +102,6 @@ def rank_scopes(
                       tuple(years), scores, ranks, fractional, ranked)
 
 
-def rank_universities(
-    scores: Mapping[str, float],
-    scope_level: str = "",
-    scope_id: str = "",
-    obs_year: int = 0,
-) -> Ranking:
-    """Order universities by descending score with deterministic tie handling."""
-    if not scores:
-        raise ValueError("cannot rank an empty score map")
-    keys = [(scope_id, univ) for univ in scores]
-    values = np.array(list(scores.values()), dtype=float)[:, None]
-    return rank_scopes(scope_level, keys, [obs_year], values).ranking(scope_id, obs_year)
-
-
-def rank_shifts(ranking: Ranking, benchmark: Ranking) -> dict[str, tuple[int, int]]:
-    """Per-university (signed, absolute) rank shift against the benchmark.
-
-    Positive signed shift = ranked worse (larger rank number) than in the
-    benchmark. Uses competition ranks. Both rankings must cover the same
-    universities.
-    """
-    signed = _shifts(_columns([ranking, benchmark], "rank"))[0].tolist()
-    return {u: (d, abs(d)) for u, d in zip(sorted(benchmark.universities()), signed)}
-
-
 @dataclass(frozen=True)
 class ShiftStats:
     """Descriptive statistics of a shift distribution.
@@ -188,24 +118,6 @@ class ShiftStats:
     kurtosis: float | None
 
 
-def shift_descriptives(shifts: Sequence[float]) -> ShiftStats:
-    if len(shifts) < 1:
-        raise ValueError("need at least one shift")
-    return _descriptives(np.asarray(shifts, dtype=float))[0]
-
-
-def spearman_rho(ranking_a: Ranking, ranking_b: Ranking) -> float | None:
-    """Rank correlation: Pearson correlation of the fractional ranks.
-
-    Returns None (undefined) when either side has zero rank variance,
-    i.e. all universities tied.
-    """
-    fractional = _columns([ranking_a, ranking_b], "fractional_rank")
-    if fractional.shape[1] < 2:
-        raise AnalysisError("rank correlation needs at least two universities")
-    return _spearman(fractional[0], fractional[1])[0]
-
-
 @dataclass(frozen=True)
 class StabilitySummary:
     """Per-scope stability of rankings across all observation years.
@@ -213,7 +125,7 @@ class StabilitySummary:
     pct_any_change is the fraction of universities whose rank moves at
     least once across the years. The average/median/std_dev are over each
     university's mean absolute shift against the benchmark (population
-    std dev, consistent with shift_descriptives). max_ranking_variation is
+    std dev, consistent with ShiftStats). max_ranking_variation is
     the widest per-university rank range over all years.
     """
 
@@ -225,67 +137,10 @@ class StabilitySummary:
     max_ranking_variation: int
 
 
-def stability_summary(
-    rankings: Mapping[int, Ranking], benchmark_year: int
-) -> StabilitySummary:
-    if benchmark_year not in rankings:
-        raise AnalysisError(f"benchmark year {benchmark_year} not among the rankings")
-    if len(rankings) == 1:
-        # only the benchmark itself: trivially no change anywhere
-        n = len(rankings[benchmark_year].entries)
-        return StabilitySummary(n, 0.0, 0.0, 0.0, 0.0, 0)
-    years = [y for y in sorted(rankings) if y != benchmark_year] + [benchmark_year]
-    return _stability(_columns([rankings[y] for y in years], "rank"))[0][0]
-
-
-def no_change_and_small_shift_pcts(ranking: Ranking, benchmark: Ranking) -> tuple[int, int]:
-    """Whole-number percentages of universities with shift 0 and shift <= 3."""
-    moves = np.abs(_shifts(_columns([ranking, benchmark], "rank")))
-    return tuple(_small_shift_pcts(moves[0]).tolist())
-
-
-@dataclass(frozen=True)
-class QuartileAssignment:
-    """Productivity class per university: 4 = top quartile down to 1."""
-
-    boundaries: tuple[float, float, float]  # 25th, 50th, 75th percentile of the scores
-    classes: Mapping[str, int]
-
-
-def quartile_classes(scores: Mapping[str, float]) -> QuartileAssignment:
-    """Classify universities by score quartile.
-
-    Boundaries are linear-interpolation percentiles of the score
-    distribution; a university is in class 4 when its score lies strictly
-    above the 75th-percentile boundary, and so on downward. Equal scores
-    always land in the same class.
-    """
-    if len(scores) < 4:
-        raise AnalysisError(f"quartile classes need at least 4 universities, got {len(scores)}")
-    universities = sorted(scores)
-    boundaries, classes = _quartile_classes(np.array([scores[u] for u in universities]))
-    return QuartileAssignment(tuple(boundaries.tolist()), dict(zip(universities, classes.tolist())))
-
-
 @dataclass(frozen=True)
 class QuartileShiftStats:
     average_abs_shift: float
     outliers: int  # universities moving 2 or 3 classes
-
-
-def quartile_shift_stats(
-    assignments: Mapping[int, QuartileAssignment], benchmark_year: int
-) -> dict[int, QuartileShiftStats]:
-    """Average absolute class shift and 2-3-class outlier count per year."""
-    if benchmark_year not in assignments:
-        raise AnalysisError(f"benchmark year {benchmark_year} not among the assignments")
-    bench = assignments[benchmark_year].classes
-    years = [y for y in sorted(assignments) if y != benchmark_year]
-    for year in years:
-        if set(assignments[year].classes) != set(bench):
-            raise AnalysisError(f"university sets differ between {year} and {benchmark_year}")
-    classes = [[assignments[y].classes[u] for u in sorted(bench)] for y in years + [benchmark_year]]
-    return dict(zip(years, _class_shifts(np.array(classes))))
 
 
 @dataclass(frozen=True)
@@ -380,11 +235,12 @@ def ranking_rows(levels: Mapping[str, LevelRanks]) -> list[list[str]]:
     """rankings.csv: level by level, scope by scope, year by year, in ranking order."""
     rows = [["scope_level", "scope_id", "obs_year", "university_id", "score", "rank"]]
     for level, ranks in sorted(levels.items()):
-        scores, competition = ranks.scores.tolist(), ranks.ranks.tolist()
-        for scope in ranks.scope_ids:
+        scores, competition, ranked = (m.tolist() for m in (ranks.scores, ranks.ranks, ranks.ranked))
+        bounds = ranks.bounds.tolist()
+        for scope, lo, hi in zip(ranks.scope_ids, bounds, bounds[1:]):
             for y, year in enumerate(ranks.years):
                 rows.extend([level, scope, str(year), ranks.university_ids[r], _fmt(scores[r][y]),
-                             str(competition[r][y])] for r in ranks._ranked_rows(scope, year))
+                             str(competition[r][y])] for r in ranked[y][lo:hi])
     return rows
 
 
@@ -448,22 +304,6 @@ def _class_shifts(classes: np.ndarray) -> list[QuartileShiftStats]:
     averages = (moves.sum(axis=-1) / moves.shape[-1]).ravel().tolist()
     outliers = (moves >= 2).sum(axis=-1).ravel().tolist()
     return [QuartileShiftStats(a, o) for a, o in zip(averages, outliers)]
-
-
-def _columns(rankings: Sequence[Ranking], field: str) -> np.ndarray:
-    """[ranking, university] array of one RankEntry field, universities in id
-    order; every ranking must cover the universities of the last."""
-    universities = rankings[-1].universities()
-    for ranking in rankings:
-        if ranking.universities() != universities:
-            only_a = sorted(ranking.universities() - universities)
-            only_b = sorted(universities - ranking.universities())
-            raise AnalysisError(
-                f"rankings cover different universities (only in first: {only_a}, "
-                f"only in second: {only_b})"
-            )
-    values = [{e.university_id: getattr(e, field) for e in r.entries} for r in rankings]
-    return np.array([[v[u] for u in sorted(universities)] for v in values])
 
 
 def _percent(count, n):

@@ -75,20 +75,20 @@ class SynthConfig:
             return SynthConfig(
                 n_universities=int(raw["n_universities"]),
                 staff_range=(int(raw["staff_range"][0]), int(raw["staff_range"][1])),
-                udas={u: tuple(s) for u, s in raw["udas"].items()},
+                udas={u: tuple(map(_name, s)) for u, s in raw["udas"].items()},
                 pub_period=(int(raw["pub_period"][0]), int(raw["pub_period"][1])),
                 observation_years=tuple(int(y) for y in raw["observation_years"]),
                 pub_rate=float(raw["pub_rate"]),
                 profiles={n: tuple(float(x) for x in p) for n, p in raw["profiles"].items()},
-                sds_profiles=dict(raw.get("sds_profiles", {})),
-                default_profile=raw.get("default_profile", "default"),
+                sds_profiles={s: _name(p) for s, p in raw.get("sds_profiles", {}).items()},
+                default_profile=_name(raw.get("default_profile", "default")),
                 quality_mu=float(raw.get("quality_mu", 0.0)),
                 quality_sigma=float(raw.get("quality_sigma", 0.5)),
                 coauthor_rate=float(raw.get("coauthor_rate", 0.1)),
                 multi_category_rate=float(raw.get("multi_category_rate", 0.0)),
                 seed=int(raw.get("seed", 0)),
             )
-        except (KeyError, TypeError, IndexError) as exc:
+        except (KeyError, TypeError, IndexError, AttributeError, ValueError, OverflowError) as exc:
             raise ValueError(f"bad synthetic-corpus config: {exc!r}") from exc
 
     @staticmethod
@@ -101,6 +101,12 @@ class SynthConfig:
         except json.JSONDecodeError as exc:
             raise ParseError(path, exc.lineno, f"invalid JSON: {exc.msg}") from exc
         return SynthConfig.from_dict(raw)
+
+
+def _name(value) -> str:
+    if not isinstance(value, str):
+        raise TypeError(f"expected a name, got {value!r}")
+    return value
 
 
 def category_of(sds_id: str) -> str:

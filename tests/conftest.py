@@ -18,6 +18,7 @@ from citewin.corpus import (
     ResearcherRecord,
     build_corpus,
 )
+from citewin.sensitivity import LevelRanks, rank_scopes
 from citewin.synth import SynthConfig
 
 # ---------------------------------------------------------------------------
@@ -232,3 +233,12 @@ def small_null_config(seed: int = 0) -> SynthConfig:
         coauthor_rate=0.05,
         seed=seed,
     )
+
+
+def one_scope(by_year: dict, level: str = "sds", scope: str = "S") -> LevelRanks:
+    """The ranks of one scope from {year: {university: score}}; every year
+    scores the same universities."""
+    years = sorted(by_year)
+    universities = sorted(by_year[years[0]])
+    scores = np.array([[by_year[y][u] for y in years] for u in universities], dtype=float)
+    return rank_scopes(level, [(scope, u) for u in universities], years, scores)

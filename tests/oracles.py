@@ -10,6 +10,7 @@ from __future__ import annotations
 import csv
 import math
 import re
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 from pathlib import Path
@@ -18,14 +19,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from citewin.errors import AnalysisError
-from citewin.sensitivity import (
-    QuartileAssignment,
-    QuartileShiftStats,
-    RankEntry,
-    Ranking,
-    ShiftStats,
-    StabilitySummary,
-)
+from citewin.sensitivity import QuartileShiftStats, ShiftStats, StabilitySummary
 
 
 def fractional_ranks_desc(scores: Sequence[float]) -> list[float]:
@@ -109,6 +103,42 @@ def moment_stats(xs: Sequence[float]) -> dict:
 # the per-Ranking stability battery as it was before the grouped one: each
 # statistic of one scope per call, over dicts and 1-D numpy arrays. The
 # grouped battery in sensitivity.py must reproduce it bit for bit.
+
+
+@dataclass(frozen=True)
+class RankEntry:
+    university_id: str
+    score: float
+    rank: int  # competition rank, 1 = highest score
+    fractional_rank: float
+
+
+@dataclass(frozen=True)
+class Ranking:
+    scope_level: str
+    scope_id: str
+    obs_year: int
+    entries: tuple[RankEntry, ...]
+
+    def display_ranks(self) -> dict[str, int]:
+        return {e.university_id: e.rank for e in self.entries}
+
+    def fractional_ranks(self) -> dict[str, float]:
+        return {e.university_id: e.fractional_rank for e in self.entries}
+
+    def scores(self) -> dict[str, float]:
+        return {e.university_id: e.score for e in self.entries}
+
+    def universities(self) -> frozenset[str]:
+        return frozenset(e.university_id for e in self.entries)
+
+
+@dataclass(frozen=True)
+class QuartileAssignment:
+    """Productivity class per university: 4 = top quartile down to 1."""
+
+    boundaries: tuple[float, float, float]  # 25th, 50th, 75th percentile of the scores
+    classes: Mapping[str, int]
 
 
 def rank_universities(

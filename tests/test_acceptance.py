@@ -18,14 +18,7 @@ from citewin.ingest import load_corpus
 from citewin.npc import UdaGroups, npc_fisher_combine, two_sample_perm_test
 from citewin.productivity import NationalBaseline, ProductivityCell, uda_productivity
 from citewin.corpus import PublicationRecord
-from citewin.sensitivity import (
-    quartile_classes,
-    quartile_shift_stats,
-    rank_shifts,
-    rank_universities,
-    spearman_rho,
-    stability_summary,
-)
+from citewin.sensitivity import _quartile_classes, stability_battery
 from citewin.synth import generate
 
 from conftest import (
@@ -34,6 +27,7 @@ from conftest import (
     GOLDEN_UNIVERSITY,
     build_golden_corpus_dir,
     make_random_corpus,
+    one_scope,
     scale_citations,
     stability_config,
 )
@@ -48,6 +42,15 @@ from oracles import (
 PERIOD = (2001, 2003)
 YEARS = (2004, 2005, 2006, 2007, 2008)
 BENCHMARK = 2008
+
+
+def columns(run):
+    """Every id, score, rank and ranking order of an analysis run, per level."""
+    return {
+        name: (lv.scope_ids, lv.university_ids, lv.years, lv.scores.tolist(), lv.ranks.tolist(),
+               lv.fractional.tolist(), lv.ranked.tolist())
+        for name, lv in run.levels.items()
+    }
 
 
 @contextmanager
@@ -83,7 +86,8 @@ def test_criterion_1_golden_productivity_table(tmp_path):
         # to reproduce the fixture's SS and baselines ends at the same P
         corpus = load_corpus(build_golden_corpus_dir(tmp_path / "golden"))
         run = run_analysis(corpus, PERIOD, [2008], 0.5, "aggregate", levels=("uda",))
-        score = run.ranking("uda", "MATH", 2008).scores()[GOLDEN_UNIVERSITY]
+        uda = run.levels["uda"]
+        score = uda.by_scope(uda.scores[:, 0])["MATH"][GOLDEN_UNIVERSITY]
         assert abs(score - GOLDEN_TOTAL_P) <= 0.001
 
 
@@ -117,7 +121,7 @@ def test_criterion_2_impact_unit_suite_and_scale_invariance():
                 scaled_run = run_analysis(
                     scale_citations(corpus, k), PERIOD, [2004, 2006], 0.5, "aggregate"
                 )
-                assert scaled_run.rankings == base_run.rankings
+                assert columns(scaled_run) == columns(base_run)
 
 
 def test_criterion_3_normalization_identity(tmp_path):
@@ -146,10 +150,10 @@ def test_criterion_3_normalization_identity(tmp_path):
                 if sds in retained:
                     key = (corpus.taxonomy.uda_of(sds), str(corpus.universities[u]))
                     rs[key] = rs.get(key, 0) + 1
-            assert run.scopes("uda")
-            for uda in run.scopes("uda"):
-                for year in YEARS:
-                    scores = run.ranking("uda", uda, year).scores()
+            level = run.levels["uda"]
+            assert level.scope_ids
+            for y, year in enumerate(YEARS):
+                for uda, scores in level.by_scope(level.scores[:, y]).items():
                     weighted = sum(rs[(uda, univ)] * p for univ, p in scores.items())
                     total_rs = sum(rs[(uda, univ)] for univ in scores)
                     assert abs(weighted / total_rs - 1.0) <= 1e-9, (uda, year)
@@ -168,7 +172,7 @@ def test_criterion_4_statistical_oracles():
                 b = rng.normal(size=n)
             sa = {f"U{i}": float(v) for i, v in enumerate(a)}
             sb = {f"U{i}": float(v) for i, v in enumerate(b)}
-            got = spearman_rho(rank_universities(sa), rank_universities(sb))
+            (got,) = stability_battery(one_scope({2004: sa, 2008: sb}), 2008)[0].spearman
             want = spearman_brute(list(a), list(b))
             if want is None:
                 assert got is None
@@ -233,10 +237,8 @@ def test_criterion_6_stability_trend(tmp_path):
             root = generate(stability_config(), tmp_path / f"s{seed}", seed=seed)
             corpus = load_corpus(root)
             run = run_analysis(corpus, PERIOD, YEARS, 0.5, "aggregate", levels=("uda",))
-            for uda in run.scopes("uda"):
-                bench = run.ranking("uda", uda, BENCHMARK)
-                for y in YEARS[:-1]:
-                    rho = spearman_rho(run.ranking("uda", uda, y), bench)
+            for scope in stability_battery(run.levels["uda"], BENCHMARK):
+                for y, rho in zip(YEARS[:-1], scope.spearman):
                     assert rho is not None
                     rhos[y].append(rho)
         sequence = [float(np.mean(rhos[y])) for y in YEARS[:-1]]
@@ -251,17 +253,17 @@ def test_criterion_7_quartile_bounds_and_table_shape(tmp_path):
         for seed in range(10):
             corpus = make_random_corpus(seed, n_universities=8)
             run = run_analysis(corpus, PERIOD, YEARS, 0.5, "aggregate", levels=("uda",))
-            for uda in run.scopes("uda"):
-                assignments = {
-                    y: quartile_classes(run.ranking("uda", uda, y).scores()) for y in YEARS
-                }
-                bench = assignments[BENCHMARK].classes
-                for y in YEARS:
-                    for univ, cls in assignments[y].classes.items():
+            level = run.levels["uda"]
+            bounds = level.bounds.tolist()
+            for lo, hi, scope in zip(bounds, bounds[1:], stability_battery(level, BENCHMARK)):
+                _boundaries, classes = _quartile_classes(level.scores[lo:hi].T)  # [year, university]
+                bench = classes[YEARS.index(BENCHMARK)]
+                for year_classes in classes.tolist():
+                    for cls, bench_cls in zip(year_classes, bench.tolist()):
                         assert cls in (1, 2, 3, 4)
-                        assert abs(cls - bench[univ]) in (0, 1, 2, 3)
-                stats = quartile_shift_stats(assignments, BENCHMARK)
-                assert all(0.0 <= s.average_abs_shift <= 3.0 for s in stats.values())
+                        assert abs(cls - bench_cls) in (0, 1, 2, 3)
+                assert scope.quartiles is not None
+                assert all(0.0 <= s.average_abs_shift <= 3.0 for s in scope.quartiles)
 
         # command level: the quartile table has the measure rows and year columns
         root = generate(stability_config(), tmp_path / "corpus", seed=3)
@@ -314,18 +316,16 @@ def test_criterion_9_stability_average_semantics(tmp_path):
 
         checked = 0
         for run in runs:
-            for level in ("uda", "sds"):
-                for scope in run.scopes(level):
-                    rankings = {y: run.ranking(level, scope, y) for y in YEARS}
-                    summary = stability_summary(rankings, BENCHMARK)
+            for level in run.levels.values():
+                bounds, b = level.bounds.tolist(), YEARS.index(BENCHMARK)
+                for lo, hi, scope in zip(bounds, bounds[1:], stability_battery(level, BENCHMARK)):
+                    ranks = level.ranks[lo:hi]  # [university, year]
                     yearly_means = [
-                        np.mean(
-                            [a for _s, a in rank_shifts(rankings[y], rankings[BENCHMARK]).values()]
-                        )
-                        for y in YEARS
-                        if y != BENCHMARK
+                        np.mean(np.abs(ranks[:, y] - ranks[:, b]))
+                        for y in range(len(YEARS))
+                        if y != b
                     ]
-                    assert summary.mean_shift_average == pytest.approx(
+                    assert scope.summary.mean_shift_average == pytest.approx(
                         float(np.mean(yearly_means)), abs=1e-12
                     )
                     checked += 1

@@ -97,6 +97,22 @@ def ranking_bits(rankings):
     }
 
 
+def level_bits(levels):
+    """ranking_bits of the rank matrices of every level: each (level, scope,
+    year) in ranking order."""
+    out = {}
+    for name, level in levels.items():
+        bounds = level.bounds.tolist()
+        for scope, lo, hi in zip(level.scope_ids, bounds, bounds[1:]):
+            for y, year in enumerate(level.years):
+                out[(name, scope, year)] = [
+                    (level.university_ids[r], level.scores[r, y].hex(), int(level.ranks[r, y]),
+                     float(level.fractional[r, y]))
+                    for r in level.ranked[y, lo:hi].tolist()
+                ]
+    return out
+
+
 @settings(max_examples=80, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(
     corpus=corpora(),
@@ -113,7 +129,7 @@ def test_core_equals_scalar_definitions_bit_for_bit(corpus, years, baseline, thr
     run = run_analysis(corpus, PERIOD, years, threshold, baseline)
     tables, rankings = scalar_rankings(corpus, retained, sorted(years), baseline)
     assert median_bits(run.median_tables) == median_bits(tables)
-    assert ranking_bits(run.rankings) == ranking_bits(rankings)
+    assert level_bits(run.levels) == ranking_bits(rankings)
 
 
 def test_degenerate_sds_scores_zero_and_contributes_nothing():
@@ -130,9 +146,10 @@ def test_degenerate_sds_scores_zero_and_contributes_nothing():
         FieldTaxonomy({"S1": "UA", "S3": "UA"}),
     )
     run = run_analysis(corpus, PERIOD, [2004], 0.0, "aggregate")
-    assert run.ranking("sds", "S3", 2004).scores() == {"U1": 0.0}
+    sds, uda = run.levels["sds"], run.levels["uda"]
+    assert sds.by_scope(sds.scores[:, 0])["S3"] == {"U1": 0.0}
     # U1: S1 at 2/3 of the baseline, weighted by half its staff; S3 adds 0
-    assert run.ranking("uda", "UA", 2004).scores() == {"U1": (1.0 / 1.5) * 0.5, "U2": 2.0 / 1.5}
+    assert uda.by_scope(uda.scores[:, 0])["UA"] == {"U1": (1.0 / 1.5) * 0.5, "U2": 2.0 / 1.5}
 
 
 def test_missing_year_names_the_years_every_publication_covers():

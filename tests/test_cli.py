@@ -461,3 +461,19 @@ def test_synth_command_and_validate_round_trip(tmp_path, capsys):
 
 def test_synth_missing_config_is_usage_error(tmp_path, capsys):
     assert run("synth", "--config", tmp_path / "nope.json", "--out", tmp_path / "o") == 2
+
+
+@pytest.mark.parametrize("override", [
+    {"udas": ["A"]},
+    {"profiles": [1]},
+    {"n_universities": 1e400},
+    {"sds_profiles": {"S1": ["x"]}},
+], ids=["udas_list", "profiles_list", "n_universities_inf", "profile_name_list"])
+def test_synth_wrongly_typed_config_is_usage_error(tmp_path, capsys, override):
+    config = {"n_universities": 4, "staff_range": [2, 3], "udas": {"UA": ["S1"]},
+              "pub_period": [2001, 2003], "observation_years": [2004, 2005], "pub_rate": 1.0,
+              "profiles": {"default": [0.5, 1.0]}, **override}
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config), encoding="utf-8")
+    assert run("synth", "--config", path, "--out", tmp_path / "corpus") == 2
+    assert capsys.readouterr().err.startswith("error: bad synthetic-corpus config")

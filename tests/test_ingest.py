@@ -13,6 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import citewin
 from citewin import ingest
 from citewin.cli import main
 from citewin.errors import CitewinError, IntegrityError, MissingInputError, ParseError
@@ -241,6 +242,43 @@ def test_package_parses_as_python_3_10():
         ast.parse(source.read_text(encoding="utf-8"), str(source), feature_version=(3, 10))
     with pytest.raises(SyntaxError, match="3.11"):
         ast.parse("try:\n    pass\nexcept* ValueError:\n    pass\n", feature_version=(3, 10))
+
+
+def test_package_has_no_unused_imports():
+    """Each module-level import of a package module is used by some node of
+    that module; __future__ imports and __init__.py's re-exports are exempt."""
+    unused = []
+    for source in sorted(Path(ingest.__file__).parent.glob("*.py")):
+        if source.name == "__init__.py":
+            continue
+        tree = ast.parse(source.read_text(encoding="utf-8"))
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        for node in tree.body:
+            if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                continue
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                names = [(alias.asname or alias.name).split(".")[0] for alias in node.names]
+                unused += [f"{source.name}: {name}" for name in names if name not in used]
+    assert unused == []
+
+
+REMOVED_NAMES = (
+    "QuartileAssignment", "Ranking", "max_rank_shift", "no_change_and_small_shift_pcts",
+    "quartile_classes", "quartile_shift_stats", "rank_shifts", "rank_universities",
+    "shift_descriptives", "spearman_rho", "stability_summary",
+)
+
+
+def test_all_lists_importable_names_only():
+    assert len(set(citewin.__all__)) == len(citewin.__all__)
+    assert all(hasattr(citewin, name) for name in citewin.__all__)
+    namespace: dict = {}
+    exec("from citewin import *", namespace)
+    assert set(namespace) - {"__builtins__"} == set(citewin.__all__)
+    for name in REMOVED_NAMES:
+        assert name not in citewin.__all__ and not hasattr(citewin, name)
+        with pytest.raises(ImportError):
+            exec(f"from citewin import {name}", {})
 
 
 def test_earlier_value_error_wins_over_later_grammar_error(tmp_path):

@@ -14,7 +14,6 @@ from citewin.errors import AnalysisError
 from citewin.npc import (
     UdaGroups,
     _significance_levels,
-    max_rank_shift,
     max_rank_shifts,
     npc_fisher_combine,
     top_partition,
@@ -25,24 +24,18 @@ from oracles import perm_test_exhaustive, significance_levels
 
 
 def test_max_rank_shift_examples():
-    assert max_rank_shift({2004: 5, 2005: 3, 2006: 4, 2008: 4}, 2008) == 1
-    assert max_rank_shift({2004: 2, 2008: 2}, 2008) == 0
-    assert max_rank_shift({2005: 43, 2008: 12}, 2008) == 31
-
-
-def test_max_rank_shift_requires_other_years():
-    with pytest.raises(AnalysisError):
-        max_rank_shift({2008: 1}, 2008)
-    with pytest.raises(AnalysisError):
-        max_rank_shift({2004: 1}, 2008)
+    # one university's ranks by year, the benchmark (2008) last
+    assert max_rank_shifts(np.array([[5, 3, 4, 4]]), 3).tolist() == [1]
+    assert max_rank_shifts(np.array([[2, 2]]), 1).tolist() == [0]
+    assert max_rank_shifts(np.array([[43, 12]]), 1).tolist() == [31]
 
 
 def test_max_rank_shifts_is_max_rank_shift_of_each_row():
     years = [2004, 2005, 2006, 2007, 2008]
     ranks = np.random.default_rng(3).integers(1, 40, size=(25, len(years)))
-    for bench, year in enumerate(years):
+    for bench in range(len(years)):
         got = max_rank_shifts(ranks, bench)
-        assert got.tolist() == [max_rank_shift(dict(zip(years, row)), year) for row in ranks.tolist()]
+        assert got.tolist() == [max(abs(r - row[bench]) for r in row) for row in ranks.tolist()]
 
 
 def test_top_partition_decile_structure():
@@ -374,18 +367,15 @@ def test_pipeline_null_rarely_produces_tiny_partial_p(tmp_path):
         root = generate(small_null_config(), tmp_path / f"s{seed}", seed=seed)
         run = run_analysis(load_corpus(root), (2001, 2003), years, 0.5, "aggregate", levels=("uda",))
         groups = []
-        for uda in run.scopes("uda"):
-            bench = run.ranking("uda", uda, 2008)
+        level = run.levels["uda"]
+        bench = level.by_scope(level.scores[:, years.index(2008)])
+        shifts = level.by_scope(max_rank_shifts(level.ranks, years.index(2008)).astype(float))
+        for uda in level.scope_ids:
             try:
-                top, _rest = top_partition(bench.scores(), 80)
+                top, _rest = top_partition(bench[uda], 80)
             except AnalysisError:
                 continue
-            ranks = {y: run.ranking("uda", uda, y).display_ranks() for y in years}
-            values = {
-                u: float(max_rank_shift({y: ranks[y][u] for y in years}, 2008))
-                for u in sorted(bench.universities())
-            }
-            groups.append(UdaGroups(uda, values, top))
+            groups.append(UdaGroups(uda, shifts[uda], top))
         assert len(groups) >= 2
         result = npc_fisher_combine(groups, n_perm=999, seed=seed)
         assert 0.0 < result.combined_p <= 1.0

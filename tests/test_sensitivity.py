@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import dataclasses
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -10,26 +11,21 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import oracles
-from citewin.analysis import AnalysisRun
 from citewin.corpus import build_corpus
 from citewin.errors import AnalysisError
 from citewin.impact import compute_median_table
 from citewin.sensitivity import (
+    _class_shifts,
+    _descriptives,
+    _quartile_classes,
+    _shifts,
     battery_tables,
-    no_change_and_small_shift_pcts,
-    quartile_classes,
-    quartile_shift_stats,
     rank_scopes,
-    rank_shifts,
-    rank_universities,
     ranking_rows,
-    shift_descriptives,
-    spearman_rho,
     stability_battery,
-    stability_summary,
 )
 
-from conftest import make_random_corpus
+from conftest import make_random_corpus, one_scope
 from oracles import (
     compute_baselines,
     compute_cells,
@@ -39,68 +35,90 @@ from oracles import (
 )
 
 
-def ranking_from_ranks(ranks: dict[str, int], **kw):
+def scores_from_ranks(ranks: dict[str, int]) -> dict[str, float]:
     # a score map whose ranking reproduces the given competition ranks
     n = max(ranks.values()) + 1
-    return rank_universities({u: float(n - r) for u, r in ranks.items()}, **kw)
+    return {u: float(n - r) for u, r in ranks.items()}
+
+
+def ranked(scores: dict[str, float]):
+    """(ranking order, competition ranks, fractional ranks) of one scope at one year."""
+    level = one_scope({2008: scores})
+    order = [row[3] for row in ranking_rows({"sds": level})[1:]]
+    return order, level.by_scope(level.ranks[:, 0])["S"], level.by_scope(level.fractional[:, 0])["S"]
+
+
+def signed_shifts(year: dict[str, float], bench: dict[str, float]) -> dict[str, int]:
+    """Signed rank shift of each university of one scope against the benchmark scores."""
+    level = one_scope({2004: year, 2008: bench})
+    return dict(zip(level.university_ids, _shifts(level.ranks.T)[0].tolist()))
+
+
+def battery(by_year: dict, benchmark: int = 2008):
+    """The ScopeStability of one scope from {year: {university: score}}."""
+    return stability_battery(one_scope(by_year), benchmark)[0]
+
+
+def descriptives(xs):
+    return _descriptives(np.array([xs], dtype=float))[0]
+
+
+def quartiles(scores: dict[str, float]):
+    """(boundaries, {university: class}) of one score map."""
+    universities = sorted(scores)
+    q, classes = _quartile_classes(np.array([[scores[u] for u in universities]]))
+    return tuple(q[:, 0].tolist()), dict(zip(universities, classes[0].tolist()))
 
 
 def test_rank_strict_ordering():
-    r = rank_universities({"A": 2.0, "B": 1.0, "C": 0.5})
-    assert r.display_ranks() == {"A": 1, "B": 2, "C": 3}
-    assert r.fractional_ranks() == {"A": 1.0, "B": 2.0, "C": 3.0}
+    order, ranks, fractional = ranked({"A": 2.0, "B": 1.0, "C": 0.5})
+    assert order == ["A", "B", "C"]
+    assert ranks == {"A": 1, "B": 2, "C": 3}
+    assert fractional == {"A": 1.0, "B": 2.0, "C": 3.0}
 
 
 def test_rank_ties_competition_and_fractional():
-    r = rank_universities({"A": 1.0, "B": 1.0, "C": 0.5})
-    assert r.display_ranks() == {"A": 1, "B": 1, "C": 3}
-    assert r.fractional_ranks() == {"A": 1.5, "B": 1.5, "C": 3.0}
+    order, ranks, fractional = ranked({"A": 1.0, "B": 1.0, "C": 0.5})
+    assert order == ["A", "B", "C"]
+    assert ranks == {"A": 1, "B": 1, "C": 3}
+    assert fractional == {"A": 1.5, "B": 1.5, "C": 3.0}
 
 
 def test_rank_competition_style_leaves_gap_after_ties():
-    r = rank_universities({"A": 4.0, "B": 3.0, "C": 3.0, "D": 1.0})
-    assert r.display_ranks() == {"A": 1, "B": 2, "C": 2, "D": 4}
-    assert r.fractional_ranks() == {"A": 1.0, "B": 2.5, "C": 2.5, "D": 4.0}
+    _order, ranks, fractional = ranked({"A": 4.0, "B": 3.0, "C": 3.0, "D": 1.0})
+    assert ranks == {"A": 1, "B": 2, "C": 2, "D": 4}
+    assert fractional == {"A": 1.0, "B": 2.5, "C": 2.5, "D": 4.0}
 
 
 def test_rank_single_university():
-    r = rank_universities({"A": 0.0})
-    assert r.display_ranks() == {"A": 1}
+    assert ranked({"A": 0.0})[1] == {"A": 1}
 
 
 def test_rank_rejects_non_finite_scores():
-    with pytest.raises(ValueError):
-        rank_universities({"A": float("nan")})
-    with pytest.raises(ValueError):
-        rank_universities({})
+    for bad in (float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="non-finite score"):
+            one_scope({2008: {"A": 1.0, "B": bad}})
 
 
 def test_rank_shifts_identity_and_sign():
-    a = ranking_from_ranks({"A": 1, "B": 2, "C": 3})
-    assert rank_shifts(a, a) == {"A": (0, 0), "B": (0, 0), "C": (0, 0)}
-    y = ranking_from_ranks({"A": 5, "B": 1, "C": 2, "D": 3, "E": 4})
-    b = ranking_from_ranks({"A": 4, "B": 1, "C": 2, "D": 3, "E": 5})
-    assert rank_shifts(y, b)["A"] == (1, 1)
+    a = scores_from_ranks({"A": 1, "B": 2, "C": 3})
+    assert signed_shifts(a, a) == {"A": 0, "B": 0, "C": 0}
+    y = scores_from_ranks({"A": 5, "B": 1, "C": 2, "D": 3, "E": 4})
+    b = scores_from_ranks({"A": 4, "B": 1, "C": 2, "D": 3, "E": 5})
+    assert signed_shifts(y, b)["A"] == 1  # ranked worse than at the benchmark
+    assert signed_shifts(y, b)["E"] == -1
 
 
 def test_rank_shifts_extreme_case():
     universe = {f"U{i:02d}": i for i in range(1, 44)}
-    year = ranking_from_ranks(universe)  # U43 ranked 43rd
+    year = scores_from_ranks(universe)  # U43 ranked 43rd
     swapped = dict(universe, **{"U43": 12, "U12": 43})
-    bench = ranking_from_ranks(swapped)  # U43 ranked 12th in the benchmark
-    assert rank_shifts(year, bench)["U43"] == (31, 31)
-
-
-def test_rank_shifts_university_mismatch():
-    a = ranking_from_ranks({"A": 1, "B": 2})
-    b = ranking_from_ranks({"A": 1, "C": 2})
-    with pytest.raises(AnalysisError) as err:
-        rank_shifts(a, b)
-    assert "B" in str(err.value) and "C" in str(err.value)
+    bench = scores_from_ranks(swapped)  # U43 ranked 12th in the benchmark
+    assert signed_shifts(year, bench)["U43"] == 31
 
 
 def test_shift_descriptives_constant_input():
-    s = shift_descriptives([0, 0, 0, 0])
+    s = descriptives([0, 0, 0, 0])
     assert (s.mean, s.median, s.std_dev) == (0.0, 0.0, 0.0)
     assert s.skewness is None and s.kurtosis is None
 
@@ -108,7 +126,7 @@ def test_shift_descriptives_constant_input():
 def test_shift_descriptives_frozen_oracle_values():
     # brute-force rational oracle: mean 1.8, median 1, sd 1.7204650534085253,
     # skew 1.0179522960269582, excess kurtosis -0.3480642804967129
-    s = shift_descriptives([0, 1, 1, 2, 5])
+    s = descriptives([0, 1, 1, 2, 5])
     assert s.mean == pytest.approx(1.8, abs=1e-12)
     assert s.median == 1.0
     assert s.std_dev == pytest.approx(1.7204650534085253, abs=1e-12)
@@ -117,14 +135,14 @@ def test_shift_descriptives_frozen_oracle_values():
 
 
 def test_shift_descriptives_symmetric_has_zero_skew():
-    assert shift_descriptives([0, 1, 2, 3, 4]).skewness == pytest.approx(0.0, abs=1e-12)
+    assert descriptives([0, 1, 2, 3, 4]).skewness == pytest.approx(0.0, abs=1e-12)
 
 
 @pytest.mark.parametrize("seed", range(20))
 def test_shift_descriptives_matches_rational_oracle(seed):
     rng = np.random.default_rng(seed)
     xs = rng.integers(0, 12, size=int(rng.integers(1, 15))).tolist()
-    got = shift_descriptives(xs)
+    got = descriptives(xs)
     want = moment_stats(xs)
     assert got.mean == pytest.approx(want["mean"], abs=1e-12)
     assert got.median == pytest.approx(want["median"], abs=1e-12)
@@ -137,14 +155,14 @@ def test_shift_descriptives_matches_rational_oracle(seed):
 
 
 # ---------------------------------------------------------------------------
-# Spearman
+# Spearman, of each comparison year against the benchmark
 
 
 def test_spearman_identity_and_reversal():
-    a = rank_universities({"A": 3.0, "B": 2.0, "C": 1.0, "D": 0.5})
-    b = rank_universities({"A": 0.5, "B": 1.0, "C": 2.0, "D": 3.0})
-    assert spearman_rho(a, a) == 1.0
-    assert spearman_rho(a, b) == -1.0
+    a = {"A": 3.0, "B": 2.0, "C": 1.0, "D": 0.5}
+    b = {"A": 0.5, "B": 1.0, "C": 2.0, "D": 3.0}
+    assert battery({2004: a, 2008: a}).spearman == (1.0,)
+    assert battery({2004: a, 2008: b}).spearman == (-1.0,)
 
 
 def test_spearman_symmetric():
@@ -152,20 +170,19 @@ def test_spearman_symmetric():
     for _ in range(20):
         s1 = {f"U{i}": float(v) for i, v in enumerate(rng.integers(0, 5, 8))}
         s2 = {f"U{i}": float(v) for i, v in enumerate(rng.integers(0, 5, 8))}
-        a, b = rank_universities(s1), rank_universities(s2)
-        assert spearman_rho(a, b) == spearman_rho(b, a)
+        assert battery({2004: s1, 2008: s2}).spearman == battery({2004: s2, 2008: s1}).spearman
 
 
 def test_spearman_all_tied_is_undefined():
-    a = rank_universities({"A": 1.0, "B": 1.0, "C": 1.0})
-    b = rank_universities({"A": 3.0, "B": 2.0, "C": 1.0})
-    assert spearman_rho(a, b) is None
+    a = {"A": 1.0, "B": 1.0, "C": 1.0}
+    b = {"A": 3.0, "B": 2.0, "C": 1.0}
+    assert battery({2004: a, 2008: b}).spearman == (None,)
 
 
 def test_spearman_needs_two_universities():
-    a = rank_universities({"A": 1.0})
-    with pytest.raises(AnalysisError):
-        spearman_rho(a, a)
+    # one university has no rank variance: the correlation is undefined (NA)
+    a = {"A": 1.0}
+    assert battery({2004: a, 2008: a}).spearman == (None,)
 
 
 @pytest.mark.parametrize("seed", range(30))
@@ -175,7 +192,7 @@ def test_spearman_matches_brute_force_with_ties(seed):
     # coarse integer scores force tie groups
     s1 = {f"U{i}": float(v) for i, v in enumerate(rng.integers(0, 4, n))}
     s2 = {f"U{i}": float(v) for i, v in enumerate(rng.integers(0, 4, n))}
-    got = spearman_rho(rank_universities(s1), rank_universities(s2))
+    (got,) = battery({2004: s1, 2008: s2}).spearman
     universities = sorted(s1)
     want = spearman_brute([s1[u] for u in universities], [s2[u] for u in universities])
     if want is None:
@@ -191,7 +208,7 @@ def test_spearman_agrees_with_scipy():
         n = int(rng.integers(3, 12))
         s1 = {f"U{i}": float(v) for i, v in enumerate(rng.integers(0, 6, n))}
         s2 = {f"U{i}": float(v) for i, v in enumerate(rng.integers(0, 6, n))}
-        got = spearman_rho(rank_universities(s1), rank_universities(s2))
+        (got,) = battery({2004: s1, 2008: s2}).spearman
         universities = sorted(s1)
         want = scipy_stats.spearmanr(
             [s1[u] for u in universities], [s2[u] for u in universities]
@@ -207,8 +224,8 @@ def test_spearman_agrees_with_scipy():
 
 
 def test_stability_summary_identical_rankings():
-    r = ranking_from_ranks({"A": 1, "B": 2, "C": 3})
-    summary = stability_summary({2004: r, 2005: r, 2008: r}, 2008)
+    r = scores_from_ranks({"A": 1, "B": 2, "C": 3})
+    summary = battery({2004: r, 2005: r, 2008: r}).summary
     assert summary.pct_any_change == 0.0
     assert summary.mean_shift_average == 0.0
     assert summary.mean_shift_median == 0.0
@@ -218,13 +235,13 @@ def test_stability_summary_identical_rankings():
 
 def test_stability_summary_counts_change_and_range():
     years = {
-        2004: ranking_from_ranks({"A": 5, "B": 1, "C": 2, "D": 3, "E": 4}),
-        2005: ranking_from_ranks({"A": 3, "B": 1, "C": 2, "D": 4, "E": 5}),
-        2006: ranking_from_ranks({"A": 4, "B": 1, "C": 2, "D": 3, "E": 5}),
-        2007: ranking_from_ranks({"A": 4, "B": 1, "C": 2, "D": 3, "E": 5}),
-        2008: ranking_from_ranks({"A": 4, "B": 1, "C": 2, "D": 3, "E": 5}),
+        2004: scores_from_ranks({"A": 5, "B": 1, "C": 2, "D": 3, "E": 4}),
+        2005: scores_from_ranks({"A": 3, "B": 1, "C": 2, "D": 4, "E": 5}),
+        2006: scores_from_ranks({"A": 4, "B": 1, "C": 2, "D": 3, "E": 5}),
+        2007: scores_from_ranks({"A": 4, "B": 1, "C": 2, "D": 3, "E": 5}),
+        2008: scores_from_ranks({"A": 4, "B": 1, "C": 2, "D": 3, "E": 5}),
     }
-    summary = stability_summary(years, 2008)
+    summary = battery(years).summary
     # A moved (ranks 5,3,4,4,4): range 2; B and C never moved
     assert summary.max_ranking_variation == 2
     assert summary.pct_any_change == pytest.approx(3 / 5)
@@ -238,49 +255,38 @@ def test_stability_average_equals_mean_of_yearly_means(seed):
     n = int(rng.integers(4, 12))
     years = {}
     for y in (2004, 2005, 2006, 2007, 2008):
-        scores = {f"U{i}": float(rng.random()) for i in range(n)}
-        years[y] = rank_universities(scores, obs_year=y)
-    summary = stability_summary(years, 2008)
-    yearly_means = []
-    for y in (2004, 2005, 2006, 2007):
-        shifts = [a for _s, a in rank_shifts(years[y], years[2008]).values()]
-        yearly_means.append(np.mean(shifts))
+        years[y] = {f"U{i}": float(rng.random()) for i in range(n)}
+    level = one_scope(years)
+    summary = stability_battery(level, 2008)[0].summary
+    ranks = level.ranks  # [university, year], 2008 last
+    yearly_means = [np.mean(np.abs(ranks[:, y] - ranks[:, -1])) for y in range(4)]
     assert summary.mean_shift_average == pytest.approx(np.mean(yearly_means), abs=1e-12)
 
 
 def test_stability_summary_requires_benchmark():
-    r = ranking_from_ranks({"A": 1, "B": 2})
+    r = scores_from_ranks({"A": 1, "B": 2})
     with pytest.raises(AnalysisError):
-        stability_summary({2004: r}, 2008)
-
-
-def test_stability_summary_benchmark_only_is_all_zero():
-    r = ranking_from_ranks({"A": 1, "B": 2})
-    summary = stability_summary({2008: r}, 2008)
-    assert summary.pct_any_change == 0.0
-    assert summary.mean_shift_average == 0.0
-    assert summary.max_ranking_variation == 0
+        battery({2004: r})
 
 
 def test_no_change_and_small_shift_pcts():
-    base = {"A": 1, "B": 2, "C": 3}
-    r = ranking_from_ranks(base)
-    assert no_change_and_small_shift_pcts(r, r) == (100, 100)
-    moved = ranking_from_ranks({"A": 1, "B": 3, "C": 7, "D": 4, "E": 5, "F": 6, "G": 2})
-    bench = ranking_from_ranks({"A": 1, "B": 2, "C": 3, "D": 4, "E": 5, "F": 6, "G": 7})
+    r = scores_from_ranks({"A": 1, "B": 2, "C": 3})
+    assert battery({2004: r, 2008: r}).small_shift_pcts == (100, 100)
+    moved = scores_from_ranks({"A": 1, "B": 3, "C": 7, "D": 4, "E": 5, "F": 6, "G": 2})
+    bench = scores_from_ranks({"A": 1, "B": 2, "C": 3, "D": 4, "E": 5, "F": 6, "G": 7})
     # shifts: A 0, B 1, C 4, D 0, E 0, F 0, G 5 -> no-change 4/7, <=3 5/7
-    assert no_change_and_small_shift_pcts(moved, bench) == (57, 71)
-    bench6 = ranking_from_ranks({"E": 1, "F": 2, "C": 3, "D": 4, "A": 5, "B": 6})
-    year6 = ranking_from_ranks({"A": 1, "F": 2, "D": 3, "C": 4, "E": 5, "B": 6})
-    shifts = sorted(a for _s, a in rank_shifts(year6, bench6).values())
+    assert battery({2004: moved, 2008: bench}).small_shift_pcts == (57, 71)
+    bench6 = scores_from_ranks({"E": 1, "F": 2, "C": 3, "D": 4, "A": 5, "B": 6})
+    year6 = scores_from_ranks({"A": 1, "F": 2, "D": 3, "C": 4, "E": 5, "B": 6})
+    shifts = sorted(abs(d) for d in signed_shifts(year6, bench6).values())
     assert shifts == [0, 0, 1, 1, 4, 4]  # one third unchanged, two thirds <= 3
-    assert no_change_and_small_shift_pcts(year6, bench6) == (33, 67)
+    assert battery({2004: year6, 2008: bench6}).small_shift_pcts == (33, 67)
 
 
 def test_all_large_shifts_give_zero_pcts():
-    moved = ranking_from_ranks({"A": 5, "B": 6, "C": 7, "D": 8, "E": 1, "F": 2, "G": 3, "H": 4})
-    bench = ranking_from_ranks({"A": 1, "B": 2, "C": 3, "D": 4, "E": 5, "F": 6, "G": 7, "H": 8})
-    assert no_change_and_small_shift_pcts(moved, bench) == (0, 0)
+    moved = scores_from_ranks({"A": 5, "B": 6, "C": 7, "D": 8, "E": 1, "F": 2, "G": 3, "H": 4})
+    bench = scores_from_ranks({"A": 1, "B": 2, "C": 3, "D": 4, "E": 5, "F": 6, "G": 7, "H": 8})
+    assert battery({2004: moved, 2008: bench}).small_shift_pcts == (0, 0)
 
 
 # ---------------------------------------------------------------------------
@@ -289,33 +295,32 @@ def test_all_large_shifts_give_zero_pcts():
 
 def test_quartiles_distinct_octet_balanced():
     scores = {f"U{i}": float(i) for i in range(8)}
-    classes = quartile_classes(scores).classes
-    from collections import Counter
-
+    _boundaries, classes = quartiles(scores)
     assert Counter(classes.values()) == {1: 2, 2: 2, 3: 2, 4: 2}
 
 
 def test_quartiles_all_equal_scores_single_class():
     scores = {f"U{i}": 1.0 for i in range(6)}
-    classes = quartile_classes(scores).classes
+    _boundaries, classes = quartiles(scores)
     assert set(classes.values()) == {1}
 
 
 def test_quartiles_ties_share_class():
     scores = {"A": 5.0, "B": 5.0, "C": 1.0, "D": 0.5, "E": 0.1, "F": 0.0}
-    classes = quartile_classes(scores).classes
+    _boundaries, classes = quartiles(scores)
     assert classes["A"] == classes["B"]
 
 
 def test_quartiles_need_four():
-    with pytest.raises(AnalysisError):
-        quartile_classes({"A": 1.0, "B": 2.0, "C": 3.0})
+    # below 4 universities the battery has no quartile statistics
+    scores = {"A": 1.0, "B": 2.0, "C": 3.0}
+    assert battery({2004: scores, 2008: scores}).quartiles is None
 
 
 def test_quartile_boundaries_are_linear_interpolation():
     scores = {f"U{i}": float(v) for i, v in enumerate([1, 2, 3, 4, 100])}
-    q25, q50, q75 = quartile_classes(scores).boundaries
-    assert (q25, q50, q75) == (2.0, 3.0, 4.0)
+    boundaries, _classes = quartiles(scores)
+    assert boundaries == (2.0, 3.0, 4.0)
 
 
 def test_quartile_boundaries_equal_one_percentile_call_per_quartile():
@@ -327,7 +332,7 @@ def test_quartile_boundaries_equal_one_percentile_call_per_quartile():
             values = np.round(values, 1)
         scores = {f"U{i:02d}": float(v) for i, v in enumerate(values)}
         separate = [float(np.percentile(values, q, method="linear")) for q in (25, 50, 75)]
-        got = quartile_classes(scores).boundaries
+        got, _classes = quartiles(scores)
         assert [x.hex() for x in got] == [x.hex() for x in separate]
 
 
@@ -335,29 +340,28 @@ def test_quartile_boundaries_equal_one_percentile_call_per_quartile():
 def test_quartile_shifts_bounded(seed):
     rng = np.random.default_rng(seed)
     n = int(rng.integers(4, 30))
-    assignments = {}
+    by_year = {}
     for y in (2004, 2005, 2008):
-        scores = {f"U{i}": float(rng.integers(0, 10)) for i in range(n)}
-        assignments[y] = quartile_classes(scores)
-        assert set(assignments[y].classes.values()) <= {1, 2, 3, 4}
-    stats = quartile_shift_stats(assignments, 2008)
-    for y, s in stats.items():
+        by_year[y] = scores = {f"U{i}": float(rng.integers(0, 10)) for i in range(n)}
+        assert set(quartiles(scores)[1].values()) <= {1, 2, 3, 4}
+    stats = battery(by_year).quartiles
+    assert len(stats) == 2
+    for s in stats:
         assert 0.0 <= s.average_abs_shift <= 3.0
         assert s.outliers <= n
 
 
 def test_quartile_shift_stats_identity_and_outlier():
     base = {f"U{i}": float(i) for i in range(10)}
-    bench = quartile_classes(base)
-    same = quartile_shift_stats({2004: bench, 2008: bench}, 2008)[2004]
+    _boundaries, bench = quartiles(base)
+    classes = [bench[u] for u in sorted(bench)]
+    (same,) = _class_shifts(np.array([classes, classes]))
     assert same.average_abs_shift == 0.0 and same.outliers == 0
 
     # exactly one of ten drops from the top class to the bottom one
-    from citewin.sensitivity import QuartileAssignment
-
-    year = QuartileAssignment(bench.boundaries, dict(bench.classes, U9=1))
-    assert bench.classes["U9"] == 4
-    stats = quartile_shift_stats({2004: year, 2008: bench}, 2008)[2004]
+    year = dict(bench, U9=1)
+    assert bench["U9"] == 4
+    (stats,) = _class_shifts(np.array([[year[u] for u in sorted(year)], classes]))
     assert stats.average_abs_shift == pytest.approx(0.3)
     assert stats.outliers == 1
 
@@ -375,19 +379,19 @@ def test_absolute_shifts_invariant_under_relabeling(seed):
     mapping = {f"U{i}": f"X{j}" for i, j in enumerate(rng.permutation(n))}
     t1 = {mapping[u]: v for u, v in s1.items()}
     t2 = {mapping[u]: v for u, v in s2.items()}
-    shifts = rank_shifts(rank_universities(s1), rank_universities(s2))
-    relabeled = rank_shifts(rank_universities(t1), rank_universities(t2))
-    assert {mapping[u]: s for u, s in shifts.items()} == relabeled
+    shifts = signed_shifts(s1, s2)
+    relabeled = signed_shifts(t1, t2)
+    assert {mapping[u]: d for u, d in shifts.items()} == relabeled
 
 
 def test_leader_keeps_rank_when_only_its_score_rises():
     rng = np.random.default_rng(11)
     for _ in range(50):
         scores = {f"U{i}": float(rng.random()) for i in range(8)}
-        ranking = rank_universities(scores)
+        ranking = oracles.rank_universities(scores)
         leader = ranking.entries[0].university_id
         bumped = dict(scores, **{leader: scores[leader] + float(rng.random())})
-        assert rank_universities(bumped).entries[0].university_id == leader
+        assert oracles.rank_universities(bumped).entries[0].university_id == leader
 
 
 def test_leader_keeps_rank_under_median_preserving_accrual():
@@ -400,7 +404,7 @@ def test_leader_keeps_rank_under_median_preserving_accrual():
     baselines = compute_baselines(cells)
     uda = corpus.taxonomy.uda_ids[0]
     scores = {u: up.value for u, up in uda_scores(corpus, cells, baselines, uda).items()}
-    ranking = rank_universities(scores)
+    ranking = oracles.rank_universities(scores)
     leader = ranking.entries[0].university_id
 
     counts_by_cell: dict = {}
@@ -450,7 +454,7 @@ def test_leader_keeps_rank_under_median_preserving_accrual():
     cells2 = compute_cells(corpus2, corpus2.taxonomy.sds_ids, (2001, 2003), obs, table2)
     baselines2 = compute_baselines(cells2)
     scores2 = {u: up.value for u, up in uda_scores(corpus2, cells2, baselines2, uda).items()}
-    ranking2 = rank_universities(scores2)
+    ranking2 = oracles.rank_universities(scores2)
     assert ranking2.display_ranks()[leader] <= ranking.display_ranks()[leader]
 
 
@@ -465,9 +469,9 @@ SCOPE_SIZES = (1, 2, 3, 4, 5, 7, 8, 9, 12, 40, 127, 128, 129)
 
 @st.composite
 def levels(draw):
-    """(level, years, benchmark year): scopes of several sizes whose scores
-    are all tied in every year, or per year all tied, coarse (many ties,
-    non-dyadic) or continuous."""
+    """(level, years, benchmark year, {scope: {university: scores by year}}):
+    scopes of several sizes whose scores are all tied in every year, or per
+    year all tied, coarse (many ties, non-dyadic) or continuous."""
     years = list(range(2004, 2004 + draw(st.integers(2, 6))))
     benchmark = draw(st.sampled_from(years))
     sizes = draw(st.lists(st.sampled_from(SCOPE_SIZES), min_size=1, max_size=6))
@@ -490,7 +494,10 @@ def levels(draw):
     scores = np.concatenate(rows)
     shuffle = rng.permutation(len(keys))  # rank_scopes must order the rows itself
     level = rank_scopes("sds", [keys[i] for i in shuffle], years, scores[shuffle])
-    return level, years, benchmark
+    inputs: dict = {}
+    for (scope, univ), row in zip(keys, scores.tolist()):
+        inputs.setdefault(scope, {})[univ] = row
+    return level, years, benchmark, inputs
 
 
 def bits(x):
@@ -504,58 +511,63 @@ def bits(x):
     return x.hex() if isinstance(x, float) else x
 
 
+
+
 @settings(max_examples=100, deadline=None, derandomize=True,
           suppress_health_check=[HealthCheck.too_slow])
 @given(levels())
 def test_grouped_battery_matches_per_ranking_reference(case):
-    level, years, benchmark = case
+    level, years, benchmark, inputs = case
     assert not level.ranks.flags.writeable and not level.scores.flags.writeable
     comparison = [y for y in years if y != benchmark]
-    reference = {}
-    for s, scope in enumerate(level.scope_ids):
-        rows = range(level.bounds[s], level.bounds[s + 1])
-        reference[("sds", scope)] = {
-            year: oracles.rank_universities(
-                {level.university_ids[r]: float(level.scores[r, y]) for r in rows}, "sds", scope, year
-            )
+    reference = {
+        ("sds", scope): {
+            year: oracles.rank_universities({u: row[y] for u, row in scores.items()}, "sds", scope, year)
             for y, year in enumerate(years)
         }
-    # ranks, and the one-scope rank_universities
-    for (_level, scope), by_year in reference.items():
-        for year, want in by_year.items():
-            assert bits(level.ranking(scope, year)) == bits(want)
-            assert bits(rank_universities(want.scores(), "sds", scope, year)) == bits(want)
+        for scope, scores in sorted(inputs.items())
+    }
+    # every score, competition and fractional rank, in ranking order
+    assert level.scope_ids == tuple(scope for _level, scope in reference)
+    bounds = level.bounds.tolist()
+    for s, ((_level, scope), by_year) in enumerate(reference.items()):
+        for y, year in enumerate(years):
+            got = [(level.university_ids[r], level.scores[r, y], int(level.ranks[r, y]),
+                    level.fractional[r, y]) for r in level.ranked[y, bounds[s]:bounds[s + 1]].tolist()]
+            want = [(e.university_id, e.score, e.rank, e.fractional_rank) for e in by_year[year].entries]
+            assert bits(got) == bits(want)
+    assert ranking_rows({"sds": level})[1:] == [
+        ["sds", scope, str(year), e.university_id, oracles._fmt(e.score), str(e.rank)]
+        for (_level, scope), by_year in reference.items() for year in years
+        for e in by_year[year].entries
+    ]
 
-    # every statistic of every scope, grouped and one scope at a time
+    # every statistic of every scope
     for got in stability_battery(level, benchmark):
         by_year = reference[("sds", got.scope_id)]
         bench = by_year[benchmark]
         n = len(bench.entries)
         assert got.universities == tuple(sorted(bench.universities()))
         summary = oracles.stability_summary(by_year, benchmark)
-        assert bits(got.summary) == bits(summary) == bits(stability_summary(by_year, benchmark))
+        assert bits(got.summary) == bits(summary)
         assert got.changed == round(summary.pct_any_change * n)
         for y, year in enumerate(comparison):
             shifts = [a for _s, a in oracles.rank_shifts(by_year[year], bench).values()]
-            assert rank_shifts(by_year[year], bench) == oracles.rank_shifts(by_year[year], bench)
-            want = oracles.shift_descriptives(shifts)
-            assert bits(got.shifts[y]) == bits(want) == bits(shift_descriptives(shifts))
+            assert bits(got.shifts[y]) == bits(oracles.shift_descriptives(shifts))
             rho = oracles.spearman_rho(by_year[year], bench) if n >= 2 else None
             assert bits(got.spearman[y]) == bits(rho)
-            if n >= 2:
-                assert bits(spearman_rho(by_year[year], bench)) == bits(rho)
-        earliest = by_year[comparison[0]]
-        pcts = oracles.no_change_and_small_shift_pcts(earliest, bench)
-        assert got.small_shift_pcts == pcts == no_change_and_small_shift_pcts(earliest, bench)
+        pcts = oracles.no_change_and_small_shift_pcts(by_year[comparison[0]], bench)
+        assert got.small_shift_pcts == pcts
         if n < 4:
             assert got.quartiles is None
         else:
             classes = {year: oracles.quartile_classes(r.scores()) for year, r in by_year.items()}
             for year, r in by_year.items():
-                assert bits(quartile_classes(r.scores())) == bits(classes[year])
+                q, mine = _quartile_classes(np.array([[r.scores()[u] for u in got.universities]]))
+                assert bits(q[:, 0].tolist()) == bits(classes[year].boundaries)
+                assert dict(zip(got.universities, mine[0].tolist())) == classes[year].classes
             moves = oracles.quartile_shift_stats(classes, benchmark)
             assert bits(got.quartiles) == bits([moves[year] for year in comparison])
-            assert bits(quartile_shift_stats(classes, benchmark)) == bits(moves)
         ranks = [r.display_ranks() for r in by_year.values()]
         assert got.rank_ranges == tuple(
             (min(r[u] for r in ranks), max(r[u] for r in ranks)) for u in got.universities
@@ -579,16 +591,10 @@ def test_level_views_follow_the_row_layout():
     assert level.by_scope(level.scores[:, 0]) == {
         "S1": {"U1": 3.0, "U2": 5.0, "U3": 5.0}, "S2": {"U1": 1.0, "U2": 1.0}
     }
-    assert [e.university_id for e in level.ranking("S1", 2007).entries] == ["U2", "U3", "U1"]
-    assert level.ranking("S1", 2008).display_ranks() == {"U1": 1, "U3": 1, "U2": 3}
-    for scope, year in (("S3", 2008), ("S1", 2006)):
-        with pytest.raises(KeyError):
-            level.ranking(scope, year)
+    assert level.by_scope(level.ranks[:, 1])["S1"] == {"U1": 1, "U3": 1, "U2": 3}
     rows = ranking_rows({"sds": level})
     assert rows[1:4] == [["sds", "S1", "2007", "U2", "5.000000", "1"],
                          ["sds", "S1", "2007", "U3", "5.000000", "1"],
                          ["sds", "S1", "2007", "U1", "3.000000", "3"]]
+    assert [row[3] for row in rows[4:7]] == ["U1", "U3", "U2"]  # S1 at 2008
     assert len(rows) == 1 + len(keys) * 2
-    run = AnalysisRun(corpus=None, report=None, levels={"sds": level})
-    assert run.rankings is run.rankings
-    assert run.rankings[("sds", "S2", 2008)] == level.ranking("S2", 2008)

@@ -10,11 +10,10 @@ import pytest
 from citewin.errors import MissingInputError, ParseError
 from citewin.impact import compute_median_table
 from citewin.ingest import load_corpus, representativity_filter
-from citewin.sensitivity import rank_universities, spearman_rho
 from citewin.synth import SynthConfig, category_of, generate
 
 from conftest import stability_config
-from oracles import compute_cells, sds_scores
+from oracles import compute_cells, rank_universities, sds_scores, spearman_rho
 
 BASE = dict(
     n_universities=5,
