@@ -14,29 +14,29 @@ matrix is then ranked for every year at once (sensitivity.rank_scopes).
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
 from .corpus import Corpus
 from .errors import AnalysisError
-from .impact import MedianTable
 from .ingest import RepresentativityReport, representativity_filter
-from .productivity import BASELINE_RULES
 from .sensitivity import LevelRanks, rank_scopes
 
 logger = logging.getLogger(__name__)
 
+BASELINE_RULES = ("aggregate", "mean")
 
-@dataclass
+
+@dataclass(frozen=True, eq=False)
 class AnalysisRun:
-    """Scores and ranks of every requested level, scope and year, plus provenance."""
+    """Both levels' scores and ranks at every scope and year, the median of
+    every (obs_year, pub_year, category) cell in that order, and provenance."""
 
-    corpus: Corpus
     report: RepresentativityReport
-    median_tables: dict[int, MedianTable] = field(default_factory=dict)
-    levels: dict[str, LevelRanks] = field(default_factory=dict)
+    medians: np.recarray  # fields pub_year, category_id, obs_year, median
+    levels: dict[str, LevelRanks]  # "uda" and "sds"
 
 
 def run_analysis(
@@ -45,63 +45,58 @@ def run_analysis(
     years: Sequence[int],
     threshold: float,
     baseline: str,
-    levels: Sequence[str] = ("uda", "sds"),
 ) -> AnalysisRun:
     """Full pipeline (filter, medians, impact, strength, productivity, rank)."""
     years = sorted(set(years))
     counts = _citation_matrix(corpus, years)
     report = representativity_filter(corpus, pub_period, threshold)
-    retained = sorted(report.retained_sds())
-    if not retained:
+    if not report.retained_sds():
         raise AnalysisError(f"no SDS passes the representativity filter at threshold {threshold}")
     if baseline not in BASELINE_RULES:
         raise ValueError(f"unknown baseline rule {baseline!r}; expected one of {BASELINE_RULES}")
-    impact, tables = _impact_matrix(corpus, counts, years)
-    run = AnalysisRun(corpus=corpus, report=report, median_tables=tables)
+    impact, medians = _impact_matrix(corpus, counts, years)
 
     # staffed cells of the retained SDSs keyed sds * U + university, i.e. in
     # (SDS, university) order; (cell, publication) pairs in pub_id order
-    sds_ids, univ = corpus.taxonomy.sds_ids, corpus.universities.tolist()
-    n_pubs = len(corpus.pub_ids)
-    cell_of = corpus.res_sds * len(univ) + corpus.res_univ
-    staff = np.bincount(cell_of, minlength=len(sds_ids) * len(univ))
-    kept = np.repeat(np.isin(sds_ids, retained), len(univ))
+    sds_ids, univ = np.array(corpus.taxonomy.sds_ids), corpus.universities
+    n_univ, n_pubs = len(univ), len(corpus.pub_ids)
+    is_retained = np.isin(sds_ids, list(report.retained_sds()))
+    retained = np.flatnonzero(is_retained)
+    cell_of = corpus.res_sds * n_univ + corpus.res_univ
+    staff = np.bincount(cell_of, minlength=len(sds_ids) * n_univ)
+    kept = np.repeat(is_retained, n_univ)
     keys = np.flatnonzero(kept & (staff > 0))
-    cells = [(univ[k % len(univ)], sds_ids[k // len(univ)]) for k in keys.tolist()]
+    cell_sds, cell_univ = np.divmod(keys, n_univ)
     cell, pub = np.divmod(np.unique(cell_of[corpus.link_res] * n_pubs + corpus.link_pub), n_pubs)
     py = corpus.pub_year[pub]
     inc = np.stack([np.searchsorted(keys, cell), pub], axis=1)
     inc = inc[kept[cell] & (py >= pub_period[0]) & (py <= pub_period[1])]
     rs = staff[keys].astype(float)
-    ss = _sum_rows(inc[:, 0], len(cells), impact[inc[:, 1]])
+    ss = _sum_rows(inc[:, 0], len(keys), impact[inc[:, 1]])
     p = ss / rs[:, None]
 
-    sds_row = {s: i for i, s in enumerate(retained)}
-    sds_of = np.array([sds_row[s] for _u, s in cells], dtype=np.intp)
+    sds_of = np.searchsorted(retained, cell_sds)
     if baseline == "aggregate":
         p_bar = _sum_rows(sds_of, len(retained), ss) / np.bincount(sds_of, weights=rs)[:, None]
     else:
         p_bar = _sum_rows(sds_of, len(retained), p) / np.bincount(sds_of)[:, None]
     for si, yi in zip(*np.nonzero(p_bar == 0.0)):
         logger.warning("SDS %s has zero national baseline at %d; its contributions are "
-                       "flagged degenerate", retained[si], years[yi])
+                       "flagged degenerate", sds_ids[retained[si]], years[yi])
 
-    # discipline score of each (UDA, university): sum over its cells in SDS
+    # score of each (UDA, university), keyed uda * U + university: sum over its cells in SDS
     # order of (p / p_bar) * (RS / RS_total), degenerate (p_bar = 0) cells adding 0
-    groups: dict[tuple[str, str], int] = {}
-    for u, s in cells:
-        groups.setdefault((corpus.taxonomy.uda_of(s), u), len(groups))
-    group_of = np.array([groups[(corpus.taxonomy.uda_of(s), u)] for u, s in cells], np.intp)
+    uda_ids, uda_of = np.unique([corpus.taxonomy.uda_of(s) for s in sds_ids], return_inverse=True)
+    groups, group_of = np.unique(uda_of[cell_sds] * n_univ + cell_univ, return_inverse=True)
     share = rs / np.bincount(group_of, weights=rs)[group_of]
     bar = p_bar[sds_of]
     ratio = np.divide(p, bar, out=np.zeros_like(p), where=bar != 0.0)
     value = _sum_rows(group_of, len(groups), ratio * share[:, None])
 
-    scored = {"uda": (list(groups), value), "sds": ([(s, u) for u, s in cells], p)}
-    for level, (pairs, scores) in scored.items():
-        if level in levels:
-            run.levels[level] = rank_scopes(level, pairs, years, scores)
-    return run
+    return AnalysisRun(report, medians, {
+        "uda": rank_scopes("uda", uda_ids[groups // n_univ], univ[groups % n_univ], years, value),
+        "sds": rank_scopes("sds", sds_ids[cell_sds], univ[cell_univ], years, p),
+    })
 
 
 def _citation_matrix(corpus: Corpus, years: list[int]) -> np.ndarray:
@@ -120,14 +115,14 @@ def _citation_matrix(corpus: Corpus, years: list[int]) -> np.ndarray:
 
 def _impact_matrix(
     corpus: Corpus, counts: np.ndarray, years: list[int]
-) -> tuple[np.ndarray, dict[int, MedianTable]]:
-    """I[P, Y] and each year's median table, from one sort of the cited entries."""
+) -> tuple[np.ndarray, np.recarray]:
+    """I[P, Y] and the median records, from one sort of the cited entries."""
     entry_pub, n_cats = corpus.entry_pub, len(corpus.categories)
     pub_years, year_idx = np.unique(corpus.pub_year, return_inverse=True)
-    n_years = len(years)
-    # median cell (pub_year, category, obs_year) of every entry at every year
+    n_keys = len(pub_years) * n_cats
+    # median cell (obs_year, pub_year, category) of every entry at every year
     key = year_idx[entry_pub] * n_cats + corpus.entry_cat
-    cell = key[:, None] * n_years + np.arange(n_years)
+    cell = np.arange(len(years)) * n_keys + key[:, None]
     entry_counts = counts[entry_pub]
     cited = entry_counts > 0
     cited_counts, cited_cells = entry_counts[cited], cell[cited]
@@ -142,13 +137,12 @@ def _impact_matrix(
     ratio[cited] = cited_counts / cited_medians
     impact = _sum_rows(entry_pub, len(corpus.pub_ids), corpus.entry_weight[:, None] * ratio)
 
-    names = corpus.categories.tolist()
-    tables: dict[int, dict[tuple[int, str], float]] = {y: {} for y in years}
-    for key, median in zip(sorted_cells[starts].tolist(), medians.tolist()):
-        rest, yi = divmod(key, n_years)
-        pyi, ci = divmod(rest, n_cats)
-        tables[years[yi]][(int(pub_years[pyi]), names[ci])] = median
-    return impact, {y: MedianTable(y, t) for y, t in tables.items()}
+    yi, key = np.divmod(sorted_cells[starts], n_keys)
+    pyi, ci = np.divmod(key, n_cats)
+    records = np.rec.fromarrays([pub_years[pyi], corpus.categories[ci], np.asarray(years)[yi],
+                                 medians], names="pub_year,category_id,obs_year,median")
+    records.flags.writeable = False
+    return impact, records
 
 
 def _sum_rows(groups: np.ndarray, n_groups: int, x: np.ndarray) -> np.ndarray:

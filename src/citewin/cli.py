@@ -16,7 +16,7 @@ from pathlib import Path
 from typing import Mapping, Sequence
 
 from . import __version__
-from .analysis import AnalysisRun, run_analysis
+from .analysis import BASELINE_RULES, AnalysisRun, run_analysis
 from .errors import AnalysisError, CitewinError, MissingInputError
 from .ingest import load_corpus
 from .npc import NpcCombinedResult, UdaGroups, max_rank_shifts, npc_fisher_combine, top_partition
@@ -74,9 +74,9 @@ def cmd_rankings(
 ) -> Path:
     """Write rankings.csv for one observation year at one level."""
     corpus = load_corpus(directory)
-    run = run_analysis(corpus, pub_period, [obs_year], threshold, baseline, levels=(level,))
+    run = run_analysis(corpus, pub_period, [obs_year], threshold, baseline)
     return _write_run(
-        out_dir, "rankings", directory, _analysis_tables(run), pub_period=pub_period,
+        out_dir, "rankings", directory, _analysis_tables(run, level), pub_period=pub_period,
         observation_years=[obs_year], threshold=threshold, baseline=baseline, level=level,
     )
 
@@ -95,7 +95,7 @@ def cmd_sensitivity(
     corpus = load_corpus(directory)
     run = run_analysis(corpus, pub_period, years, threshold, baseline)
     tables = {**battery_tables([run.levels["uda"], run.levels["sds"]], benchmark_year),
-              **_analysis_tables(run)}
+              **_analysis_tables(run, "uda", "sds")}
     return _write_run(
         out_dir, "sensitivity", directory, tables, pub_period=pub_period,
         observation_years=years, threshold=threshold, baseline=baseline,
@@ -119,7 +119,7 @@ def cmd_npc(
     """Top-vs-rest permutation test per UDA plus the Fisher combination."""
     years = _check_years(years, benchmark_year)
     corpus = load_corpus(directory)
-    run = run_analysis(corpus, pub_period, years, threshold, baseline, levels=("uda",))
+    run = run_analysis(corpus, pub_period, years, threshold, baseline)
 
     uda = run.levels["uda"]
     bench = uda.years.index(benchmark_year)
@@ -190,13 +190,12 @@ def _write_run(
     return out
 
 
-def _analysis_tables(run: AnalysisRun) -> dict[str, list[list[str]]]:
-    """rankings.csv, representativity.csv and medians.csv of an analysis run."""
+def _analysis_tables(run: AnalysisRun, *levels: str) -> dict[str, list[list[str]]]:
+    """rankings.csv of the given levels, representativity.csv and medians.csv of a run."""
     medians = [["pub_year", "category_id", "obs_year", "median"]]
-    for year in sorted(run.median_tables):
-        medians.extend(run.median_tables[year].csv_rows()[1:])
-    return {"rankings.csv": ranking_rows(run.levels), "representativity.csv": run.report.csv_rows(),
-            "medians.csv": medians}
+    medians += [[str(py), cat, str(y), f"{m:.6f}"] for py, cat, y, m in run.medians.tolist()]
+    return {"rankings.csv": ranking_rows({level: run.levels[level] for level in levels}),
+            "representativity.csv": run.report.csv_rows(), "medians.csv": medians}
 
 
 def _npc_rows(result: NpcCombinedResult, seed: int) -> list[list[str]]:
@@ -258,7 +257,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--period", dest="pub_period", metavar="PERIOD", type=_parse_period,
                        default=DEFAULT_PERIOD)
         p.add_argument("--threshold", type=float, default=DEFAULT_THRESHOLD)
-        p.add_argument("--baseline", choices=("aggregate", "mean"), default=DEFAULT_BASELINE)
+        p.add_argument("--baseline", choices=BASELINE_RULES, default=DEFAULT_BASELINE)
         if with_years:
             p.add_argument("--years", type=_parse_years, default=DEFAULT_YEARS)
             p.add_argument("--benchmark", dest="benchmark_year", metavar="BENCHMARK", type=int,

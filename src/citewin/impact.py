@@ -34,12 +34,6 @@ class MedianTable:
     def median_for(self, pub_year: int, category_id: str) -> float | None:
         return self.medians.get((pub_year, category_id))
 
-    def csv_rows(self) -> list[list[str]]:
-        out = [["pub_year", "category_id", "obs_year", "median"]]
-        for (pub_year, cat) in sorted(self.medians):
-            out.append([str(pub_year), cat, str(self.obs_year), f"{self.medians[(pub_year, cat)]:.6f}"])
-        return out
-
 
 def compute_median_table(corpus: Corpus, obs_year: int) -> MedianTable:
     """Build the normalization table for one observation year.

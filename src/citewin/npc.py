@@ -125,19 +125,17 @@ def two_sample_perm_test(
 
     k, n = top.size, pool.size
     total = math.comb(n, k)
-    if total <= n_perm and not force_monte_carlo:
-        idx = _all_combinations(n, k, total)
-        stats = _group_stats(pool, idx)
+    exact = total <= n_perm and not force_monte_carlo
+    if exact:
+        stats = _group_stats(pool, _all_combinations(n, k, total))
         t_obs = stats[0]  # first combination is (0..k-1), the observed labeling
-        count = int(np.count_nonzero(np.abs(stats) >= abs(t_obs)))
-        p = count / total
-        return PermTestResult(scope_id, float(t_obs), p, _direction(t_obs), total, seed, True)
-
-    positions = np.arange(n, dtype=np.intp)
-    (stats,) = _sample_stats([(pool, positions[:k], positions)], n, n_perm, seed, workers=1)
-    p = float(_significance_levels(np.abs(stats))[n_perm])
-    t_obs = float(stats[n_perm])
-    return PermTestResult(scope_id, t_obs, p, _direction(t_obs), n_perm, seed, False)
+    else:
+        positions = np.arange(n, dtype=np.intp)
+        (stats,) = _sample_stats([(pool, positions[:k], positions)], n, n_perm, seed, workers=1)
+        t_obs = stats[n_perm]  # the observed labeling
+    p = np.count_nonzero(np.abs(stats) >= abs(t_obs)) / stats.size
+    return PermTestResult(scope_id, float(t_obs), p, _direction(t_obs),
+                          total if exact else n_perm, seed, exact)
 
 
 def npc_fisher_combine(

@@ -18,13 +18,12 @@ import logging
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
+from .analysis import BASELINE_RULES
 from .corpus import Corpus
 from .errors import AnalysisError
 from .impact import MedianTable, article_impact_index
 
 logger = logging.getLogger(__name__)
-
-BASELINE_RULES = ("aggregate", "mean")
 
 
 @dataclass(frozen=True)

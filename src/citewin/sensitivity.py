@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import logging
 import math
-from collections import Counter
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
@@ -62,26 +61,28 @@ class LevelRanks:
 
 def rank_scopes(
     level: str,
-    keys: Sequence[tuple[str, str]],
+    scope_ids: Sequence[str],
+    university_ids: Sequence[str],
     years: Sequence[int],
     scores: np.ndarray,
 ) -> LevelRanks:
-    """Rank every scope's universities at every year; keys[row] is the
-    (scope id, university id) of scores[row, year].
+    """Rank every scope's universities at every year; scores[row, year]
+    belongs to university_ids[row] in scope scope_ids[row].
 
     One lexsort orders each year's rows by (scope, -score), ties keeping the
     (scope, university id) order of the rows.
     """
-    order = sorted(range(len(keys)), key=keys.__getitem__)
-    keys = [keys[r] for r in order]
+    scope_ids, university_ids = np.asarray(scope_ids, str), np.asarray(university_ids, str)
+    order = np.lexsort((university_ids, scope_ids))
+    university_ids = university_ids[order]
     scores = np.asarray(scores, dtype=float)[order]
     bad = np.argwhere(~np.isfinite(scores))
     if len(bad):
         r, y = bad[0]
-        raise ValueError(f"non-finite score {scores[r, y]} for {keys[r][1]!r}")
-    sizes = Counter(scope for scope, _univ in keys)  # in scope id order
-    bounds = np.cumsum([0, *sizes.values()])
-    scope = np.repeat(np.arange(len(sizes)), list(sizes.values()))
+        raise ValueError(f"non-finite score {scores[r, y]} for {str(university_ids[r])!r}")
+    scopes, sizes = np.unique(scope_ids[order], return_counts=True)
+    bounds = np.append(0, np.cumsum(sizes))
+    scope = np.repeat(np.arange(len(sizes)), sizes)
     neg = -scores.T
     ranked = np.lexsort((neg, np.broadcast_to(scope, neg.shape)))
     # tie groups of the ranked rows, numbered across all years; every year
@@ -91,14 +92,14 @@ def rank_scopes(
     new[:, 1:] = value[:, 1:] != value[:, :-1]
     new[:, bounds[:-1]] = True
     group = np.cumsum(new).reshape(new.shape) - 1
-    start = np.flatnonzero(new)[group] % len(keys)  # position of the group's first row
+    start = np.flatnonzero(new)[group] % len(scope)  # position of the group's first row
     rank = start - bounds[scope[ranked]] + 1
     ranks = np.empty(scores.shape, dtype=np.intp)
     fractional = np.empty_like(scores)
     columns = np.arange(len(years))[:, None]
     ranks[ranked, columns] = rank
     fractional[ranked, columns] = rank + (np.bincount(group.ravel())[group] - 1) / 2
-    return LevelRanks(level, tuple(sizes), bounds, tuple(univ for _scope, univ in keys),
+    return LevelRanks(level, tuple(scopes.tolist()), bounds, tuple(university_ids.tolist()),
                       tuple(years), scores, ranks, fractional, ranked)
 
 

@@ -72,14 +72,15 @@ class SynthConfig:
     @staticmethod
     def from_dict(raw: Mapping) -> "SynthConfig":
         try:
+            staff, period = _list(raw["staff_range"]), _list(raw["pub_period"])
             return SynthConfig(
                 n_universities=int(raw["n_universities"]),
-                staff_range=(int(raw["staff_range"][0]), int(raw["staff_range"][1])),
-                udas={u: tuple(map(_name, s)) for u, s in raw["udas"].items()},
-                pub_period=(int(raw["pub_period"][0]), int(raw["pub_period"][1])),
-                observation_years=tuple(int(y) for y in raw["observation_years"]),
+                staff_range=(int(staff[0]), int(staff[1])),
+                udas={u: tuple(map(_name, _list(s))) for u, s in raw["udas"].items()},
+                pub_period=(int(period[0]), int(period[1])),
+                observation_years=tuple(int(y) for y in _list(raw["observation_years"])),
                 pub_rate=float(raw["pub_rate"]),
-                profiles={n: tuple(float(x) for x in p) for n, p in raw["profiles"].items()},
+                profiles={n: tuple(float(x) for x in _list(p)) for n, p in raw["profiles"].items()},
                 sds_profiles={s: _name(p) for s, p in raw.get("sds_profiles", {}).items()},
                 default_profile=_name(raw.get("default_profile", "default")),
                 quality_mu=float(raw.get("quality_mu", 0.0)),
@@ -106,6 +107,12 @@ class SynthConfig:
 def _name(value) -> str:
     if not isinstance(value, str):
         raise TypeError(f"expected a name, got {value!r}")
+    return value
+
+
+def _list(value) -> list | tuple:
+    if not isinstance(value, (list, tuple)):
+        raise TypeError(f"expected a list, got {value!r}")
     return value
 
 

@@ -241,4 +241,4 @@ def one_scope(by_year: dict, level: str = "sds", scope: str = "S") -> LevelRanks
     years = sorted(by_year)
     universities = sorted(by_year[years[0]])
     scores = np.array([[by_year[y][u] for y in years] for u in universities], dtype=float)
-    return rank_scopes(level, [(scope, u) for u in universities], years, scores)
+    return rank_scopes(level, [scope] * len(universities), universities, years, scores)

@@ -85,7 +85,7 @@ def test_criterion_1_golden_productivity_table(tmp_path):
         # the same numbers must survive the full pipeline: a corpus engineered
         # to reproduce the fixture's SS and baselines ends at the same P
         corpus = load_corpus(build_golden_corpus_dir(tmp_path / "golden"))
-        run = run_analysis(corpus, PERIOD, [2008], 0.5, "aggregate", levels=("uda",))
+        run = run_analysis(corpus, PERIOD, [2008], 0.5, "aggregate")
         uda = run.levels["uda"]
         score = uda.by_scope(uda.scores[:, 0])["MATH"][GOLDEN_UNIVERSITY]
         assert abs(score - GOLDEN_TOTAL_P) <= 0.001
@@ -142,7 +142,7 @@ def test_criterion_3_normalization_identity(tmp_path):
 
             # the same identity on the columnar pipeline, at every observation year,
             # with RS counted per (UDA, university) over the retained SDSs
-            run = run_analysis(corpus, PERIOD, YEARS, 0.5, "aggregate", levels=("uda",))
+            run = run_analysis(corpus, PERIOD, YEARS, 0.5, "aggregate")
             retained = run.report.retained_sds()
             rs: dict[tuple[str, str], int] = {}
             for u, s in zip(corpus.res_univ.tolist(), corpus.res_sds.tolist()):
@@ -236,7 +236,7 @@ def test_criterion_6_stability_trend(tmp_path):
         for seed in range(20):
             root = generate(stability_config(), tmp_path / f"s{seed}", seed=seed)
             corpus = load_corpus(root)
-            run = run_analysis(corpus, PERIOD, YEARS, 0.5, "aggregate", levels=("uda",))
+            run = run_analysis(corpus, PERIOD, YEARS, 0.5, "aggregate")
             for scope in stability_battery(run.levels["uda"], BENCHMARK):
                 for y, rho in zip(YEARS[:-1], scope.spearman):
                     assert rho is not None
@@ -252,7 +252,7 @@ def test_criterion_7_quartile_bounds_and_table_shape(tmp_path):
         # library level: every class shift across synthetic runs lies in {0..3}
         for seed in range(10):
             corpus = make_random_corpus(seed, n_universities=8)
-            run = run_analysis(corpus, PERIOD, YEARS, 0.5, "aggregate", levels=("uda",))
+            run = run_analysis(corpus, PERIOD, YEARS, 0.5, "aggregate")
             level = run.levels["uda"]
             bounds = level.bounds.tolist()
             for lo, hi, scope in zip(bounds, bounds[1:], stability_battery(level, BENCHMARK)):

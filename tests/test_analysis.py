@@ -87,7 +87,10 @@ def scalar_rankings(corpus, retained, years, baseline):
 
 
 def median_bits(tables):
-    return {y: {cell: m.hex() for cell, m in t.medians.items()} for y, t in tables.items()}
+    """(pub_year, category_id, obs_year, median.hex()) of every cell of the
+    per-year tables, in medians.csv order."""
+    return [(py, cat, y, m.hex()) for y in sorted(tables)
+            for (py, cat), m in sorted(tables[y].medians.items())]
 
 
 def ranking_bits(rankings):
@@ -128,7 +131,7 @@ def test_core_equals_scalar_definitions_bit_for_bit(corpus, years, baseline, thr
         return
     run = run_analysis(corpus, PERIOD, years, threshold, baseline)
     tables, rankings = scalar_rankings(corpus, retained, sorted(years), baseline)
-    assert median_bits(run.median_tables) == median_bits(tables)
+    assert [(py, cat, y, m.hex()) for py, cat, y, m in run.medians.tolist()] == median_bits(tables)
     assert level_bits(run.levels) == ranking_bits(rankings)
 
 

@@ -468,7 +468,11 @@ def test_synth_missing_config_is_usage_error(tmp_path, capsys):
     {"profiles": [1]},
     {"n_universities": 1e400},
     {"sds_profiles": {"S1": ["x"]}},
-], ids=["udas_list", "profiles_list", "n_universities_inf", "profile_name_list"])
+    {"udas": {"UA": "S1"}},
+    {"profiles": {"default": "12"}},
+    {"staff_range": "35"},
+], ids=["udas_list", "profiles_list", "n_universities_inf", "profile_name_list",
+        "sds_string", "profile_string", "staff_range_string"])
 def test_synth_wrongly_typed_config_is_usage_error(tmp_path, capsys, override):
     config = {"n_universities": 4, "staff_range": [2, 3], "udas": {"UA": ["S1"]},
               "pub_period": [2001, 2003], "observation_years": [2004, 2005], "pub_rate": 1.0,

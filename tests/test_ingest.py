@@ -262,6 +262,23 @@ def test_package_has_no_unused_imports():
     assert unused == []
 
 
+def test_columnar_core_does_not_import_the_scalar_definitions():
+    """analysis.py computes every score itself; impact.py and productivity.py
+    are only the written reference it is tested against."""
+    source = Path(ingest.__file__).parent / "analysis.py"
+    imported = set()
+    for node in ast.walk(ast.parse(source.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.Import):
+            imported |= {alias.name for alias in node.names}
+        elif isinstance(node, ast.ImportFrom):
+            module = node.module
+            if node.level:  # relative to the package
+                module = "citewin" + (f".{module}" if module else "")
+            imported |= {module} | {f"{module}.{alias.name}" for alias in node.names}
+    assert "citewin.sensitivity" in imported  # relative imports resolve to package names
+    assert not imported & {"citewin.impact", "citewin.productivity"}
+
+
 REMOVED_NAMES = (
     "QuartileAssignment", "Ranking", "max_rank_shift", "no_change_and_small_shift_pcts",
     "quartile_classes", "quartile_shift_stats", "rank_shifts", "rank_universities",

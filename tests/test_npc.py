@@ -365,7 +365,7 @@ def test_pipeline_null_rarely_produces_tiny_partial_p(tmp_path):
     clean = 0
     for seed in range(100):
         root = generate(small_null_config(), tmp_path / f"s{seed}", seed=seed)
-        run = run_analysis(load_corpus(root), (2001, 2003), years, 0.5, "aggregate", levels=("uda",))
+        run = run_analysis(load_corpus(root), (2001, 2003), years, 0.5, "aggregate")
         groups = []
         level = run.levels["uda"]
         bench = level.by_scope(level.scores[:, years.index(2008)])

@@ -493,7 +493,8 @@ def levels(draw):
         rows.append(np.stack(columns, axis=1))
     scores = np.concatenate(rows)
     shuffle = rng.permutation(len(keys))  # rank_scopes must order the rows itself
-    level = rank_scopes("sds", [keys[i] for i in shuffle], years, scores[shuffle])
+    scopes, universities = zip(*(keys[i] for i in shuffle))
+    level = rank_scopes("sds", scopes, universities, years, scores[shuffle])
     inputs: dict = {}
     for (scope, univ), row in zip(keys, scores.tolist()):
         inputs.setdefault(scope, {})[univ] = row
@@ -578,7 +579,7 @@ def test_grouped_battery_matches_per_ranking_reference(case):
 
 
 def test_stability_battery_needs_the_benchmark_and_another_year():
-    level = rank_scopes("sds", [("S", "U1"), ("S", "U2")], [2008], np.array([[1.0], [2.0]]))
+    level = rank_scopes("sds", ["S", "S"], ["U1", "U2"], [2008], np.array([[1.0], [2.0]]))
     for benchmark in (2008, 2007):
         with pytest.raises(AnalysisError):
             stability_battery(level, benchmark)
@@ -587,7 +588,8 @@ def test_stability_battery_needs_the_benchmark_and_another_year():
 def test_level_views_follow_the_row_layout():
     keys = [("S2", "U1"), ("S1", "U3"), ("S1", "U1"), ("S2", "U2"), ("S1", "U2")]
     scores = np.array([[1.0, 2.0], [5.0, 5.0], [3.0, 5.0], [1.0, 0.0], [5.0, 1.0]])
-    level = rank_scopes("sds", keys, [2007, 2008], scores)
+    scopes, universities = zip(*keys)
+    level = rank_scopes("sds", scopes, universities, [2007, 2008], scores)
     assert level.by_scope(level.scores[:, 0]) == {
         "S1": {"U1": 3.0, "U2": 5.0, "U3": 5.0}, "S2": {"U1": 1.0, "U2": 1.0}
     }
