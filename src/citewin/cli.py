@@ -13,7 +13,7 @@ import logging
 import math
 import sys
 from pathlib import Path
-from typing import Mapping, Sequence
+from typing import Callable, Mapping, Sequence
 
 from . import __version__
 from .analysis import BASELINE_RULES, AnalysisRun, run_analysis
@@ -230,14 +230,21 @@ def _parse_years(text: str) -> tuple[int, ...]:
         raise argparse.ArgumentTypeError(f"bad years {text!r}, expected comma-separated") from None
 
 
-def _positive_int(text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError:
-        value = 0
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
-    return value
+def _int_at_least(low: int, kind: str) -> Callable[[str], int]:
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            value = low - 1
+        if value < low:
+            raise argparse.ArgumentTypeError(f"expected a {kind} integer, got {text!r}")
+        return value
+
+    return parse
+
+
+_positive_int = _int_at_least(1, "positive")
+_seed = _int_at_least(0, "non-negative")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -277,11 +284,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--top-percentile", type=float, default=DEFAULT_TOP_PERCENTILE)
     p.add_argument("--permutations", dest="n_perm", metavar="PERMUTATIONS", type=_positive_int,
                    default=DEFAULT_PERMUTATIONS)
-    p.add_argument("--seed", type=int, default=DEFAULT_SEED)
+    p.add_argument("--seed", type=_seed, default=DEFAULT_SEED)
 
     p = sub.add_parser("synth", help="generate a synthetic corpus directory")
     p.add_argument("--config", dest="config_path", metavar="CONFIG", required=True)
-    p.add_argument("--seed", type=int, default=None)
+    p.add_argument("--seed", type=_seed, default=None)
     p.add_argument("--out", dest="out_dir", metavar="OUT", required=True)
     return parser
 

@@ -154,7 +154,9 @@ def npc_fisher_combine(
     lambda within their own (observed-inclusive) distribution and combined
     as -2 * sum(log(lambda)); the combined p is the observed-inclusive
     fraction of iterations at or above the observed combination. n_perm
-    only sets the Monte Carlo precision, never the null model.
+    only sets the Monte Carlo precision, never the null model. With
+    workers > 1, that many threads rank the orderings and compute the
+    significance levels; the result is the same for every worker count.
     """
     if n_perm < 1:
         raise ValueError(f"n_perm must be >= 1, got {n_perm}")
@@ -169,10 +171,15 @@ def npc_fisher_combine(
     universe = sorted({u for g in groups for u in g.values})
     position = {u: i for i, u in enumerate(universe)}
     prepared = [_prepared(g, position) for g in groups]
-    stats = _sample_stats(prepared, len(universe), n_perm, seed, workers)
+    executor = ThreadPoolExecutor(max_workers=workers) if workers > 1 else None
+    try:
+        stats = _sample_stats(prepared, len(universe), n_perm, seed, workers, executor)
+        lambdas = list((executor.map if executor else map)(_significance_levels, stats))
+    finally:
+        if executor is not None:
+            executor.shutdown(cancel_futures=True)
 
-    lambdas = [_significance_levels(np.abs(s)) for s in stats]
-    fisher = -2.0 * np.sum(np.log(lambdas), axis=0)
+    fisher = _fisher(lambdas)
     combined_count = int(np.count_nonzero(fisher >= fisher[n_perm]))
     partials = tuple(
         PermTestResult(
@@ -222,12 +229,33 @@ def _group_stats(pool: np.ndarray, top_idx: np.ndarray) -> np.ndarray:
     return top_sum / k - (pool.sum() - top_sum) / (pool.size - k)
 
 
-def _significance_levels(abs_stats: np.ndarray) -> np.ndarray:
-    """Empirical P(|T| >= t) within the given distribution, for each element."""
-    ordered = np.sort(abs_stats)
+def _significance_levels(stats: np.ndarray) -> np.ndarray:
+    """Empirical P(|T| >= |t|) within the given distribution, for each element t.
+
+    One argsort of |T| finds the runs of ties; each element of the run that
+    starts at sorted position first gets (n - first) / n.
+    """
+    abs_stats = np.abs(stats)
+    n = abs_stats.size
+    order = np.argsort(abs_stats)
+    ordered = abs_stats[order]
     first = np.flatnonzero(np.r_[True, ordered[1:] != ordered[:-1]])  # start of each run of ties
-    count_ge = abs_stats.size - first[np.searchsorted(ordered[first], abs_stats)]
-    return count_ge / abs_stats.size
+    levels = np.empty(n)
+    levels[order] = np.repeat((n - first) / n, np.diff(np.r_[first, n]))
+    return levels
+
+
+def _fisher(lambdas: Sequence[np.ndarray]) -> np.ndarray:
+    """-2 * sum(log(lambda)) of each row, added in group order.
+
+    A running in-place sum adds the groups in the order np.sum(..., axis=0)
+    does over the stacked levels, with no stacked temporaries.
+    """
+    fisher = np.log(lambdas[0])
+    for lam in lambdas[1:]:
+        fisher += np.log(lam)
+    fisher *= -2.0
+    return fisher
 
 
 def _prepared(group: UdaGroups, position: Mapping[str, int]) -> tuple[np.ndarray, ...]:
@@ -244,45 +272,55 @@ def _sample_stats(
     n_all: int,
     n_perm: int,
     seed: int | None,
-    workers: int,
+    workers: int = 1,
+    executor: ThreadPoolExecutor | None = None,
 ) -> list[np.ndarray]:
     """Each group's statistic under n_perm shared random orderings of the
     n_all universities, with the observed labeling at index n_perm.
 
-    Each ordering ranks one row of uniform keys, drawn block by block in
-    this thread; a group's permuted top set is its first |top| members in
-    that ranking. Groups with the same members share one argsort per block,
-    and each of the workers threads ranks a contiguous slice of the block's
-    rows, so every row is computed as it would be in a single thread.
+    Each ordering ranks one row of uniform keys. This thread draws the keys
+    block by block, in block order, so the stream depends on the seed alone.
+    Each block is cut into workers contiguous slices of rows; with an
+    executor, its threads rank the slices of one block while this thread
+    draws the next. A group's permuted top set is its first |top| members in
+    the ranking. Groups with the same members share one argsort per slice,
+    taken on the keys in place when the members are the whole universe,
+    and groups that also share |top| share one contiguous copy of the first
+    |top| columns. Every row is computed as it would be in a single thread.
     """
     stats = [np.empty(n_perm + 1) for _ in prepared]
-    member_sets: dict[bytes, tuple[np.ndarray, list[int]]] = {}
-    for gi, (_values, _obs_idx, member_pos) in enumerate(prepared):
-        member_sets.setdefault(member_pos.tobytes(), (member_pos, []))[1].append(gi)
-    rng = np.random.default_rng(seed)
-    done = 0
+    member_sets: dict[bytes, tuple[np.ndarray, dict[int, list[int]]]] = {}
+    for gi, (_values, obs_idx, member_pos) in enumerate(prepared):
+        _pos, by_k = member_sets.setdefault(member_pos.tobytes(), (member_pos, {}))
+        by_k.setdefault(obs_idx.size, []).append(gi)
 
-    def fill_rows(args) -> None:
-        keys, start = args
+    def fill_rows(keys: np.ndarray, start: int) -> None:
         span = slice(start, start + len(keys))
-        for member_pos, group_ids in member_sets.values():
-            order = np.argsort(keys[:, member_pos], axis=1)
-            for gi in group_ids:
-                values, obs_idx, _pos = prepared[gi]
-                stats[gi][span] = _group_stats(values, order[:, : obs_idx.size])
+        for member_pos, by_k in member_sets.values():
+            # positions are sorted, so a set of n_all members is the identity
+            ranked = keys if member_pos.size == n_all else np.take(keys, member_pos, axis=1)
+            order = np.argsort(ranked, axis=1)
+            for k, group_ids in by_k.items():
+                top_idx = np.ascontiguousarray(order[:, :k])
+                for gi in group_ids:
+                    stats[gi][span] = _group_stats(prepared[gi][0], top_idx)
 
-    executor = ThreadPoolExecutor(max_workers=workers) if workers > 1 else None
-    try:
-        while done < n_perm:
-            rows = min(max(1, _CHUNK_VALUES // n_all), n_perm - done)
-            block_keys = rng.random((rows, n_all))
-            cuts = [rows * t // workers for t in range(workers + 1)]
-            tasks = [(block_keys[lo:hi], done + lo) for lo, hi in zip(cuts, cuts[1:])]
-            list((executor.map if executor else map)(fill_rows, tasks))
-            done += rows
-    finally:
-        if executor is not None:
-            executor.shutdown()
+    rng = np.random.default_rng(seed)
+    block_rows = max(1, _CHUNK_VALUES // n_all)
+    pending: list = []
+    for start in range(0, n_perm, block_rows):
+        keys = rng.random((min(block_rows, n_perm - start), n_all))
+        for task in pending:  # the previous block, ranked while this one was drawn
+            task.result()
+        cuts = [len(keys) * t // workers for t in range(workers + 1)]
+        slices = [(keys[lo:hi], start + lo) for lo, hi in zip(cuts, cuts[1:])]
+        if executor is None:
+            for rows in slices:
+                fill_rows(*rows)
+        else:
+            pending = [executor.submit(fill_rows, *rows) for rows in slices]
+    for task in pending:
+        task.result()
 
     for gi, (values, obs_idx, _pos) in enumerate(prepared):
         stats[gi][n_perm] = _group_stats(values, obs_idx[None, :])[0]

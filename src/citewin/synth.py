@@ -56,6 +56,8 @@ class SynthConfig:
             raise ValueError("rates must be nonnegative")
         if self.quality_sigma < 0:
             raise ValueError("quality sigma must be nonnegative")
+        if self.seed < 0:
+            raise ValueError(f"seed must be nonnegative, got {self.seed}")
         for name, profile in self.profiles.items():
             if not profile or any(r < 0 for r in profile):
                 raise ValueError(f"profile {name!r} must be nonempty with nonnegative rates")
@@ -74,11 +76,11 @@ class SynthConfig:
         try:
             staff, period = _list(raw["staff_range"]), _list(raw["pub_period"])
             return SynthConfig(
-                n_universities=int(raw["n_universities"]),
-                staff_range=(int(staff[0]), int(staff[1])),
+                n_universities=_int(raw["n_universities"]),
+                staff_range=(_int(staff[0]), _int(staff[1])),
                 udas={u: tuple(map(_name, _list(s))) for u, s in raw["udas"].items()},
-                pub_period=(int(period[0]), int(period[1])),
-                observation_years=tuple(int(y) for y in _list(raw["observation_years"])),
+                pub_period=(_int(period[0]), _int(period[1])),
+                observation_years=tuple(map(_int, _list(raw["observation_years"]))),
                 pub_rate=float(raw["pub_rate"]),
                 profiles={n: tuple(float(x) for x in _list(p)) for n, p in raw["profiles"].items()},
                 sds_profiles={s: _name(p) for s, p in raw.get("sds_profiles", {}).items()},
@@ -87,7 +89,7 @@ class SynthConfig:
                 quality_sigma=float(raw.get("quality_sigma", 0.5)),
                 coauthor_rate=float(raw.get("coauthor_rate", 0.1)),
                 multi_category_rate=float(raw.get("multi_category_rate", 0.0)),
-                seed=int(raw.get("seed", 0)),
+                seed=_int(raw.get("seed", 0)),
             )
         except (KeyError, TypeError, IndexError, AttributeError, ValueError, OverflowError) as exc:
             raise ValueError(f"bad synthetic-corpus config: {exc!r}") from exc
@@ -107,6 +109,12 @@ class SynthConfig:
 def _name(value) -> str:
     if not isinstance(value, str):
         raise TypeError(f"expected a name, got {value!r}")
+    return value
+
+
+def _int(value) -> int:
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise TypeError(f"expected an integer, got {value!r}")
     return value
 
 

@@ -73,6 +73,68 @@ def significance_levels(values: Sequence[float]) -> list[float]:
     return [sum(1 for y in values if y >= x) / n for x in values]
 
 
+# ---------------------------------------------------------------------------
+# the NPC sampler as it was before the pipelined one: every block drawn and
+# then ranked, a copy of the keys per member set, a strided top gather per
+# group, and significance levels by sort and searchsorted. The pipelined
+# sampler must reproduce every statistic and level of these bit for bit.
+
+
+def group_stats(pool: np.ndarray, top_idx: np.ndarray) -> np.ndarray:
+    """mean(top) - mean(rest) for each row of top indices into pool."""
+    k = top_idx.shape[-1]
+    top_sum = pool[top_idx].sum(axis=-1)
+    return top_sum / k - (pool.sum() - top_sum) / (pool.size - k)
+
+
+def significance_levels_sorted(abs_stats: np.ndarray) -> np.ndarray:
+    """Empirical P(|T| >= t) within the given distribution, for each element."""
+    ordered = np.sort(abs_stats)
+    first = np.flatnonzero(np.r_[True, ordered[1:] != ordered[:-1]])  # start of each run of ties
+    count_ge = abs_stats.size - first[np.searchsorted(ordered[first], abs_stats)]
+    return count_ge / abs_stats.size
+
+
+def sample_stats(prepared, n_all, n_perm, seed, workers, chunk_values):
+    """Each group's statistic under n_perm shared random orderings of the
+    n_all universities, with the observed labeling at index n_perm; prepared
+    holds (values, observed top positions, positions in the universe)."""
+    from concurrent.futures import ThreadPoolExecutor
+
+    stats = [np.empty(n_perm + 1) for _ in prepared]
+    member_sets: dict[bytes, tuple[np.ndarray, list[int]]] = {}
+    for gi, (_values, _obs_idx, member_pos) in enumerate(prepared):
+        member_sets.setdefault(member_pos.tobytes(), (member_pos, []))[1].append(gi)
+    rng = np.random.default_rng(seed)
+    done = 0
+
+    def fill_rows(args) -> None:
+        keys, start = args
+        span = slice(start, start + len(keys))
+        for member_pos, group_ids in member_sets.values():
+            order = np.argsort(keys[:, member_pos], axis=1)
+            for gi in group_ids:
+                values, obs_idx, _pos = prepared[gi]
+                stats[gi][span] = group_stats(values, order[:, : obs_idx.size])
+
+    executor = ThreadPoolExecutor(max_workers=workers) if workers > 1 else None
+    try:
+        while done < n_perm:
+            rows = min(max(1, chunk_values // n_all), n_perm - done)
+            block_keys = rng.random((rows, n_all))
+            cuts = [rows * t // workers for t in range(workers + 1)]
+            tasks = [(block_keys[lo:hi], done + lo) for lo, hi in zip(cuts, cuts[1:])]
+            list((executor.map if executor else map)(fill_rows, tasks))
+            done += rows
+    finally:
+        if executor is not None:
+            executor.shutdown()
+
+    for gi, (values, obs_idx, _pos) in enumerate(prepared):
+        stats[gi][n_perm] = group_stats(values, obs_idx[None, :])[0]
+    return stats
+
+
 def moment_stats(xs: Sequence[float]) -> dict:
     """Population central-moment descriptives via exact rationals."""
     n = len(xs)

@@ -9,6 +9,7 @@ import math
 
 import pytest
 
+import citewin.cli as cli_mod
 from citewin.cli import _npc_rows, main
 from citewin.npc import NpcCombinedResult, PermTestResult
 
@@ -424,6 +425,27 @@ def test_count_below_one_is_usage_error_before_any_work(
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command", ["npc", "synth"])
+@pytest.mark.parametrize("value", ["-5", "1.5", "x"])
+def test_negative_seed_is_usage_error_before_any_work(
+    golden_corpus_dir, tmp_path, capsys, monkeypatch, command, value
+):
+    def no_reading(*args, **kwargs):
+        raise AssertionError("the input was read")
+
+    monkeypatch.setattr(cli_mod, "load_corpus", no_reading)
+    monkeypatch.setattr(cli_mod.SynthConfig, "from_file", no_reading)
+    out = tmp_path / "out"
+    args = [golden_corpus_dir] if command == "npc" else ["--config", tmp_path / "config.json"]
+    with pytest.raises(SystemExit) as exc:
+        run(command, *args, "--out", out, "--seed", value)
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage:")
+    assert f"argument --seed: expected a non-negative integer, got '{value}'" in err
+    assert not out.exists()
+
+
 def test_baseline_rule_switch_changes_scores(tmp_path):
     root = generate(stability_config(), tmp_path / "corpus", seed=12)
     out_a, out_m = tmp_path / "agg", tmp_path / "mean"
@@ -471,8 +493,13 @@ def test_synth_missing_config_is_usage_error(tmp_path, capsys):
     {"udas": {"UA": "S1"}},
     {"profiles": {"default": "12"}},
     {"staff_range": "35"},
+    {"n_universities": 4.9, "staff_range": [2.7, 3.9], "pub_period": [2001.5, 2003],
+     "observation_years": [2004.9], "seed": True},
+    {"n_universities": 4.0},
+    {"seed": True},
 ], ids=["udas_list", "profiles_list", "n_universities_inf", "profile_name_list",
-        "sds_string", "profile_string", "staff_range_string"])
+        "sds_string", "profile_string", "staff_range_string", "floats_and_bool_for_ints",
+        "float_n_universities", "bool_seed"])
 def test_synth_wrongly_typed_config_is_usage_error(tmp_path, capsys, override):
     config = {"n_universities": 4, "staff_range": [2, 3], "udas": {"UA": ["S1"]},
               "pub_period": [2001, 2003], "observation_years": [2004, 2005], "pub_rate": 1.0,

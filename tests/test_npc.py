@@ -3,6 +3,9 @@
 from __future__ import annotations
 
 import math
+import threading
+import time
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -20,7 +23,12 @@ from citewin.npc import (
     two_sample_perm_test,
 )
 
-from oracles import perm_test_exhaustive, significance_levels
+from oracles import (
+    perm_test_exhaustive,
+    sample_stats,
+    significance_levels,
+    significance_levels_sorted,
+)
 
 
 def test_max_rank_shift_examples():
@@ -204,6 +212,120 @@ def stat_arrays(draw):
 def test_significance_levels_match_brute_force_count(values):
     got = _significance_levels(values)
     assert [float(x).hex() for x in got] == [x.hex() for x in significance_levels(values.tolist())]
+
+
+def test_significance_levels_match_sorted_reference_on_200k_values():
+    # beyond the reach of the brute-force count: signed statistics with heavy
+    # ties, then all distinct
+    rng = np.random.default_rng(23)
+    for values in (rng.integers(-30, 31, 200_000) / 7, rng.random(200_000) * 3 - 1.5):
+        got = _significance_levels(values)
+        want = significance_levels_sorted(np.abs(values))
+        assert [x.hex() for x in got.tolist()] == [x.hex() for x in want.tolist()]
+
+
+# ---------------------------------------------------------------------------
+# the pipelined sampler against the reference one (tests/oracles.py)
+
+
+def sampler_groups():
+    # non-dyadic values over 13 universities: A, B and C span all of them,
+    # so their keys are ranked in place, with |top| 3, 9 (a top sum of 8 or
+    # more terms is summed pairwise) and 3 again; D and E share a 10-member
+    # subset, ranked from a copy of the keys, with |top| 2 and 8
+    rng = np.random.default_rng(17)
+    universe = [f"U{i:02d}" for i in range(13)]
+    subset = universe[1:11]
+
+    def group(uda, members, k):
+        values = {u: float(rng.integers(1, 90)) / 7 for u in members}
+        return UdaGroups(uda, values, frozenset(str(u) for u in rng.choice(members, k, replace=False)))
+
+    return [group("A", universe, 3), group("B", universe, 9), group("C", universe, 3),
+            group("D", subset, 2), group("E", subset, 8)]
+
+
+def hexes(arrays):
+    return [[x.hex() for x in a.tolist()] for a in arrays]
+
+
+@pytest.mark.parametrize("chunk", [None, 100])  # 100 values: 7-row blocks, 1000 = 142 * 7 + 6
+@pytest.mark.parametrize("workers", [1, 2, 3])
+def test_sampler_matches_reference_bit_for_bit(monkeypatch, workers, chunk):
+    chunk_values = npc_mod._CHUNK_VALUES if chunk is None else chunk
+    monkeypatch.setattr(npc_mod, "_CHUNK_VALUES", chunk_values)
+    groups = sampler_groups()
+    universe = sorted({u for g in groups for u in g.values})
+    position = {u: i for i, u in enumerate(universe)}
+    prepared = [npc_mod._prepared(g, position) for g in groups]
+    n_perm = 1000
+
+    want = sample_stats(prepared, len(universe), n_perm, 5, workers, chunk_values)
+    with ThreadPoolExecutor(max_workers=workers) as executor:
+        got = npc_mod._sample_stats(prepared, len(universe), n_perm, 5, workers,
+                                    executor if workers > 1 else None)
+    assert hexes(got) == hexes(want)
+    want_levels = [significance_levels_sorted(np.abs(s)) for s in want]
+    got_levels = [_significance_levels(s) for s in got]
+    assert hexes(got_levels) == hexes(want_levels)
+    want_fisher = -2.0 * np.sum(np.log(want_levels), axis=0)
+    assert hexes([npc_mod._fisher(got_levels)]) == hexes([want_fisher])
+
+    result = npc_fisher_combine(groups, n_perm=n_perm, seed=5, workers=workers)
+    assert [(p.observed.hex(), p.p_value.hex()) for p in result.partials] == [
+        (s[n_perm].hex(), lam[n_perm].hex()) for s, lam in zip(want, want_levels)
+    ]
+    assert result.combined_statistic.hex() == want_fisher[n_perm].hex()
+    combined_count = np.count_nonzero(want_fisher >= want_fisher[n_perm])
+    assert result.combined_p == combined_count / (n_perm + 1)
+
+
+@pytest.mark.parametrize("n_groups", [2, 9, 12])
+def test_running_fisher_sum_matches_stacked_sum(n_groups):
+    # nine or more groups (the national corpus has nine UDAs) would show a
+    # pairwise order in the stacked sum
+    rng = np.random.default_rng(n_groups)
+    levels = [significance_levels_sorted(rng.integers(0, 25, 5001) / 3) for _ in range(n_groups)]
+    want = -2.0 * np.sum(np.log(levels), axis=0)
+    assert hexes([npc_mod._fisher(levels)]) == hexes([want])
+
+
+def test_npc_leaves_no_thread_behind():
+    before = threading.active_count()
+    npc_fisher_combine(frozen_groups(), n_perm=999, seed=1, workers=3)
+    assert threading.active_count() == before
+
+
+def test_npc_worker_error_propagates_and_no_block_writes_after_return(monkeypatch):
+    # 64 // 10 = 6-row blocks cut into 3 slices; each slice computes A and B
+    # (one member set) and C (another), so a block makes 9 calls and the
+    # 10th call is the first of the second block
+    monkeypatch.setattr(npc_mod, "_CHUNK_VALUES", 64)
+    real_group_stats = npc_mod._group_stats
+    lock = threading.Lock()
+    returned = threading.Event()
+    started = []  # per call, whether the combine had returned when it started
+    finished = []  # per call that did not fail, whether it had returned when it ended
+
+    def failing_group_stats(pool, top_idx):
+        with lock:
+            started.append(returned.is_set())
+            failing = len(started) > 9
+        if failing:
+            raise RuntimeError("second block fails")
+        stats = real_group_stats(pool, top_idx)
+        finished.append(returned.is_set())
+        return stats
+
+    monkeypatch.setattr(npc_mod, "_group_stats", failing_group_stats)
+    before = threading.active_count()
+    with pytest.raises(RuntimeError, match="second block fails"):
+        npc_fisher_combine(frozen_groups(), n_perm=999, seed=1, workers=3)
+    returned.set()
+    assert threading.active_count() == before
+    time.sleep(0.2)
+    assert len(started) >= 10 and len(finished) >= 9
+    assert not any(started) and not any(finished)
 
 
 # ---------------------------------------------------------------------------

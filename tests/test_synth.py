@@ -94,6 +94,8 @@ def test_config_validation():
         config(pub_rate=-1).validate()
     with pytest.raises(ValueError):
         config(sds_profiles={"S1": "missing"}).validate()
+    with pytest.raises(ValueError, match="seed"):
+        config(seed=-1).validate()
 
 
 def test_config_file_round_trip(tmp_path):
