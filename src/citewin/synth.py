@@ -10,14 +10,16 @@ five CSV files are byte-identical across runs.
 from __future__ import annotations
 
 import json
+import re
 from dataclasses import dataclass, field
 from itertools import accumulate
 from pathlib import Path
-from typing import Mapping, Sequence
+from typing import Mapping
 
 import numpy as np
 
 from .errors import MissingInputError, ParseError
+from .ingest import _ID
 
 
 @dataclass(frozen=True)
@@ -42,6 +44,12 @@ class SynthConfig:
             raise ValueError("need at least one university")
         if not self.udas or any(not sds for sds in self.udas.values()):
             raise ValueError("every discipline needs at least one SDS")
+        sds = [s for group in self.udas.values() for s in group]
+        if bad := [name for name in (*self.udas, *sds) if not re.fullmatch(_ID, name)]:
+            raise ValueError(f"udas: name {bad[0]!r} does not match {_ID}")
+        for what, values in ("udas: SDS", sds), ("observation_years: year", self.observation_years):
+            if twice := [v for i, v in enumerate(values) if v in values[:i]]:
+                raise ValueError(f"{what} {twice[0]!r} is listed more than once")
         lo, hi = self.staff_range
         if not (1 <= lo <= hi):
             raise ValueError(f"bad staff range {self.staff_range}")
@@ -131,87 +139,79 @@ def category_of(sds_id: str) -> str:
 def generate(config: SynthConfig, out_dir: str | Path, seed: int | None = None) -> Path:
     """Write a five-file corpus directory; returns the directory path.
 
-    Iteration order is fixed (sorted universities, SDSs, researchers), so
-    output bytes depend only on (config, seed).
+    Draws come in a fixed order (sorted universities, SDSs, researchers), so
+    output bytes depend only on (config, seed). Each row is formatted once, as
+    it is drawn; a publication's rows in each file form one block.
     """
     config.validate()
     rng = np.random.default_rng(config.seed if seed is None else seed)
+    integers, random, poisson = rng.integers, rng.random, rng.poisson
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
 
     sds_list = config.sds_ids()
-    sds_uda = {s: u for u, group in config.udas.items() for s in group}
-    universities = [f"U{i:03d}" for i in range(1, config.n_universities + 1)]
-
-    researchers: list[tuple[str, str, str]] = []  # (rid, university, sds)
-    quality: dict[str, float] = {}
     lo, hi = config.staff_range
-    for univ in universities:
+    rids, researchers = [], []  # researcher ids; researchers.csv rows
+    universities = []  # per university: (index of its first researcher, [(sds, ids, qualities)])
+    for u in range(1, config.n_universities + 1):
+        univ, groups = f"U{u:03d}", []
+        universities.append((len(rids), groups))
         for sds in sds_list:
-            staff = int(rng.integers(lo, hi + 1))
-            for i in range(1, staff + 1):
-                rid = f"{univ}-{sds}-{i:03d}"
-                researchers.append((rid, univ, sds))
-                quality[rid] = float(rng.lognormal(config.quality_mu, config.quality_sigma))
+            staff = int(integers(lo, hi + 1))
+            qualities = rng.lognormal(config.quality_mu, config.quality_sigma, size=staff).tolist()
+            group = [f"{univ}-{sds}-{i:03d}" for i in range(1, staff + 1)]
+            groups.append((sds, group, qualities))
+            rids += group
+            researchers += [f"{rid},{univ},{sds}" for rid in group]
 
-    by_other_university: dict[str, list[int]] = {
-        univ: [i for i, (_r, u, _s) in enumerate(researchers) if u != univ]
-        for univ in universities
-    }
-
-    pubs: list[tuple[str, int, str]] = []  # (pid, year, categories field)
-    authorship: list[tuple[str, str]] = []
-    citation_rows: list[tuple[str, int, int]] = []
-    max_obs = max(config.observation_years)
+    years = range(config.pub_period[0], config.pub_period[1] + 1)
+    obs_years = sorted(config.observation_years)
+    max_obs = obs_years[-1]
+    # citation rows of a publication from year y; running[t - y] is its count by year t
+    citation_rows = {y: "\n".join(f"{{0}},{t},{{1[{t - y}]}}" for t in obs_years) for y in years}
+    pubs, authors, citations = [], [], []  # one block of rows per publication in each file
+    add_pub, add_author, add_citation = pubs.append, authors.append, citations.append
+    multi_rate, co_rate = config.multi_category_rate, config.coauthor_rate
     counter = 0
-    for rid, univ, sds in researchers:
-        profile = config.profile_for(sds)
-        q = quality[rid]
-        for year in range(config.pub_period[0], config.pub_period[1] + 1):
-            for _ in range(int(rng.poisson(config.pub_rate * q))):
-                counter += 1
-                pid = f"P{counter:06d}"
-                categories = category_of(sds)
-                if config.multi_category_rate > 0 and rng.random() < config.multi_category_rate:
-                    other = sds_list[int(rng.integers(len(sds_list)))]
-                    if other != sds:
-                        categories = f"{category_of(sds)}:0.5;{category_of(other)}:0.5"
-                pubs.append((pid, year, categories))
-                authorship.append((pid, rid))
-                candidates = by_other_university[univ]
-                if candidates and config.coauthor_rate > 0 and rng.random() < config.coauthor_rate:
-                    co = researchers[candidates[int(rng.integers(len(candidates)))]][0]
-                    authorship.append((pid, co))
-                increments = [int(rng.poisson(q * profile[min(age, len(profile) - 1)]))
-                              for age in range(max_obs - year + 1)]
-                running = list(accumulate(increments))  # running[t - year]: citations by year t
-                for obs_year in sorted(config.observation_years):  # never before `year`
-                    citation_rows.append((pid, obs_year, running[obs_year - year]))
+    for first, groups in universities:
+        # coauthors come from outside this university's researchers rids[first:last]
+        last = first + sum(len(group) for _s, group, _q in groups)
+        n_other = len(rids) - (last - first)
+        for sds, group, qualities in groups:
+            profile, category = config.profile_for(sds), category_of(sds)
+            rates = [profile[min(age, len(profile) - 1)] for age in range(max_obs - years[0] + 1)]
+            by_year = [(year, rates[:max_obs - year + 1], citation_rows[year]) for year in years]
+            for rid, q in zip(group, qualities):
+                for year, year_rates, rows in by_year:
+                    means = [q * rate for rate in year_rates]  # citation increments by age
+                    for _ in range(poisson(config.pub_rate * q)):
+                        counter += 1
+                        pid = f"P{counter:06d}"
+                        categories = category
+                        if multi_rate > 0 and random() < multi_rate:
+                            other = sds_list[integers(len(sds_list))]
+                            if other != sds:
+                                categories = f"{category}:0.5;{category_of(other)}:0.5"
+                        add_pub(f"{pid},{year},{categories}")
+                        if n_other and co_rate > 0 and random() < co_rate:
+                            j = int(integers(n_other))  # the j-th researcher outside the block
+                            co = rids[j if j < first else j + last - first]
+                            add_author(f"{pid},{min(rid, co)}\n{pid},{max(rid, co)}")
+                        else:
+                            add_author(f"{pid},{rid}")
+                        add_citation(rows.format(pid, [*accumulate(map(poisson, means))]))
 
-    _write_csv(out / "fields.csv", ["sds_id", "uda_id"], [[s, sds_uda[s]] for s in sds_list])
-    _write_csv(
-        out / "researchers.csv",
-        ["researcher_id", "university_id", "sds_id"],
-        [[r, u, s] for r, u, s in sorted(researchers)],
-    )
-    _write_csv(
-        out / "publications.csv",
-        ["pub_id", "pub_year", "categories"],
-        [[p, str(y), c] for p, y, c in sorted(pubs)],
-    )
-    _write_csv(
-        out / "authorship.csv",
-        ["pub_id", "researcher_id"],
-        [[p, r] for p, r in sorted(set(authorship))],
-    )
-    _write_csv(
-        out / "citations.csv",
-        ["pub_id", "obs_year", "cum_citations"],
-        [[p, str(y), str(c)] for p, y, c in sorted(citation_rows)],
-    )
+    fields = [f"{s},{uda}" for uda, group in config.udas.items() for s in group]
+    _write_rows(out / "fields.csv", "sds_id,uda_id", fields)
+    _write_rows(out / "researchers.csv", "researcher_id,university_id,sds_id", researchers)
+    _write_rows(out / "publications.csv", "pub_id,pub_year,categories", pubs)
+    _write_rows(out / "authorship.csv", "pub_id,researcher_id", authors)
+    _write_rows(out / "citations.csv", "pub_id,obs_year,cum_citations", citations)
     return out
 
 
-def _write_csv(path: Path, header: Sequence[str], rows: Sequence[Sequence[str]]) -> None:
-    lines = [",".join(header)] + [",".join(row) for row in rows]
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+def _write_rows(path: Path, header: str, blocks: list[str]) -> None:
+    """Write blocks of rows in key order: each starts with its key and a comma, which sorts below
+    every id character, so P100000 < P1000000 < P100001 as strings and as keys. P{n:06d} ids
+    follow generation order only below one million; `sorted` is linear on sorted input."""
+    path.write_text("\n".join([header, *sorted(blocks)]) + "\n", encoding="utf-8")

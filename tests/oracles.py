@@ -12,7 +12,7 @@ import math
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
+from itertools import accumulate, combinations
 from pathlib import Path
 from typing import Mapping, Sequence
 
@@ -683,3 +683,94 @@ def _read_authorship(path, pubs, researcher_ids):
         seen.add((pid, rid))
         out.append(AuthorshipLink(pub_id=pid, researcher_id=rid))
     return out
+
+
+# ---------------------------------------------------------------------------
+# synthetic corpus generator: one tuple per row, one sorted copy per file
+
+
+def generate_reference(config, out_dir, seed=None):
+    """The tuple-per-row generator that `synth.generate` must match byte for byte."""
+    from citewin.synth import category_of
+
+    config.validate()
+    rng = np.random.default_rng(config.seed if seed is None else seed)
+    out = Path(out_dir)
+    out.mkdir(parents=True, exist_ok=True)
+
+    sds_list = config.sds_ids()
+    sds_uda = {s: u for u, group in config.udas.items() for s in group}
+    universities = [f"U{i:03d}" for i in range(1, config.n_universities + 1)]
+
+    researchers: list[tuple[str, str, str]] = []  # (rid, university, sds)
+    quality: dict[str, float] = {}
+    lo, hi = config.staff_range
+    for univ in universities:
+        for sds in sds_list:
+            staff = int(rng.integers(lo, hi + 1))
+            for i in range(1, staff + 1):
+                rid = f"{univ}-{sds}-{i:03d}"
+                researchers.append((rid, univ, sds))
+                quality[rid] = float(rng.lognormal(config.quality_mu, config.quality_sigma))
+
+    by_other_university: dict[str, list[int]] = {
+        univ: [i for i, (_r, u, _s) in enumerate(researchers) if u != univ]
+        for univ in universities
+    }
+
+    pubs: list[tuple[str, int, str]] = []  # (pid, year, categories field)
+    authorship: list[tuple[str, str]] = []
+    citation_rows: list[tuple[str, int, int]] = []
+    max_obs = max(config.observation_years)
+    counter = 0
+    for rid, univ, sds in researchers:
+        profile = config.profile_for(sds)
+        q = quality[rid]
+        for year in range(config.pub_period[0], config.pub_period[1] + 1):
+            for _ in range(int(rng.poisson(config.pub_rate * q))):
+                counter += 1
+                pid = f"P{counter:06d}"
+                categories = category_of(sds)
+                if config.multi_category_rate > 0 and rng.random() < config.multi_category_rate:
+                    other = sds_list[int(rng.integers(len(sds_list)))]
+                    if other != sds:
+                        categories = f"{category_of(sds)}:0.5;{category_of(other)}:0.5"
+                pubs.append((pid, year, categories))
+                authorship.append((pid, rid))
+                candidates = by_other_university[univ]
+                if candidates and config.coauthor_rate > 0 and rng.random() < config.coauthor_rate:
+                    co = researchers[candidates[int(rng.integers(len(candidates)))]][0]
+                    authorship.append((pid, co))
+                increments = [int(rng.poisson(q * profile[min(age, len(profile) - 1)]))
+                              for age in range(max_obs - year + 1)]
+                running = list(accumulate(increments))  # running[t - year]: citations by year t
+                for obs_year in sorted(config.observation_years):  # never before `year`
+                    citation_rows.append((pid, obs_year, running[obs_year - year]))
+
+    write_rows_csv(out / "fields.csv", ["sds_id", "uda_id"], [[s, sds_uda[s]] for s in sds_list])
+    write_rows_csv(
+        out / "researchers.csv",
+        ["researcher_id", "university_id", "sds_id"],
+        [[r, u, s] for r, u, s in sorted(researchers)],
+    )
+    write_rows_csv(
+        out / "publications.csv",
+        ["pub_id", "pub_year", "categories"],
+        [[p, str(y), c] for p, y, c in sorted(pubs)],
+    )
+    write_rows_csv(
+        out / "authorship.csv",
+        ["pub_id", "researcher_id"],
+        [[p, r] for p, r in sorted(set(authorship))],
+    )
+    write_rows_csv(
+        out / "citations.csv",
+        ["pub_id", "obs_year", "cum_citations"],
+        [[p, str(y), str(c)] for p, y, c in sorted(citation_rows)],
+    )
+    return out
+
+
+def write_rows_csv(path, header, rows):
+    lines = [",".join(header)] + [",".join(row) for row in rows]
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")

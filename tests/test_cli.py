@@ -508,3 +508,22 @@ def test_synth_wrongly_typed_config_is_usage_error(tmp_path, capsys, override):
     path.write_text(json.dumps(config), encoding="utf-8")
     assert run("synth", "--config", path, "--out", tmp_path / "corpus") == 2
     assert capsys.readouterr().err.startswith("error: bad synthetic-corpus config")
+
+
+@pytest.mark.parametrize("override, field", [
+    ({"udas": {"UA": ["A,2"]}}, "udas"),
+    ({"udas": {"U A": ["S1"]}}, "udas"),
+    ({"udas": {"UA": ["S1"], "UB": ["S2", "S1"]}}, "udas"),
+    ({"observation_years": [2004, 2005, 2004]}, "observation_years"),
+], ids=["sds_name_outside_id_grammar", "uda_name_outside_id_grammar", "sds_under_two_udas",
+        "repeated_observation_year"])
+def test_synth_config_of_a_corpus_citewin_rejects_is_usage_error(tmp_path, capsys, override,
+                                                                 field):
+    config = {"n_universities": 4, "staff_range": [2, 3], "udas": {"UA": ["S1"]},
+              "pub_period": [2001, 2003], "observation_years": [2004, 2005], "pub_rate": 1.0,
+              "profiles": {"default": [0.5, 1.0]}, **override}
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config), encoding="utf-8")
+    assert run("synth", "--config", path, "--out", tmp_path / "corpus") == 2
+    assert capsys.readouterr().err.startswith(f"error: {field}: ")
+    assert not (tmp_path / "corpus").exists()
