@@ -86,7 +86,8 @@ def run_analysis(
 
     # score of each (UDA, university), keyed uda * U + university: sum over its cells in SDS
     # order of (p / p_bar) * (RS / RS_total), degenerate (p_bar = 0) cells adding 0
-    uda_ids, uda_of = np.unique([corpus.taxonomy.uda_of(s) for s in sds_ids], return_inverse=True)
+    uda_ids, uda_of = np.unique([corpus.taxonomy.sds_to_uda[s] for s in sds_ids],
+                                return_inverse=True)
     groups, group_of = np.unique(uda_of[cell_sds] * n_univ + cell_univ, return_inverse=True)
     share = rs / np.bincount(group_of, weights=rs)[group_of]
     bar = p_bar[sds_of]

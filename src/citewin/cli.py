@@ -18,8 +18,9 @@ from typing import Callable, Mapping, Sequence
 from . import __version__
 from .analysis import BASELINE_RULES, AnalysisRun, run_analysis
 from .errors import AnalysisError, CitewinError, MissingInputError
-from .ingest import load_corpus
-from .npc import NpcCombinedResult, UdaGroups, max_rank_shifts, npc_fisher_combine, top_partition
+from .ingest import check_filter_arguments, load_corpus
+from .npc import (NpcCombinedResult, UdaGroups, check_percentile, max_rank_shifts,
+                  npc_fisher_combine, top_partition)
 from .sensitivity import battery_tables, ranking_rows
 from .synth import SynthConfig, generate
 
@@ -73,6 +74,7 @@ def cmd_rankings(
     baseline: str = DEFAULT_BASELINE,
 ) -> Path:
     """Write rankings.csv for one observation year at one level."""
+    check_filter_arguments(pub_period, threshold)
     corpus = load_corpus(directory)
     run = run_analysis(corpus, pub_period, [obs_year], threshold, baseline)
     return _write_run(
@@ -92,6 +94,7 @@ def cmd_sensitivity(
 ) -> Path:
     """Write the full rank-stability battery against the benchmark year."""
     years = _check_years(years, benchmark_year)
+    check_filter_arguments(pub_period, threshold)
     corpus = load_corpus(directory)
     run = run_analysis(corpus, pub_period, years, threshold, baseline)
     tables = {**battery_tables([run.levels["uda"], run.levels["sds"]], benchmark_year),
@@ -118,6 +121,8 @@ def cmd_npc(
 ) -> Path:
     """Top-vs-rest permutation test per UDA plus the Fisher combination."""
     years = _check_years(years, benchmark_year)
+    check_filter_arguments(pub_period, threshold)
+    check_percentile(top_percentile)
     corpus = load_corpus(directory)
     run = run_analysis(corpus, pub_period, years, threshold, baseline)
 

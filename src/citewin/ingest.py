@@ -2,27 +2,22 @@
 
 A corpus is a directory of the five UTF-8 CSV files of FILES, with header
 rows and no quoting. Each is read once: one regex checks the grammar of its
-whole body, which is then split into columns for the corpus.check_* functions.
+whole body, which is then split into columns for the _check_* function of the
+file, the one owner of that file's invariants.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from itertools import repeat
 from pathlib import Path
-from typing import Callable
+from typing import Callable, Mapping, NoReturn, Sequence
 
 import numpy as np
 
-from .corpus import (
-    Corpus,
-    check_citations,
-    check_links,
-    check_publications,
-    check_researchers,
-    check_taxonomy,
-)
-from .errors import MissingInputError, ParseError
+from .corpus import Corpus, FieldTaxonomy
+from .errors import IntegrityError, MissingInputError, ParseError
 
 _ID, _INT = r"[A-Za-z0-9_/-]+", r"-?[0-9]+"
 _WEIGHT = r"-?(?:[0-9]+(?:\.[0-9]*)?|\.[0-9]+)(?:[eE][-+]?[0-9]+)?"
@@ -39,6 +34,8 @@ FILES = {
 # a newline followed by neither a row nor a blank line starts the first line the grammar rejects
 _BAD_LINE = {name: re.compile("\n(?!(?:{0})?(?:\n|\\Z))".format(
     ",".join(f"(?:{_KINDS[kind]})" for _c, kind in columns))) for name, columns in FILES.items()}
+WEIGHT_SUM_TOL = 1e-9
+Fail = Callable[[int, str, type], NoReturn]
 
 
 @dataclass(frozen=True)
@@ -85,12 +82,13 @@ def load_corpus(directory: str | Path) -> Corpus:
     if missing:
         raise MissingInputError(f"missing corpus files in {root}: {', '.join(missing)}")
 
-    taxonomy = _checked(root, "fields.csv", lambda c, fail: check_taxonomy(*c, fail))
-    cols = _checked(root, "researchers.csv", lambda c, fail: check_researchers(taxonomy, *c, fail))
+    taxonomy = _checked(root, "fields.csv", lambda c, fail: _check_taxonomy(*c, fail))
+    cols = _checked(root, "researchers.csv",
+                    lambda c, fail: _check_researchers(taxonomy, *c, fail))
     cols |= _checked(root, "publications.csv",
-                     lambda c, fail: check_publications(c[0], c[1], *_entries(c[2]), fail))
-    cols |= _checked(root, "citations.csv", lambda c, fail: check_citations(cols, *c, fail))
-    cols |= _checked(root, "authorship.csv", lambda c, fail: check_links(cols, *c, fail))
+                     lambda c, fail: _check_publications(c[0], c[1], *_entries(c[2]), fail))
+    cols |= _checked(root, "citations.csv", lambda c, fail: _check_citations(cols, *c, fail))
+    cols |= _checked(root, "authorship.csv", lambda c, fail: _check_links(cols, *c, fail))
     return Corpus(taxonomy=taxonomy, **cols)
 
 
@@ -103,11 +101,8 @@ def representativity_filter(
     least one publication dated inside `pub_period` reaches `threshold`
     (inclusive). SDSs without any staff are excluded and flagged empty.
     """
-    if not (0.0 <= threshold <= 1.0):
-        raise ValueError(f"threshold must be in [0, 1], got {threshold}")
+    check_filter_arguments(pub_period, threshold)
     start, end = pub_period
-    if start > end:
-        raise ValueError(f"empty publication period {pub_period}")
     sds_ids = corpus.taxonomy.sds_ids
     in_period = (corpus.pub_year >= start) & (corpus.pub_year <= end)
     publishing = np.unique(corpus.link_res[in_period[corpus.link_pub]])
@@ -117,6 +112,14 @@ def representativity_filter(
                  else SdsCoverage(sds_id, 0, 0, None, retained=False, empty=True)
                  for sds_id, n, k in zip(sds_ids, staff, active))
     return RepresentativityReport(threshold=threshold, pub_period=(start, end), rows=rows)
+
+
+def check_filter_arguments(pub_period: tuple[int, int], threshold: float) -> None:
+    """Reject a threshold outside [0, 1] or a publication period that ends before it starts."""
+    if not (0.0 <= threshold <= 1.0):
+        raise ValueError(f"threshold must be in [0, 1], got {threshold}")
+    if pub_period[0] > pub_period[1]:
+        raise ValueError(f"empty publication period {pub_period}")
 
 
 def _checked(root: Path, name: str, check: Callable):
@@ -196,3 +199,151 @@ def _entries(specs: list[str]) -> tuple[np.ndarray, list[str], list[float]]:
     parts = [part.partition(":") for part in ";".join(specs).split(";")] if specs else []
     weights = [float(w) if w else 1.0 / n_parts[r] for (_n, _c, w), r in zip(parts, rows.tolist())]
     return rows, [name for name, _c, _w in parts], weights
+
+
+# ---------------------------------------------------------------------------
+# the invariants of each file, checked on its columns; each reports the first
+# offending row through `fail(row, message, error_class)`
+
+
+def _check_taxonomy(sds: Sequence[str], uda: Sequence[str], fail: Fail) -> FieldTaxonomy:
+    """The SDS -> UDA map; rejects a repeated SDS."""
+    _first_failure(fail, [(_repeats(sds), lambda r: f"duplicate sds_id {sds[r]!r}", ParseError)])
+    return FieldTaxonomy(sds_to_uda=dict(zip(sds, uda)))
+
+
+def _check_researchers(taxonomy: FieldTaxonomy, ids: Sequence[str], univ: Sequence[str],
+                       sds: Sequence[str], fail: Fail) -> dict[str, np.ndarray]:
+    """Researcher columns; rejects repeated ids and SDSs outside the taxonomy."""
+    arr = np.array(ids, dtype=str)
+    res_sds, known = _lookup(taxonomy.sds_ids, sds)
+    _first_failure(fail, [
+        (_repeats(arr), lambda r: f"duplicate researcher_id {ids[r]!r}", ParseError),
+        (~known, lambda r: f"researcher {ids[r]!r}: sds_id {sds[r]!r} missing from taxonomy",
+         IntegrityError),
+    ])
+    order = np.argsort(arr)
+    universities, res_univ = np.unique(np.array(univ, dtype=str), return_inverse=True)
+    return dict(researcher_ids=arr[order], universities=universities,
+                res_univ=res_univ[order], res_sds=res_sds[order])
+
+
+def _check_publications(ids: Sequence[str], year: Sequence[int], entry_row: Sequence[int],
+                        entry_cat: Sequence[str], entry_weight: Sequence[float],
+                        fail: Fail) -> dict[str, np.ndarray]:
+    """Publication columns from one (row, category, weight) entry per listed category (the
+    grammar admits no row without one); rejects repeated ids, a category listed twice, weights
+    outside (0, 1] and weight sums (added in listed order) off 1 by more than 1e-9."""
+    arr, n = np.array(ids, dtype=str), len(ids)
+    row, weight = np.array(entry_row, dtype=np.intp), np.array(entry_weight, dtype=float)
+    categories, cat = np.unique(np.array(entry_cat, dtype=str), return_inverse=True)
+    twice = _repeats(row * len(categories) + cat)
+    bad = twice | ~((weight > 0.0) & (weight <= 1.0))
+    total = np.bincount(row, weights=weight, minlength=n)
+
+    def entry_message(r: int) -> str:
+        e = np.flatnonzero((row == r) & bad)[0]
+        return (f"category {entry_cat[e]!r} listed twice" if twice[e]
+                else f"category weight {float(weight[e])} outside (0, 1]")
+
+    _first_failure(fail, [
+        (_repeats(arr), lambda r: f"duplicate pub_id {ids[r]!r}", ParseError),
+        (np.bincount(row[bad], minlength=n) > 0, entry_message, ParseError),
+        (np.abs(total - 1.0) > WEIGHT_SUM_TOL,
+         lambda r: f"category weights sum to {float(total[r])}, expected 1", ParseError),
+    ])
+    order = np.argsort(arr)
+    rank = np.argsort(order)  # input row -> position in id order
+    by_pub = np.argsort(rank[row], kind="stable")
+    return dict(pub_ids=arr[order], pub_year=np.asarray(year, dtype=np.int64)[order],
+                categories=categories, entry_pub=rank[row][by_pub], entry_cat=cat[by_pub],
+                entry_weight=weight[by_pub])
+
+
+def _check_citations(cols: Mapping[str, np.ndarray], pub_refs: Sequence[str], year: Sequence[int],
+                     count: Sequence[int], fail: Fail) -> dict[str, np.ndarray]:
+    """Citation matrix from (publication, obs_year, cumulative count) rows; rejects unknown
+    publications, negative counts, years before the publication year, repeated (publication,
+    year) rows and counts that decrease as the year advances, found from one sort."""
+    pub, known = _lookup(cols["pub_ids"], pub_refs)
+    year, count = np.asarray(year, dtype=np.int64), np.asarray(count, dtype=np.int64)
+    pub_year = np.append(cols["pub_year"], 0)[pub]
+    obs_years, col = np.unique(year, return_inverse=True)
+    order = np.argsort(pub * len(obs_years) + col, kind="stable")
+    p, k, c = pub[order], col[order], count[order]
+    same_pub, same_year = (p[1:] == p[:-1]) & (p[1:] >= 0), k[1:] == k[:-1]
+    again = np.zeros(len(pub), dtype=bool)
+    again[order[1:][same_pub & same_year]] = True
+    # in (year, input) order a publication whose counts decrease has a descent between neighbours
+    clash = _first_clashes(pub, year, count, p[1:][same_pub & (c[1:] < c[:-1])])
+    falling = np.isin(np.arange(len(pub)), list(clash))
+    _first_failure(fail, [
+        (~known, lambda r: f"citation row references unknown pub_id {pub_refs[r]!r}", ParseError),
+        (known & (count < 0), lambda r: f"negative citation count {int(count[r])}", ParseError),
+        (known & (year < pub_year), lambda r: f"obs_year {int(year[r])} precedes publication "
+         f"year {int(pub_year[r])} of {pub_refs[r]!r}", ParseError),
+        (again, lambda r: f"duplicate citation row for ({pub_refs[r]!r}, {int(year[r])})",
+         ParseError),
+        (falling, lambda r: f"cumulative citations of {pub_refs[r]!r} decrease between years "
+         f"{int(year[[r, clash[r]]].min())} and {int(year[[r, clash[r]]].max())}", ParseError),
+    ])
+    counts = np.zeros((len(cols["pub_ids"]), len(obs_years)), dtype=np.int64)
+    present = np.zeros(counts.shape, dtype=bool)
+    counts[pub, col], present[pub, col] = count, True
+    return dict(obs_years=obs_years, counts=counts, present=present)
+
+
+def _check_links(cols: Mapping[str, np.ndarray], pub_refs: Sequence[str],
+                 res_refs: Sequence[str], fail: Fail) -> dict[str, np.ndarray]:
+    """Authorship links; rejects unknown publications or researchers and repeated pairs."""
+    pub, pub_known = _lookup(cols["pub_ids"], pub_refs)
+    res, res_known = _lookup(cols["researcher_ids"], res_refs)
+    _first_failure(fail, [
+        (~pub_known, lambda r: f"authorship references unknown pub_id {pub_refs[r]!r}",
+         IntegrityError),
+        (~res_known, lambda r: f"authorship references unknown researcher_id {res_refs[r]!r}",
+         IntegrityError),
+        (pub_known & res_known & _repeats(pub * len(cols["researcher_ids"]) + res),
+         lambda r: f"duplicate authorship pair ({pub_refs[r]!r}, {res_refs[r]!r})", ParseError),
+    ])
+    return dict(link_pub=pub, link_res=res)
+
+
+def _first_failure(fail: Fail, checks: list[tuple[np.ndarray, Callable[[int], str], type]]) -> None:
+    """Fail at the first row any mask flags; on the same row the earlier check wins."""
+    flagged = [(int(np.argmax(mask)), i) for i, (mask, _m, _c) in enumerate(checks) if mask.any()]
+    if flagged:
+        row, i = min(flagged)
+        _mask, message, cls = checks[i]
+        fail(row, message(row), cls)
+
+
+def _repeats(key: np.ndarray) -> np.ndarray:
+    """Mask of the rows whose key equals that of an earlier row."""
+    return ~np.isin(np.arange(len(key)), np.unique(key, return_index=True)[1])
+
+
+def _lookup(ids: Sequence[str], values: Sequence[str]) -> tuple[np.ndarray, np.ndarray]:
+    """(position of each value in ids, -1 when absent; whether it is present)."""
+    index = dict(zip(list(ids), range(len(ids))))
+    pos = np.fromiter(map(index.get, values, repeat(-1)), dtype=np.intp, count=len(values))
+    return pos, pos >= 0
+
+
+def _first_clashes(pub: np.ndarray, year: np.ndarray, count: np.ndarray,
+                   pubs: np.ndarray) -> dict[int, int]:
+    """For each publication in `pubs`, its first row (in input order) whose count moves
+    against the year relative to an earlier row of it -> the first such earlier row."""
+    rows_of: dict[int, list | None] = {}
+    clash: dict[int, int] = {}
+    sel = np.flatnonzero(np.isin(pub, pubs))
+    for r, p, y, c in zip(sel.tolist(), pub[sel].tolist(), year[sel].tolist(), count[sel].tolist()):
+        rows = rows_of.setdefault(p, [])
+        if rows is None:
+            continue
+        j = next((j for j, y0, c0 in rows if (y - y0) * (c - c0) < 0), None)
+        if j is None:
+            rows.append((r, y, c))
+        else:
+            clash[r], rows_of[p] = j, None
+    return clash

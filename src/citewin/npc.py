@@ -39,8 +39,7 @@ def top_partition(
     Top = scores strictly above the boundary. Raises AnalysisError when
     either side of the split is empty (the test is undefined then).
     """
-    if not (0.0 < percentile < 100.0):
-        raise ValueError(f"percentile must be in (0, 100), got {percentile}")
+    check_percentile(percentile)
     if len(scores) < 2:
         raise AnalysisError("need at least two universities to partition")
     values = np.array([scores[u] for u in sorted(scores)])
@@ -53,6 +52,11 @@ def top_partition(
             f"{len(top)} top vs {len(rest)} rest"
         )
     return top, rest
+
+
+def check_percentile(percentile: float) -> None:
+    if not (0.0 < percentile < 100.0):
+        raise ValueError(f"percentile must be in (0, 100), got {percentile}")
 
 
 @dataclass(frozen=True)

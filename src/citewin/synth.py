@@ -10,6 +10,7 @@ five CSV files are byte-identical across runs.
 from __future__ import annotations
 
 import json
+import math
 import re
 from dataclasses import dataclass, field
 from itertools import accumulate
@@ -60,6 +61,7 @@ class SynthConfig:
             raise ValueError("need at least one observation year")
         if min(self.observation_years) < end:
             raise ValueError("observation years must not precede the publication period end")
+        self._check_finite()
         if self.pub_rate < 0 or self.coauthor_rate < 0 or self.multi_category_rate < 0:
             raise ValueError("rates must be nonnegative")
         if self.quality_sigma < 0:
@@ -73,6 +75,14 @@ class SynthConfig:
             if self.profile_for(sds) is None:
                 raise ValueError(f"no accrual profile for SDS {sds!r}")
 
+    def _check_finite(self) -> None:
+        """Reject NaN or an infinity in any float field, naming the field."""
+        values = [(name, getattr(self, name)) for name in ("pub_rate", "quality_mu",
+                  "quality_sigma", "coauthor_rate", "multi_category_rate")]
+        values += [(f"profile {name!r}", r) for name, p in self.profiles.items() for r in p]
+        if bad := [(name, value) for name, value in values if not math.isfinite(value)]:
+            raise ValueError(f"{bad[0][0]} must be a finite number, got {bad[0][1]}")
+
     def sds_ids(self) -> tuple[str, ...]:
         return tuple(sorted(s for group in self.udas.values() for s in group))
 
@@ -83,7 +93,7 @@ class SynthConfig:
     def from_dict(raw: Mapping) -> "SynthConfig":
         try:
             staff, period = _list(raw["staff_range"]), _list(raw["pub_period"])
-            return SynthConfig(
+            config = SynthConfig(
                 n_universities=_int(raw["n_universities"]),
                 staff_range=(_int(staff[0]), _int(staff[1])),
                 udas={u: tuple(map(_name, _list(s))) for u, s in raw["udas"].items()},
@@ -99,6 +109,8 @@ class SynthConfig:
                 multi_category_rate=float(raw.get("multi_category_rate", 0.0)),
                 seed=_int(raw.get("seed", 0)),
             )
+            config._check_finite()  # so the message names the config, as a bad type's does
+            return config
         except (KeyError, TypeError, IndexError, AttributeError, ValueError, OverflowError) as exc:
             raise ValueError(f"bad synthetic-corpus config: {exc!r}") from exc
 

@@ -1,23 +1,20 @@
 """Shared fixtures: hand-built corpora, random corpora, and the golden
-productivity fixture reconstructed from published per-field inputs."""
+productivity fixture reconstructed from published per-field inputs.
+
+Every test corpus is built from plain rows by corpus_from_rows, which writes
+the five files and loads them, so each one passes the real entry point."""
 
 from __future__ import annotations
 
 import math
-from dataclasses import replace
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from citewin.corpus import (
-    AuthorshipLink,
-    Corpus,
-    FieldTaxonomy,
-    PublicationRecord,
-    ResearcherRecord,
-    build_corpus,
-)
+from citewin.corpus import Corpus
+from citewin.ingest import load_corpus
 from citewin.sensitivity import LevelRanks, rank_scopes
 from citewin.synth import SynthConfig
 
@@ -126,11 +123,42 @@ def golden_corpus_dir(tmp_path_factory) -> Path:
     return build_golden_corpus_dir(tmp_path_factory.mktemp("golden") / "corpus")
 
 
+def corpus_from_rows(publications=(), citations=(), authorship=(), researchers=(),
+                     fields=()) -> Corpus:
+    """load_corpus of the five files holding these rows (as write_corpus_dir takes them)."""
+    with tempfile.TemporaryDirectory() as tmp:
+        root = write_corpus_dir(Path(tmp) / "corpus", list(publications), list(citations),
+                                list(authorship), list(researchers), list(fields))
+        return load_corpus(root)
+
+
+def categories_field(weights) -> str:
+    """The categories field of ((category, weight), ...), each weight written exactly."""
+    return ";".join(f"{category}:{weight!r}" for category, weight in weights)
+
+
+def corpus_rows(corpus: Corpus) -> dict[str, list[tuple]]:
+    """The rows of a loaded corpus, in the order its columns keep: corpus_from_rows of
+    them gives the same columns."""
+    pubs = corpus.publications.values()
+    sds_ids = np.array(corpus.taxonomy.sds_ids, dtype=str)
+    return dict(
+        publications=[(p.pub_id, p.pub_year, categories_field(p.category_weights)) for p in pubs],
+        citations=[(p.pub_id, y, n) for p in pubs for y, n in p.citation_counts.items()],
+        authorship=list(zip(corpus.pub_ids[corpus.link_pub].tolist(),
+                            corpus.researcher_ids[corpus.link_res].tolist())),
+        researchers=list(zip(corpus.researcher_ids.tolist(),
+                             corpus.universities[corpus.res_univ].tolist(),
+                             sds_ids[corpus.res_sds].tolist())),
+        fields=sorted(corpus.taxonomy.sds_to_uda.items()),
+    )
+
+
 # ---------------------------------------------------------------------------
-# random in-memory corpora for property tests
+# random corpora for property tests
 
 
-def make_random_corpus(
+def random_corpus_rows(
     seed: int,
     n_universities: int = 4,
     sds_by_uda: dict[str, tuple[str, ...]] | None = None,
@@ -141,59 +169,56 @@ def make_random_corpus(
     cite_rate: float = 1.2,
     coauthor_prob: float = 0.25,
     second_category_prob: float = 0.2,
-) -> Corpus:
+) -> dict[str, list[tuple]]:
+    """The rows of make_random_corpus."""
     rng = np.random.default_rng(seed)
     sds_by_uda = sds_by_uda or {"UA": ("S1", "S2"), "UB": ("S3", "S4")}
-    taxonomy = FieldTaxonomy({s: u for u, group in sds_by_uda.items() for s in group})
-    sds_list = taxonomy.sds_ids
+    fields = sorted((s, u) for u, group in sds_by_uda.items() for s in group)
+    sds_list = [s for s, _u in fields]
 
     researchers = []
     for ui in range(1, n_universities + 1):
         univ = f"U{ui:02d}"
         for sds in sds_list:
             for i in range(int(rng.integers(staff_range[0], staff_range[1] + 1))):
-                researchers.append(
-                    ResearcherRecord(f"{univ}-{sds}-{i:02d}", univ, sds)
-                )
+                researchers.append((f"{univ}-{sds}-{i:02d}", univ, sds))
 
-    pubs: list[PublicationRecord] = []
-    links: list[AuthorshipLink] = []
+    pubs, citations, links = [], [], []
     counter = 0
-    for res in researchers:
+    for rid, _univ, sds in researchers:
         for year in range(pub_years[0], pub_years[1] + 1):
             for _ in range(int(rng.poisson(pub_rate))):
                 counter += 1
                 pid = f"P{counter:05d}"
-                cats = [(f"K_{res.sds_id}", 1.0)]
+                cats = [(f"K_{sds}", 1.0)]
                 if rng.random() < second_category_prob:
                     other = sds_list[int(rng.integers(len(sds_list)))]
-                    if other != res.sds_id:
-                        cats = [(f"K_{res.sds_id}", 0.5), (f"K_{other}", 0.5)]
-                counts = {}
+                    if other != sds:
+                        cats = [(f"K_{sds}", 0.5), (f"K_{other}", 0.5)]
                 total = 0
                 for obs in sorted(obs_years):
                     total += int(rng.poisson(cite_rate))
-                    counts[obs] = total
-                pubs.append(
-                    PublicationRecord(pid, year, tuple(cats), counts)
-                )
-                links.append(AuthorshipLink(pid, res.researcher_id))
+                    citations.append((pid, obs, total))
+                pubs.append((pid, year, categories_field(cats)))
+                links.append((pid, rid))
                 if rng.random() < coauthor_prob:
-                    co = researchers[int(rng.integers(len(researchers)))]
-                    if co.researcher_id != res.researcher_id:
-                        links.append(AuthorshipLink(pid, co.researcher_id))
-    return build_corpus(pubs, researchers, links, taxonomy)
+                    co = researchers[int(rng.integers(len(researchers)))][0]
+                    if co != rid:
+                        links.append((pid, co))
+    return dict(publications=pubs, citations=citations, authorship=links,
+                researchers=researchers, fields=fields)
+
+
+def make_random_corpus(seed: int, **options) -> Corpus:
+    """A random corpus; `options` are those of random_corpus_rows."""
+    return corpus_from_rows(**random_corpus_rows(seed, **options))
 
 
 def scale_citations(corpus: Corpus, k: int) -> Corpus:
     """Multiply every cumulative citation count by an integer factor."""
-    pubs = [
-        replace(p, citation_counts={y: c * k for y, c in p.citation_counts.items()})
-        for p in corpus.publications.values()
-    ]
-    return build_corpus(
-        pubs, corpus.researchers.values(), corpus.authorships, corpus.taxonomy
-    )
+    rows = corpus_rows(corpus)
+    rows["citations"] = [(p, y, n * k) for p, y, n in rows["citations"]]
+    return corpus_from_rows(**rows)
 
 
 # ---------------------------------------------------------------------------

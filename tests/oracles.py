@@ -10,6 +10,7 @@ from __future__ import annotations
 import csv
 import math
 import re
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate, combinations
@@ -455,14 +456,28 @@ def _fmt(x, decimals=6):
 # against
 
 
+def cell_staff(corpus):
+    """(university, SDS) -> staff count of every staffed cell, read from the researcher columns."""
+    sds_ids = corpus.taxonomy.sds_ids
+    cells = zip(corpus.universities[corpus.res_univ].tolist(),
+                [sds_ids[i] for i in corpus.res_sds.tolist()])
+    return dict(sorted(Counter(cells).items()))
+
+
+def sds_in_uda(taxonomy, uda_id):
+    """The SDSs of one discipline, sorted."""
+    return tuple(s for s in taxonomy.sds_ids if taxonomy.sds_to_uda[s] == uda_id)
+
+
 def compute_cells(corpus, retained_sds, pub_period, obs_year, median_table):
     """All (university, SDS) productivity cells of the retained SDSs, SDS by SDS."""
     from citewin.productivity import scientific_strength, sds_productivity
 
+    staff = cell_staff(corpus)
     cells = {}
     for sds_id in sorted(retained_sds):
-        for univ in sorted({u for (u, s) in corpus.researchers_by_cell if s == sds_id}):
-            rs = corpus.cell_staff_count(univ, sds_id)
+        for univ in sorted(u for (u, s) in staff if s == sds_id):
+            rs = staff[(univ, sds_id)]
             ss = scientific_strength(corpus, univ, sds_id, pub_period, obs_year, median_table)
             cells[(univ, sds_id)] = sds_productivity(univ, sds_id, obs_year, ss, rs)
     return cells
@@ -486,7 +501,7 @@ def uda_scores(corpus, cells, baselines, uda_id):
     """university -> UdaProductivity for one discipline."""
     from citewin.productivity import uda_productivity
 
-    member_sds = set(corpus.taxonomy.sds_in_uda(uda_id))
+    member_sds = set(sds_in_uda(corpus.taxonomy, uda_id))
     by_univ = {}
     for (univ, sds), cell in sorted(cells.items()):
         if sds in member_sds:
@@ -509,7 +524,7 @@ WEIGHT_RE = re.compile(r"-?(?:[0-9]+(?:\.[0-9]*)?|\.[0-9]+)(?:[eE][-+]?[0-9]+)?"
 
 
 def read_corpus_rows(directory):
-    """(publications by id, researchers, authorship links, taxonomy) of a corpus directory."""
+    """(publications by id, researcher rows, authorship rows, taxonomy) of a corpus directory."""
     from citewin.corpus import FieldTaxonomy, PublicationRecord
 
     root = Path(directory)
@@ -517,7 +532,7 @@ def read_corpus_rows(directory):
     researchers = _read_researchers(root / "researchers.csv", taxonomy)
     pubs = _read_publications(root / "publications.csv")
     _attach_citations(root / "citations.csv", pubs)
-    links = _read_authorship(root / "authorship.csv", pubs, {r.researcher_id for r in researchers})
+    links = _read_authorship(root / "authorship.csv", pubs, {r[0] for r in researchers})
     records = {pid: PublicationRecord(pid, y, c, n) for pid, (y, c, n) in pubs.items()}
     return records, researchers, links, taxonomy
 
@@ -596,7 +611,6 @@ def _read_fields(path):
 
 
 def _read_researchers(path, taxonomy):
-    from citewin.corpus import ResearcherRecord
     from citewin.errors import IntegrityError, ParseError
 
     out, seen = [], set()
@@ -609,7 +623,7 @@ def _read_researchers(path, taxonomy):
                 f"{path}:{line}: researcher {rid!r}: sds_id {sds!r} missing from taxonomy"
             )
         seen.add(rid)
-        out.append(ResearcherRecord(rid, univ, sds))
+        out.append((rid, univ, sds))
     return out
 
 
@@ -667,7 +681,6 @@ def _attach_citations(path, pubs):
 
 
 def _read_authorship(path, pubs, researcher_ids):
-    from citewin.corpus import AuthorshipLink
     from citewin.errors import IntegrityError, ParseError
 
     out, seen = [], set()
@@ -681,7 +694,7 @@ def _read_authorship(path, pubs, researcher_ids):
         if (pid, rid) in seen:
             raise ParseError(path, line, f"duplicate authorship pair ({pid!r}, {rid!r})")
         seen.add((pid, rid))
-        out.append(AuthorshipLink(pub_id=pid, researcher_id=rid))
+        out.append((pid, rid))
     return out
 
 

@@ -26,6 +26,7 @@ from conftest import (
     GOLDEN_TOTAL_P,
     GOLDEN_UNIVERSITY,
     build_golden_corpus_dir,
+    corpus_from_rows,
     make_random_corpus,
     one_scope,
     scale_citations,
@@ -98,16 +99,10 @@ def test_criterion_2_impact_unit_suite_and_scale_invariance():
         table = MedianTable(2004, {(2001, "A"): 2.0, (2001, "B"): 8.0})
         assert article_impact_index(pub, 2004, table) == 1.25
         # zero-citation exclusion fixture: exact
-        from citewin.corpus import FieldTaxonomy, build_corpus
-
-        zeros = build_corpus(
-            [
-                PublicationRecord(f"P{i}", 2001, (("K", 1.0),), {2004: c})
-                for i, c in enumerate((0, 0, 3, 5))
-            ],
-            [],
-            [],
-            FieldTaxonomy({"S1": "UA"}),
+        zeros = corpus_from_rows(
+            publications=[(f"P{i}", 2001, "K") for i in range(4)],
+            citations=[(f"P{i}", 2004, c) for i, c in enumerate((0, 0, 3, 5))],
+            fields=[("S1", "UA")],
         )
         assert compute_median_table(zeros, 2004).median_for(2001, "K") == 4.0
         uncited = PublicationRecord("PZ", 2001, (("K", 1.0),), {2004: 0})
@@ -148,7 +143,7 @@ def test_criterion_3_normalization_identity(tmp_path):
             for u, s in zip(corpus.res_univ.tolist(), corpus.res_sds.tolist()):
                 sds = corpus.taxonomy.sds_ids[s]
                 if sds in retained:
-                    key = (corpus.taxonomy.uda_of(sds), str(corpus.universities[u]))
+                    key = (corpus.taxonomy.sds_to_uda[sds], str(corpus.universities[u]))
                     rs[key] = rs.get(key, 0) + 1
             level = run.levels["uda"]
             assert level.scope_ids

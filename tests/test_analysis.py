@@ -12,18 +12,12 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from citewin.analysis import run_analysis
-from citewin.corpus import (
-    AuthorshipLink,
-    FieldTaxonomy,
-    PublicationRecord,
-    ResearcherRecord,
-    build_corpus,
-)
 from citewin.errors import AnalysisError
 from citewin.impact import compute_median_table
 from citewin.ingest import representativity_filter
 from citewin.productivity import BASELINE_RULES
 
+from conftest import categories_field, corpus_from_rows
 from oracles import compute_baselines, compute_cells, rank_universities, sds_scores, uda_scores
 
 PERIOD = (2001, 2003)
@@ -42,8 +36,8 @@ def corpora(draw):
             # (U0, S1) can hold same-cell co-authors; (U0, S3) keeps the degenerate SDS staffed
             low = {"S1": 2, "S3": 1}.get(sds, 0) if u == 0 else 0
             for i in range(draw(st.integers(low, 3))):
-                researchers.append(ResearcherRecord(f"U{u}-{sds}-{i}", f"U{u}", sds))
-    ids = [r.researcher_id for r in researchers]
+                researchers.append((f"U{u}-{sds}-{i}", f"U{u}", sds))
+    ids = [r[0] for r in researchers]
     specs = [  # (authors, pub_year, categories): the cases every corpus includes
         ((ids[0],), 2000, (("K1", 1.0),)),  # outside the publication period
         (("U0-S1-0",), 2002, (("K1", 0.3), ("K2", 0.7))),  # two categories
@@ -56,17 +50,17 @@ def corpora(draw):
         weights = draw(st.sampled_from(WEIGHT_PAIRS)) if len(cats) == 2 else (1.0,)
         specs.append((tuple(authors), draw(st.sampled_from((2000, 2001, 2002, 2003))),
                       tuple(zip(cats, weights))))
-    pubs, links = [], []
+    pubs, citations, links = [], [], []
     for n, (authors, year, cats) in enumerate(specs):
         uncited = any(a.split("-")[1] == UNCITED_SDS for a in authors)
         steps = draw(st.lists(st.integers(0, 4), min_size=len(YEARS), max_size=len(YEARS)))
-        total, counts = 0, {}
+        total = 0
         for obs, step in zip(YEARS, steps):
             total += 0 if uncited else step
-            counts[obs] = total
-        pubs.append(PublicationRecord(f"P{n:03d}", year, cats, counts))
-        links += [AuthorshipLink(f"P{n:03d}", a) for a in authors]
-    return build_corpus(pubs, researchers, links, FieldTaxonomy(TAXONOMY))
+            citations.append((f"P{n:03d}", obs, total))
+        pubs.append((f"P{n:03d}", year, categories_field(cats)))
+        links += [(f"P{n:03d}", a) for a in authors]
+    return corpus_from_rows(pubs, citations, links, researchers, sorted(TAXONOMY.items()))
 
 
 def scalar_rankings(corpus, retained, years, baseline):
@@ -137,16 +131,12 @@ def test_core_equals_scalar_definitions_bit_for_bit(corpus, years, baseline, thr
 
 def test_degenerate_sds_scores_zero_and_contributes_nothing():
     # S3 is staffed and published in, but never cited: its baseline is 0 at every year
-    corpus = build_corpus(
-        [
-            PublicationRecord("P1", 2002, (("K1", 1.0),), {2004: 2}),
-            PublicationRecord("P2", 2002, (("K1", 1.0),), {2004: 4}),
-            PublicationRecord("P3", 2002, (("K3", 1.0),), {2004: 0}),
-        ],
-        [ResearcherRecord("R1", "U1", "S1"), ResearcherRecord("R2", "U2", "S1"),
-         ResearcherRecord("R3", "U1", "S3")],
-        [AuthorshipLink("P1", "R1"), AuthorshipLink("P2", "R2"), AuthorshipLink("P3", "R3")],
-        FieldTaxonomy({"S1": "UA", "S3": "UA"}),
+    corpus = corpus_from_rows(
+        publications=[("P1", 2002, "K1"), ("P2", 2002, "K1"), ("P3", 2002, "K3")],
+        citations=[("P1", 2004, 2), ("P2", 2004, 4), ("P3", 2004, 0)],
+        authorship=[("P1", "R1"), ("P2", "R2"), ("P3", "R3")],
+        researchers=[("R1", "U1", "S1"), ("R2", "U2", "S1"), ("R3", "U1", "S3")],
+        fields=[("S1", "UA"), ("S3", "UA")],
     )
     run = run_analysis(corpus, PERIOD, [2004], 0.0, "aggregate")
     sds, uda = run.levels["sds"], run.levels["uda"]
@@ -156,12 +146,12 @@ def test_degenerate_sds_scores_zero_and_contributes_nothing():
 
 
 def test_missing_year_names_the_years_every_publication_covers():
-    corpus = build_corpus(
-        [PublicationRecord("P1", 2002, (("K1", 1.0),), {2004: 1, 2005: 1}),
-         PublicationRecord("P2", 2002, (("K1", 1.0),), {2004: 1})],
-        [ResearcherRecord("R1", "U1", "S1")],
-        [AuthorshipLink("P1", "R1")],
-        FieldTaxonomy({"S1": "UA"}),
+    corpus = corpus_from_rows(
+        publications=[("P1", 2002, "K1"), ("P2", 2002, "K1")],
+        citations=[("P1", 2004, 1), ("P1", 2005, 1), ("P2", 2004, 1)],
+        authorship=[("P1", "R1")],
+        researchers=[("R1", "U1", "S1")],
+        fields=[("S1", "UA")],
     )
     with pytest.raises(AnalysisError, match=r"year\(s\) \[2005\] not covered .* \[2004\]$"):
         run_analysis(corpus, PERIOD, [2004, 2005], 0.5, "aggregate")

@@ -258,6 +258,34 @@ def test_single_observation_year_is_rejected_before_any_work(
     assert not out.exists()
 
 
+RANGE_ERRORS = [
+    ("--threshold", "1.5", "threshold must be in [0, 1], got 1.5"),
+    ("--threshold", "-0.1", "threshold must be in [0, 1], got -0.1"),
+    ("--threshold", "nan", "threshold must be in [0, 1], got nan"),
+    ("--period", "2003-2001", "empty publication period (2003, 2001)"),
+]
+PERCENTILE_ERRORS = [
+    ("--top-percentile", "100", "percentile must be in (0, 100), got 100.0"),
+    ("--top-percentile", "0", "percentile must be in (0, 100), got 0.0"),
+]
+
+
+@pytest.mark.parametrize("command, flag, value, message", [
+    (command, *error) for command in ("rankings", "sensitivity", "npc") for error in RANGE_ERRORS
+] + [("npc", *error) for error in PERCENTILE_ERRORS])
+def test_out_of_range_value_is_rejected_before_the_corpus_is_read(
+    golden_corpus_dir, tmp_path, capsys, monkeypatch, command, flag, value, message
+):
+    def no_reading(*args, **kwargs):
+        raise AssertionError("the corpus was read")
+
+    monkeypatch.setattr(cli_mod, "load_corpus", no_reading)
+    out = tmp_path / "out"
+    assert run(command, golden_corpus_dir, "--out", out, flag, value) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()
+
+
 def test_rankings_on_uncited_corpus_gives_all_zero_scores(tmp_path):
     root = write_corpus_dir(
         tmp_path / "uncited",
@@ -497,9 +525,15 @@ def test_synth_missing_config_is_usage_error(tmp_path, capsys):
      "observation_years": [2004.9], "seed": True},
     {"n_universities": 4.0},
     {"seed": True},
+    {"pub_rate": math.nan},
+    {"quality_sigma": math.nan},
+    {"coauthor_rate": math.nan},
+    {"profiles": {"default": [math.inf]}},
+    {"multi_category_rate": -math.inf},
 ], ids=["udas_list", "profiles_list", "n_universities_inf", "profile_name_list",
         "sds_string", "profile_string", "staff_range_string", "floats_and_bool_for_ints",
-        "float_n_universities", "bool_seed"])
+        "float_n_universities", "bool_seed", "nan_pub_rate", "nan_quality_sigma",
+        "nan_coauthor_rate", "infinite_profile_rate", "minus_infinite_multi_category_rate"])
 def test_synth_wrongly_typed_config_is_usage_error(tmp_path, capsys, override):
     config = {"n_universities": 4, "staff_range": [2, 3], "udas": {"UA": ["S1"]},
               "pub_period": [2001, 2003], "observation_years": [2004, 2005], "pub_rate": 1.0,
@@ -507,7 +541,14 @@ def test_synth_wrongly_typed_config_is_usage_error(tmp_path, capsys, override):
     path = tmp_path / "config.json"
     path.write_text(json.dumps(config), encoding="utf-8")
     assert run("synth", "--config", path, "--out", tmp_path / "corpus") == 2
-    assert capsys.readouterr().err.startswith("error: bad synthetic-corpus config")
+    err = capsys.readouterr().err
+    assert err.startswith("error: bad synthetic-corpus config")
+    assert not (tmp_path / "corpus").exists()
+    field, value = next(iter(override.items()))
+    if field in ("pub_rate", "quality_sigma", "coauthor_rate", "multi_category_rate"):
+        assert f"{field} must be a finite number, got {value}" in err
+    if value == {"default": [math.inf]}:
+        assert "profile 'default' must be a finite number, got inf" in err
 
 
 @pytest.mark.parametrize("override, field", [

@@ -5,133 +5,112 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from citewin.corpus import (
-    AuthorshipLink,
-    FieldTaxonomy,
-    PublicationRecord,
-    ResearcherRecord,
-    build_corpus,
-)
-from citewin.errors import IntegrityError
+from citewin.errors import IntegrityError, ParseError
 from citewin.ingest import load_corpus
 
-from conftest import make_random_corpus, write_corpus_dir
+from conftest import (
+    corpus_from_rows,
+    corpus_rows,
+    make_random_corpus,
+    random_corpus_rows,
+    write_corpus_dir,
+)
+from oracles import cell_staff
 
-TAX = FieldTaxonomy({"S1": "UA", "S2": "UA", "S3": "UB"})
+FIELDS = [("S1", "UA"), ("S2", "UA"), ("S3", "UB")]
 
 
-def pub(pid="P1", year=2001, cats=(("K1", 1.0),), counts=None):
-    return PublicationRecord(pid, year, tuple(cats), counts if counts is not None else {2004: 1})
+def corpus(publications=(("P1", 2001, "K1"),), citations=(("P1", 2004, 1),), authorship=(),
+           researchers=()):
+    return corpus_from_rows(publications, citations, authorship, researchers, FIELDS)
 
 
 def test_minimal_corpus_indexed():
-    corpus = build_corpus(
-        [pub()],
-        [ResearcherRecord("R1", "U1", "S1")],
-        [AuthorshipLink("P1", "R1")],
-        TAX,
-    )
-    assert corpus.pubs_by_cell == {("U1", "S1"): ("P1",)}
-    assert corpus.researchers_by_cell == {("U1", "S1"): ("R1",)}
-    assert corpus.cell_staff_count("U1", "S1") == 1
+    built = corpus(authorship=[("P1", "R1")], researchers=[("R1", "U1", "S1")])
+    assert built.cell_pubs("U1", "S1") == ("P1",)
+    assert built.cell_pubs("U1", "S2") == ()
+    assert cell_staff(built) == {("U1", "S1"): 1}
 
 
 def test_dangling_pub_reference_names_record():
-    with pytest.raises(IntegrityError, match="X9"):
-        build_corpus(
-            [pub()],
-            [ResearcherRecord("R1", "U1", "S1")],
-            [AuthorshipLink("X9", "R1")],
-            TAX,
-        )
+    with pytest.raises(IntegrityError, match="authorship.csv:2: .* unknown pub_id 'X9'"):
+        corpus(authorship=[("X9", "R1")], researchers=[("R1", "U1", "S1")])
 
 
 def test_cross_university_coauthorship_indexes_both_cells():
-    corpus = build_corpus(
-        [pub()],
-        [ResearcherRecord("R1", "U1", "S1"), ResearcherRecord("R2", "U2", "S2")],
-        [AuthorshipLink("P1", "R1"), AuthorshipLink("P1", "R2")],
-        TAX,
-    )
-    assert corpus.cell_pubs("U1", "S1") == ("P1",)
-    assert corpus.cell_pubs("U2", "S2") == ("P1",)
+    built = corpus(authorship=[("P1", "R1"), ("P1", "R2")],
+                   researchers=[("R1", "U1", "S1"), ("R2", "U2", "S2")])
+    assert built.cell_pubs("U1", "S1") == ("P1",)
+    assert built.cell_pubs("U2", "S2") == ("P1",)
 
 
 def test_same_cell_coauthors_count_publication_once():
-    corpus = build_corpus(
-        [pub()],
-        [ResearcherRecord("R1", "U1", "S1"), ResearcherRecord("R2", "U1", "S1")],
-        [AuthorshipLink("P1", "R1"), AuthorshipLink("P1", "R2")],
-        TAX,
-    )
-    assert corpus.cell_pubs("U1", "S1") == ("P1",)
+    built = corpus(authorship=[("P1", "R1"), ("P1", "R2")],
+                   researchers=[("R1", "U1", "S1"), ("R2", "U1", "S1")])
+    assert built.cell_pubs("U1", "S1") == ("P1",)
 
 
 @pytest.mark.parametrize(
     "bad",
     [
-        pub(cats=()),  # no categories
-        pub(cats=(("K1", 0.4), ("K2", 0.4))),  # weights sum 0.8
-        pub(cats=(("K1", 1.5),)),  # weight outside (0, 1]
-        pub(cats=(("K1", 0.5), ("K1", 0.5))),  # duplicate category
-        pub(counts={2004: 5, 2005: 3}),  # decreasing cumulative counts
-        pub(counts={2000: 1}),  # observation before publication year
-        pub(counts={2004: -1}),  # negative count
+        ("", [("P1", 2004, 1)], "publications.csv:2: categories field is empty"),
+        ("K1:0.4;K2:0.4", [("P1", 2004, 1)],
+         "publications.csv:2: category weights sum to 0.8, expected 1"),
+        ("K1:1.5", [("P1", 2004, 1)], "publications.csv:2: category weight 1.5 outside (0, 1]"),
+        ("K1:0.5;K1:0.5", [("P1", 2004, 1)], "publications.csv:2: category 'K1' listed twice"),
+        ("K1", [("P1", 2004, 5), ("P1", 2005, 3)],
+         "citations.csv:3: cumulative citations of 'P1' decrease between years 2004 and 2005"),
+        ("K1", [("P1", 2000, 1)],
+         "citations.csv:2: obs_year 2000 precedes publication year 2001 of 'P1'"),
+        ("K1", [("P1", 2004, -1)], "citations.csv:2: negative citation count -1"),
     ],
 )
 def test_invalid_publication_rejected(bad):
-    with pytest.raises(IntegrityError, match="publication 'P1'"):
-        build_corpus([bad], [], [], TAX)
+    categories, citations, message = bad
+    with pytest.raises(ParseError) as err:
+        corpus(publications=[("P1", 2001, categories)], citations=citations)
+    assert str(err.value).endswith(f"/corpus/{message}")
 
 
 def test_duplicate_ids_rejected():
-    with pytest.raises(IntegrityError, match="duplicate pub_id"):
-        build_corpus([pub(), pub()], [], [], TAX)
-    with pytest.raises(IntegrityError, match="duplicate researcher_id"):
-        build_corpus(
-            [], [ResearcherRecord("R1", "U1", "S1"), ResearcherRecord("R1", "U2", "S2")], [], TAX
-        )
-    with pytest.raises(IntegrityError, match="duplicate authorship"):
-        build_corpus(
-            [pub()],
-            [ResearcherRecord("R1", "U1", "S1")],
-            [AuthorshipLink("P1", "R1"), AuthorshipLink("P1", "R1")],
-            TAX,
-        )
+    with pytest.raises(ParseError, match="publications.csv:3: duplicate pub_id 'P1'"):
+        corpus(publications=[("P1", 2001, "K1"), ("P1", 2002, "K1")])
+    with pytest.raises(ParseError, match="researchers.csv:3: duplicate researcher_id 'R1'"):
+        corpus(researchers=[("R1", "U1", "S1"), ("R1", "U2", "S2")])
+    with pytest.raises(ParseError, match=r"authorship.csv:3: duplicate authorship pair"):
+        corpus(authorship=[("P1", "R1"), ("P1", "R1")], researchers=[("R1", "U1", "S1")])
 
 
 def test_unknown_sds_rejected():
-    with pytest.raises(IntegrityError, match="S9"):
-        build_corpus([], [ResearcherRecord("R1", "U1", "S9")], [], TAX)
+    with pytest.raises(IntegrityError, match="researchers.csv:2: researcher 'R1': sds_id 'S9'"):
+        corpus(researchers=[("R1", "U1", "S9")])
 
 
 @pytest.mark.parametrize("seed", range(6))
 def test_indexes_match_full_rescan(seed):
-    corpus = make_random_corpus(seed)
+    rows = random_corpus_rows(seed)
+    built = corpus_from_rows(**rows)
+    cell_of = {rid: (univ, sds) for rid, univ, sds in rows["researchers"]}
 
     expected_pubs: dict = {}
-    for link in corpus.authorships:
-        res = corpus.researchers[link.researcher_id]
-        expected_pubs.setdefault((res.university_id, res.sds_id), set()).add(link.pub_id)
-    assert {cell: set(pids) for cell, pids in corpus.pubs_by_cell.items()} == expected_pubs
+    for pid, rid in rows["authorship"]:
+        expected_pubs.setdefault(cell_of[rid], set()).add(pid)
+    cells = {(u, s) for u in built.universities.tolist() for s in built.taxonomy.sds_ids}
+    assert {cell: set(built.cell_pubs(*cell)) for cell in cells if built.cell_pubs(*cell)} == (
+        expected_pubs)
+    assert all(list(built.cell_pubs(*cell)) == sorted(built.cell_pubs(*cell)) for cell in cells)
 
     expected_staff: dict = {}
-    for res in corpus.researchers.values():
-        expected_staff.setdefault((res.university_id, res.sds_id), set()).add(res.researcher_id)
-    assert {
-        cell: set(rids) for cell, rids in corpus.researchers_by_cell.items()
-    } == expected_staff
+    for rid, univ, sds in rows["researchers"]:
+        expected_staff.setdefault((univ, sds), set()).add(rid)
+    assert cell_staff(built) == {cell: len(rids) for cell, rids in expected_staff.items()}
 
-    # rebuilding from the raw collections is idempotent
-    rebuilt = build_corpus(
-        corpus.publications.values(),
-        corpus.researchers.values(),
-        corpus.authorships,
-        corpus.taxonomy,
-    )
-    assert rebuilt.pubs_by_cell == corpus.pubs_by_cell
-    assert rebuilt.researchers_by_cell == corpus.researchers_by_cell
-    assert rebuilt.pubs_by_researcher == corpus.pubs_by_researcher
+    # rebuilding from the rows of the loaded corpus gives the same columns
+    rebuilt = corpus_from_rows(**corpus_rows(built))
+    assert rebuilt.taxonomy == built.taxonomy
+    for name, column in vars(built).items():
+        if isinstance(column, np.ndarray):
+            assert np.array_equal(getattr(rebuilt, name), column), name
 
 
 @pytest.mark.parametrize("seed", range(4))

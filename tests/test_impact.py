@@ -4,21 +4,19 @@ from __future__ import annotations
 
 import pytest
 
-from citewin.corpus import FieldTaxonomy, PublicationRecord, build_corpus
+from citewin.corpus import PublicationRecord
 from citewin.errors import AnalysisError
 from citewin.impact import MedianTable, article_impact_index, compute_median_table
 
-from conftest import make_random_corpus, scale_citations
-
-TAX = FieldTaxonomy({"S1": "UA"})
+from conftest import corpus_from_rows, make_random_corpus, scale_citations
 
 
 def corpus_with_counts(counts_by_pub: dict[str, int], cat="K1", year=2001, obs=2004):
-    pubs = [
-        PublicationRecord(pid, year, ((cat, 1.0),), {obs: c})
-        for pid, c in counts_by_pub.items()
-    ]
-    return build_corpus(pubs, [], [], TAX)
+    return corpus_from_rows(
+        publications=[(pid, year, cat) for pid in counts_by_pub],
+        citations=[(pid, obs, c) for pid, c in counts_by_pub.items()],
+        fields=[("S1", "UA")],
+    )
 
 
 def test_median_excludes_uncited_and_uses_midpoint():

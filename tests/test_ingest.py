@@ -6,6 +6,9 @@ import ast
 import contextlib
 import functools
 import io
+import os
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 
@@ -20,7 +23,7 @@ from citewin.errors import CitewinError, IntegrityError, MissingInputError, Pars
 from citewin.ingest import FILES, load_corpus, representativity_filter
 from citewin.synth import SynthConfig, generate
 
-from conftest import make_random_corpus, write_corpus_dir
+from conftest import corpus_from_rows, corpus_rows, make_random_corpus, write_corpus_dir
 from oracles import read_corpus_rows
 
 
@@ -55,7 +58,7 @@ def small_fixture(tmp_path, **overrides):
 def test_round_trip(tmp_path):
     corpus = load_corpus(small_fixture(tmp_path))
     assert len(corpus.publications) == 3
-    assert len(corpus.researchers) == 4
+    assert len(corpus.researcher_ids) == 4
     assert corpus.publications["P2"].category_weights == (("K1", 0.5), ("K2", 0.5))
     # omitted weights become uniform
     assert corpus.publications["P3"].category_weights == (("K1", 0.5), ("K2", 0.5))
@@ -279,10 +282,25 @@ def test_columnar_core_does_not_import_the_scalar_definitions():
     assert not imported & {"citewin.impact", "citewin.productivity"}
 
 
+def test_commands_load_only_the_columnar_core():
+    """impact.py and productivity.py are the written reference: no command imports them."""
+    code = "import sys, citewin.cli; print(' '.join(sorted(sys.modules)))"
+    src = str(Path(ingest.__file__).parents[1])
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          check=True, env={**os.environ, "PYTHONPATH": src})
+    loaded = {m for m in proc.stdout.split() if m.startswith("citewin.")}
+    assert loaded == {f"citewin.{m}" for m in ("analysis", "cli", "corpus", "errors", "ingest",
+                                               "npc", "sensitivity", "synth")}
+
+
 REMOVED_NAMES = (
     "QuartileAssignment", "Ranking", "max_rank_shift", "no_change_and_small_shift_pcts",
     "quartile_classes", "quartile_shift_stats", "rank_shifts", "rank_universities",
     "shift_descriptives", "spearman_rho", "stability_summary",
+    "build_corpus", "PublicationRecord", "ResearcherRecord", "AuthorshipLink", "MedianTable",
+    "compute_median_table", "article_impact_index", "NationalBaseline", "ProductivityCell",
+    "UdaProductivity", "scientific_strength", "sds_productivity", "national_baseline",
+    "uda_productivity",
 )
 
 
@@ -328,9 +346,10 @@ def synth_configs(draw):
 
 def assert_matches_rows(corpus, directory):
     pubs, researchers, links, taxonomy = read_corpus_rows(directory)
+    rows = corpus_rows(corpus)
     assert dict(corpus.publications) == pubs
-    assert dict(corpus.researchers) == {r.researcher_id: r for r in researchers}
-    assert list(corpus.authorships) == links
+    assert rows["researchers"] == sorted(researchers)
+    assert rows["authorship"] == links
     assert corpus.taxonomy == taxonomy
 
 
@@ -409,20 +428,13 @@ def test_single_field_corruption_fails_like_the_row_reader(data):
 
 def coverage_corpus(publishing: int, staff: int):
     """One SDS with `staff` researchers of which `publishing` have a publication."""
-    from citewin.corpus import (
-        AuthorshipLink,
-        FieldTaxonomy,
-        PublicationRecord,
-        ResearcherRecord,
-        build_corpus,
+    return corpus_from_rows(
+        publications=[(f"P{i}", 2002, "K1") for i in range(publishing)],
+        citations=[(f"P{i}", 2004, 1) for i in range(publishing)],
+        authorship=[(f"P{i}", f"R{i}") for i in range(publishing)],
+        researchers=[(f"R{i}", "U1", "S1") for i in range(staff)],
+        fields=[("S1", "UA")],
     )
-
-    researchers = [ResearcherRecord(f"R{i}", "U1", "S1") for i in range(staff)]
-    pubs = [
-        PublicationRecord(f"P{i}", 2002, (("K1", 1.0),), {2004: 1}) for i in range(publishing)
-    ]
-    links = [AuthorshipLink(f"P{i}", f"R{i}") for i in range(publishing)]
-    return build_corpus(pubs, researchers, links, FieldTaxonomy({"S1": "UA"}))
 
 
 def test_filter_threshold_is_inclusive():
@@ -439,28 +451,19 @@ def test_filter_below_threshold_excluded():
 
 
 def test_filter_empty_sds_flagged():
-    from citewin.corpus import FieldTaxonomy, build_corpus
-
-    corpus = build_corpus([], [], [], FieldTaxonomy({"S1": "UA"}))
+    corpus = corpus_from_rows(fields=[("S1", "UA")])
     report = representativity_filter(corpus, (2001, 2003), 0.5)
     (row,) = report.rows
     assert row.empty and not row.retained and row.coverage is None
 
 
 def test_filter_counts_only_period_publications():
-    from citewin.corpus import (
-        AuthorshipLink,
-        FieldTaxonomy,
-        PublicationRecord,
-        ResearcherRecord,
-        build_corpus,
-    )
-
-    corpus = build_corpus(
-        [PublicationRecord("P1", 1999, (("K1", 1.0),), {2004: 1})],
-        [ResearcherRecord("R1", "U1", "S1"), ResearcherRecord("R2", "U1", "S1")],
-        [AuthorshipLink("P1", "R1")],
-        FieldTaxonomy({"S1": "UA"}),
+    corpus = corpus_from_rows(
+        publications=[("P1", 1999, "K1")],
+        citations=[("P1", 2004, 1)],
+        authorship=[("P1", "R1")],
+        researchers=[("R1", "U1", "S1"), ("R2", "U1", "S1")],
+        fields=[("S1", "UA")],
     )
     report = representativity_filter(corpus, (2001, 2003), 0.5)
     assert report.rows[0].publishing_staff == 0

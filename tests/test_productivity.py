@@ -4,13 +4,6 @@ from __future__ import annotations
 
 import pytest
 
-from citewin.corpus import (
-    AuthorshipLink,
-    FieldTaxonomy,
-    PublicationRecord,
-    ResearcherRecord,
-    build_corpus,
-)
 from citewin.errors import AnalysisError
 from citewin.impact import compute_median_table
 from citewin.productivity import (
@@ -22,10 +15,10 @@ from citewin.productivity import (
     uda_productivity,
 )
 
-from conftest import GOLDEN_SDS_ROWS, GOLDEN_TOTAL_P, make_random_corpus
+from conftest import GOLDEN_SDS_ROWS, GOLDEN_TOTAL_P, corpus_from_rows, make_random_corpus
 from oracles import compute_baselines, compute_cells, uda_scores
 
-TAX = FieldTaxonomy({"S1": "UA", "S2": "UA"})
+FIELDS = [("S1", "UA"), ("S2", "UA")]
 PERIOD = (2001, 2003)
 
 
@@ -34,20 +27,14 @@ def anchored_cell_corpus():
 
     Author-less anchor publications {2, 2} pin the cell median to 2.
     """
-    pubs = [
-        PublicationRecord("A1", 2001, (("K1", 1.0),), {2004: 2}),
-        PublicationRecord("A2", 2001, (("K1", 1.0),), {2004: 2}),
-        PublicationRecord("P1", 2001, (("K1", 1.0),), {2004: 2}),
-        PublicationRecord("P2", 2001, (("K1", 1.0),), {2004: 1}),
-        PublicationRecord("P3", 2001, (("K1", 1.0),), {2004: 0}),
-    ]
-    researchers = [ResearcherRecord("R1", "U1", "S1"), ResearcherRecord("R2", "U2", "S1")]
-    links = [
-        AuthorshipLink("P1", "R1"),
-        AuthorshipLink("P2", "R1"),
-        AuthorshipLink("P3", "R1"),
-    ]
-    return build_corpus(pubs, researchers, links, TAX)
+    counts = {"A1": 2, "A2": 2, "P1": 2, "P2": 1, "P3": 0}
+    return corpus_from_rows(
+        publications=[(pid, 2001, "K1") for pid in counts],
+        citations=[(pid, 2004, c) for pid, c in counts.items()],
+        authorship=[("P1", "R1"), ("P2", "R1"), ("P3", "R1")],
+        researchers=[("R1", "U1", "S1"), ("R2", "U2", "S1")],
+        fields=FIELDS,
+    )
 
 
 def test_scientific_strength_sums_impact_scores():
@@ -64,30 +51,26 @@ def test_scientific_strength_empty_cell_is_zero():
 
 
 def test_scientific_strength_respects_period():
-    pubs = [
-        PublicationRecord("P1", 1999, (("K1", 1.0),), {2004: 4}),
-        PublicationRecord("P2", 2001, (("K1", 1.0),), {2004: 4}),
-    ]
-    corpus = build_corpus(
-        pubs,
-        [ResearcherRecord("R1", "U1", "S1")],
-        [AuthorshipLink("P1", "R1"), AuthorshipLink("P2", "R1")],
-        TAX,
+    corpus = corpus_from_rows(
+        publications=[("P1", 1999, "K1"), ("P2", 2001, "K1")],
+        citations=[("P1", 2004, 4), ("P2", 2004, 4)],
+        authorship=[("P1", "R1"), ("P2", "R1")],
+        researchers=[("R1", "U1", "S1")],
+        fields=FIELDS,
     )
     table = compute_median_table(corpus, 2004)
     assert scientific_strength(corpus, "U1", "S1", PERIOD, 2004, table) == 1.0
 
 
 def test_cross_university_pub_counts_in_both_cells():
-    pubs = [
-        PublicationRecord("A1", 2001, (("K1", 1.0),), {2004: 1}),
-        PublicationRecord("A2", 2001, (("K1", 1.0),), {2004: 1}),
-        PublicationRecord("A3", 2001, (("K1", 1.0),), {2004: 1}),
-        PublicationRecord("P1", 2001, (("K1", 1.0),), {2004: 2}),
-    ]
-    researchers = [ResearcherRecord("R1", "U1", "S1"), ResearcherRecord("R2", "U2", "S1")]
-    links = [AuthorshipLink("P1", "R1"), AuthorshipLink("P1", "R2")]
-    corpus = build_corpus(pubs, researchers, links, TAX)
+    counts = {"A1": 1, "A2": 1, "A3": 1, "P1": 2}
+    corpus = corpus_from_rows(
+        publications=[(pid, 2001, "K1") for pid in counts],
+        citations=[(pid, 2004, c) for pid, c in counts.items()],
+        authorship=[("P1", "R1"), ("P1", "R2")],
+        researchers=[("R1", "U1", "S1"), ("R2", "U2", "S1")],
+        fields=FIELDS,
+    )
     table = compute_median_table(corpus, 2004)
     score = 2.0  # count 2 over cell median 1
     assert scientific_strength(corpus, "U1", "S1", PERIOD, 2004, table) == score

@@ -11,7 +11,6 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import oracles
-from citewin.corpus import build_corpus
 from citewin.errors import AnalysisError
 from citewin.impact import compute_median_table
 from citewin.sensitivity import (
@@ -25,7 +24,7 @@ from citewin.sensitivity import (
     stability_battery,
 )
 
-from conftest import make_random_corpus, one_scope
+from conftest import corpus_from_rows, corpus_rows, make_random_corpus, one_scope
 from oracles import (
     compute_baselines,
     compute_cells,
@@ -414,10 +413,11 @@ def test_leader_keeps_rank_under_median_preserving_accrual():
             for cat, _w in p.category_weights:
                 counts_by_cell.setdefault((p.pub_year, cat), []).append(c)
 
+    rows = corpus_rows(corpus)
+    university_of = {rid: univ for rid, univ, _sds in rows["researchers"]}
     universities_of_pub: dict = {}
-    for link in corpus.authorships:
-        univ = corpus.researchers[link.researcher_id].university_id
-        universities_of_pub.setdefault(link.pub_id, set()).add(univ)
+    for pid, rid in rows["authorship"]:
+        universities_of_pub.setdefault(pid, set()).add(university_of[rid])
 
     # exclusively-authored pubs only: a shared pub would also raise a rival
     leader_pubs = {
@@ -440,15 +440,9 @@ def test_leader_keeps_rank_under_median_preserving_accrual():
     if not boosted:
         pytest.skip("no strict-maximum leader publication in this corpus")
 
-    from dataclasses import replace
-
-    new_pubs = [
-        replace(p, citation_counts=boosted[p.pub_id]) if p.pub_id in boosted else p
-        for p in corpus.publications.values()
-    ]
-    corpus2 = build_corpus(
-        new_pubs, corpus.researchers.values(), corpus.authorships, corpus.taxonomy
-    )
+    rows["citations"] = [(pid, y, boosted[pid][y] if pid in boosted else cnt)
+                         for pid, y, cnt in rows["citations"]]
+    corpus2 = corpus_from_rows(**rows)
     table2 = compute_median_table(corpus2, obs)
     assert table2.medians == table.medians
     cells2 = compute_cells(corpus2, corpus2.taxonomy.sds_ids, (2001, 2003), obs, table2)

@@ -2,8 +2,10 @@
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import json
+import math
 import tempfile
 from pathlib import Path
 
@@ -108,6 +110,12 @@ def test_config_validation():
         config(sds_profiles={"S1": "missing"}).validate()
     with pytest.raises(ValueError, match="seed"):
         config(seed=-1).validate()
+    for field, value in (("pub_rate", "nan"), ("quality_sigma", "inf"), ("coauthor_rate", "nan"),
+                         ("multi_category_rate", "-inf"), ("quality_mu", "nan")):
+        with pytest.raises(ValueError, match=f"^{field} must be a finite number, got {value}$"):
+            dataclasses.replace(config(), **{field: float(value)}).validate()
+    with pytest.raises(ValueError, match="^profile 'default' must be a finite number, got inf$"):
+        dataclasses.replace(config(), profiles={"default": (1.0, math.inf)}).validate()
 
 
 def test_config_file_round_trip(tmp_path):
