@@ -17,13 +17,13 @@ import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from itertools import combinations
-from typing import Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
 from .errors import AnalysisError
 
-_CHUNK_VALUES = 1 << 21  # random doubles per Monte Carlo block
+_CHUNK_VALUES = 1 << 20  # random doubles per Monte Carlo block
 
 
 def max_rank_shifts(ranks: np.ndarray, bench_col: int) -> np.ndarray:
@@ -153,14 +153,15 @@ def npc_fisher_combine(
     Iteration b draws one random ordering of the union of all universities;
     each discipline's permuted top group is its first k members in that
     ordering, so all marginals stay uniform and overlapping disciplines are
-    relabeled consistently. Each
-    iteration's statistics are converted to empirical significance levels
-    lambda within their own (observed-inclusive) distribution and combined
-    as -2 * sum(log(lambda)); the combined p is the observed-inclusive
-    fraction of iterations at or above the observed combination. n_perm
-    only sets the Monte Carlo precision, never the null model. With
-    workers > 1, that many threads rank the orderings and compute the
-    significance levels; the result is the same for every worker count.
+    relabeled consistently. Each iteration's statistics are converted to
+    empirical significance levels lambda within their own (observed-inclusive)
+    distribution and combined as -2 * sum(log(lambda)); the combined p is the
+    observed-inclusive fraction of iterations at or above the observed
+    combination. n_perm only sets the Monte Carlo precision, never the null
+    model. With workers > 1, that many threads rank the orderings and compute
+    the significance levels; the result is the same for every worker count.
+    Memory: n_perm + 1 floats per discipline, whose levels overwrite its
+    statistics, and two such arrays per thread.
     """
     if n_perm < 1:
         raise ValueError(f"n_perm must be >= 1, got {n_perm}")
@@ -178,25 +179,22 @@ def npc_fisher_combine(
     executor = ThreadPoolExecutor(max_workers=workers) if workers > 1 else None
     try:
         stats = _sample_stats(prepared, len(universe), n_perm, seed, workers, executor)
-        lambdas = list((executor.map if executor else map)(_significance_levels, stats))
+        observed, p_values = [float(s[n_perm]) for s in stats], [0.0] * len(stats)
+
+        def levels_in_place(gi: int) -> np.ndarray:  # the statistics are not read again
+            lam = _significance_levels(stats[gi], out=stats[gi])
+            p_values[gi] = float(lam[n_perm])
+            return lam
+
+        # at most workers groups hold level temporaries; the sum takes them in group order
+        fisher = _fisher((executor.map if executor else map)(levels_in_place, range(len(stats))))
     finally:
         if executor is not None:
             executor.shutdown(cancel_futures=True)
 
-    fisher = _fisher(lambdas)
     combined_count = int(np.count_nonzero(fisher >= fisher[n_perm]))
-    partials = tuple(
-        PermTestResult(
-            scope_id=g.uda_id,
-            observed=float(stats[gi][n_perm]),
-            p_value=float(lambdas[gi][n_perm]),
-            direction=_direction(stats[gi][n_perm]),
-            n_perm=n_perm,
-            seed=seed,
-            exhaustive=False,
-        )
-        for gi, g in enumerate(groups)
-    )
+    partials = tuple(PermTestResult(g.uda_id, t_obs, p, _direction(t_obs), n_perm, seed, False)
+                     for g, t_obs, p in zip(groups, observed, p_values))
     observed_sum = sum(r.observed for r in partials)
     return NpcCombinedResult(
         partials=partials,
@@ -233,31 +231,42 @@ def _group_stats(pool: np.ndarray, top_idx: np.ndarray) -> np.ndarray:
     return top_sum / k - (pool.sum() - top_sum) / (pool.size - k)
 
 
-def _significance_levels(stats: np.ndarray) -> np.ndarray:
+def _significance_levels(stats: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """Empirical P(|T| >= |t|) within the given distribution, for each element t.
 
     One argsort of |T| finds the runs of ties; each element of the run that
-    starts at sorted position first gets (n - first) / n.
+    starts at sorted position first gets (n - first) / n. The levels go to
+    out, which may be stats itself; two more arrays of n values are held.
     """
-    abs_stats = np.abs(stats)
+    abs_stats = np.abs(stats, out=out)
     n = abs_stats.size
     order = np.argsort(abs_stats)
     ordered = abs_stats[order]
-    first = np.flatnonzero(np.r_[True, ordered[1:] != ordered[:-1]])  # start of each run of ties
-    levels = np.empty(n)
-    levels[order] = np.repeat((n - first) / n, np.diff(np.r_[first, n]))
-    return levels
+    run_starts = np.empty(n, dtype=bool)
+    run_starts[0] = True
+    np.not_equal(ordered[1:], ordered[:-1], out=run_starts[1:])
+    del ordered
+    first = np.arange(n)  # sorted position, then the start of its run of ties
+    first *= run_starts
+    np.maximum.accumulate(first, out=first)
+    np.subtract(n, first, out=first)
+    abs_stats[order] = first
+    abs_stats /= n
+    return abs_stats
 
 
-def _fisher(lambdas: Sequence[np.ndarray]) -> np.ndarray:
+def _fisher(lambdas: Iterable[np.ndarray]) -> np.ndarray:
     """-2 * sum(log(lambda)) of each row, added in group order.
 
     A running in-place sum adds the groups in the order np.sum(..., axis=0)
-    does over the stacked levels, with no stacked temporaries.
+    does over the stacked levels. Each level array, taken one at a time, is
+    overwritten by its log, and the first one holds the sum.
     """
-    fisher = np.log(lambdas[0])
-    for lam in lambdas[1:]:
-        fisher += np.log(lam)
+    lambdas = iter(lambdas)
+    fisher = next(lambdas)
+    np.log(fisher, out=fisher)
+    for lam in lambdas:
+        fisher += np.log(lam, out=lam)
     fisher *= -2.0
     return fisher
 

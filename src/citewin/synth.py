@@ -158,8 +158,6 @@ def generate(config: SynthConfig, out_dir: str | Path, seed: int | None = None) 
     config.validate()
     rng = np.random.default_rng(config.seed if seed is None else seed)
     integers, random, poisson = rng.integers, rng.random, rng.poisson
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
 
     sds_list = config.sds_ids()
     lo, hi = config.staff_range
@@ -196,7 +194,12 @@ def generate(config: SynthConfig, out_dir: str | Path, seed: int | None = None) 
             for rid, q in zip(group, qualities):
                 for year, year_rates, rows in by_year:
                     means = [q * rate for rate in year_rates]  # citation increments by age
-                    for _ in range(poisson(config.pub_rate * q)):
+                    try:
+                        n_pubs = poisson(config.pub_rate * q)
+                    except ValueError as exc:  # numpy draws no Poisson mean above about 9.2e18
+                        raise ValueError(f"bad synthetic-corpus config: pub_rate {config.pub_rate}"
+                                         " is too large for numpy's Poisson sampler") from exc
+                    for _ in range(n_pubs):
                         counter += 1
                         pid = f"P{counter:06d}"
                         categories = category
@@ -211,8 +214,15 @@ def generate(config: SynthConfig, out_dir: str | Path, seed: int | None = None) 
                             add_author(f"{pid},{min(rid, co)}\n{pid},{max(rid, co)}")
                         else:
                             add_author(f"{pid},{rid}")
-                        add_citation(rows.format(pid, [*accumulate(map(poisson, means))]))
+                        try:
+                            add_citation(rows.format(pid, [*accumulate(map(poisson, means))]))
+                        except ValueError as exc:
+                            name = config.sds_profiles.get(sds, config.default_profile)
+                            raise ValueError(f"bad synthetic-corpus config: profile {name!r} has a"
+                                             " rate too large for numpy's Poisson sampler") from exc
 
+    out = Path(out_dir)  # made only once every draw has succeeded
+    out.mkdir(parents=True, exist_ok=True)
     fields = [f"{s},{uda}" for uda, group in config.udas.items() for s in group]
     _write_rows(out / "fields.csv", "sds_id,uda_id", fields)
     _write_rows(out / "researchers.csv", "researcher_id,university_id,sds_id", researchers)

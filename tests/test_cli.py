@@ -530,10 +530,13 @@ def test_synth_missing_config_is_usage_error(tmp_path, capsys):
     {"coauthor_rate": math.nan},
     {"profiles": {"default": [math.inf]}},
     {"multi_category_rate": -math.inf},
+    {"n_universities": 2, "pub_rate": 1e300},
+    {"n_universities": 2, "profiles": {"default": [1e300]}},
 ], ids=["udas_list", "profiles_list", "n_universities_inf", "profile_name_list",
         "sds_string", "profile_string", "staff_range_string", "floats_and_bool_for_ints",
         "float_n_universities", "bool_seed", "nan_pub_rate", "nan_quality_sigma",
-        "nan_coauthor_rate", "infinite_profile_rate", "minus_infinite_multi_category_rate"])
+        "nan_coauthor_rate", "infinite_profile_rate", "minus_infinite_multi_category_rate",
+        "pub_rate_too_large_to_draw", "profile_rate_too_large_to_draw"])
 def test_synth_wrongly_typed_config_is_usage_error(tmp_path, capsys, override):
     config = {"n_universities": 4, "staff_range": [2, 3], "udas": {"UA": ["S1"]},
               "pub_period": [2001, 2003], "observation_years": [2004, 2005], "pub_rate": 1.0,

@@ -3,8 +3,10 @@
 from __future__ import annotations
 
 import math
+import sys
 import threading
 import time
+import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -326,6 +328,103 @@ def test_npc_worker_error_propagates_and_no_block_writes_after_return(monkeypatc
     time.sleep(0.2)
     assert len(started) >= 10 and len(finished) >= 9
     assert not any(started) and not any(finished)
+
+
+def oracle_npc(groups, n_perm, seed):
+    """Statistics of the reference sampler and float.hex of ((observed, p) per
+    partial, Fisher statistic, combined p) from the stacked Fisher sum."""
+    groups = sorted(groups, key=lambda g: g.uda_id)
+    universe = sorted({u for g in groups for u in g.values})
+    position = {u: i for i, u in enumerate(universe)}
+    prepared = [npc_mod._prepared(g, position) for g in groups]
+    stats = sample_stats(prepared, len(universe), n_perm, seed, 1, npc_mod._CHUNK_VALUES)
+    levels = [significance_levels_sorted(np.abs(s)) for s in stats]
+    fisher = -2.0 * np.sum(np.log(levels), axis=0)
+    combined_p = np.count_nonzero(fisher >= fisher[n_perm]) / (n_perm + 1)
+    partials = [(s[n_perm].hex(), lam[n_perm].hex()) for s, lam in zip(stats, levels)]
+    return stats, (partials, fisher[n_perm].hex(), combined_p.hex())
+
+
+def result_hexes(result):
+    return ([(p.observed.hex(), p.p_value.hex()) for p in result.partials],
+            result.combined_statistic.hex(), result.combined_p.hex())
+
+
+def test_npc_folds_levels_in_group_order_when_later_groups_finish_first(monkeypatch):
+    groups = sampler_groups()
+    want_stats, want = oracle_npc(groups, 1000, 5)
+    real_levels = npc_mod._significance_levels
+    lock, others_done, finished = threading.Lock(), threading.Event(), []
+
+    def levels_of_group_0_last(stats, out=None):
+        group = next(g for g, s in enumerate(want_stats) if np.array_equal(s, stats))
+        if group == 0:
+            assert others_done.wait(timeout=30)
+        levels = real_levels(stats, out=out)
+        with lock:
+            finished.append(group)
+            if len(finished) == len(want_stats) - 1:
+                others_done.set()
+        return levels
+
+    monkeypatch.setattr(npc_mod, "_significance_levels", levels_of_group_0_last)
+    result = npc_fisher_combine(groups, n_perm=1000, seed=5, workers=3)
+    assert finished[-1] == 0 and sorted(finished) == list(range(len(want_stats)))
+    assert result_hexes(result) == want
+
+
+def test_npc_error_in_a_later_groups_levels_propagates(monkeypatch):
+    groups = sampler_groups()
+    want_stats, _want = oracle_npc(groups, 1000, 5)
+    real_levels = npc_mod._significance_levels
+
+    def failing_levels(stats, out=None):
+        if np.array_equal(stats, want_stats[3]):
+            raise RuntimeError("levels of group 3 fail")
+        return real_levels(stats, out=out)
+
+    monkeypatch.setattr(npc_mod, "_significance_levels", failing_levels)
+    before = threading.active_count()
+    with pytest.raises(RuntimeError, match="levels of group 3 fail"):
+        npc_fisher_combine(groups, n_perm=1000, seed=5, workers=3)
+    assert threading.active_count() == before
+
+
+def test_npc_stress_more_workers_than_cores_stays_bit_identical(monkeypatch):
+    monkeypatch.setattr(npc_mod, "_CHUNK_VALUES", 100)  # 7-row blocks, so many hand-offs
+    groups = sampler_groups()
+    _stats, want = oracle_npc(groups, 3000, 8)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        result = npc_fisher_combine(groups, n_perm=3000, seed=8, workers=6)
+    finally:
+        sys.setswitchinterval(interval)
+    assert result_hexes(result) == want
+
+
+@pytest.mark.parametrize("workers", [1, 2, 3])
+def test_npc_peak_memory_is_one_array_per_group_and_two_per_thread(monkeypatch, workers):
+    # key blocks of 128 kB, so the arrays of n_perm + 1 values dominate; over
+    # all 40 universities, integer values like max rank shifts (few distinct
+    # statistics), and over 30 of them, continuous ones (nearly all distinct)
+    monkeypatch.setattr(npc_mod, "_CHUNK_VALUES", 1 << 14)
+    rng = np.random.default_rng(3)
+    universe = [f"U{i:02d}" for i in range(40)]
+    groups = []
+    for g in range(6):
+        members = universe if g % 2 == 0 else universe[5:35]
+        draws = rng.integers(0, 40, len(members)) if g % 2 == 0 else rng.random(len(members))
+        top = frozenset(rng.choice(members, 4 + g, replace=False).tolist())
+        groups.append(UdaGroups(f"G{g}", dict(zip(members, draws.tolist())), top))
+    n_perm = 200_000
+    tracemalloc.start()
+    try:
+        npc_fisher_combine(groups, n_perm=n_perm, seed=1, workers=workers)
+        _current, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= (len(groups) + 2 * workers + 1) * 8 * (n_perm + 1)
 
 
 # ---------------------------------------------------------------------------

@@ -6,6 +6,7 @@ import dataclasses
 import hashlib
 import json
 import math
+import re
 import tempfile
 from pathlib import Path
 
@@ -116,6 +117,19 @@ def test_config_validation():
             dataclasses.replace(config(), **{field: float(value)}).validate()
     with pytest.raises(ValueError, match="^profile 'default' must be a finite number, got inf$"):
         dataclasses.replace(config(), profiles={"default": (1.0, math.inf)}).validate()
+
+
+@pytest.mark.parametrize("overrides, message", [
+    ({"pub_rate": 1e300}, "pub_rate 1e+300 is too large"),
+    ({"profiles": {"default": [0.5, 1e300, 0.8]}}, "profile 'default' has a rate too large"),
+    ({"profiles": {"default": [0.5], "slow": [1e25]}, "sds_profiles": {"S3": "slow"}},
+     "profile 'slow' has a rate too large"),
+], ids=["pub_rate", "default_profile", "profile_of_one_sds"])
+def test_rates_too_large_to_draw_name_the_field_and_write_nothing(tmp_path, overrides, message):
+    # finite, so validate accepts them, but numpy draws no Poisson mean above about 9.2e18
+    with pytest.raises(ValueError, match=f"^bad synthetic-corpus config: {re.escape(message)} "):
+        generate(config(**overrides), tmp_path / "corpus")
+    assert not (tmp_path / "corpus").exists()
 
 
 def test_config_file_round_trip(tmp_path):
