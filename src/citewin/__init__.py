@@ -5,7 +5,7 @@ and citewin.productivity are the written reference, imported only by path."""
 
 __version__ = "0.1.0"
 
-from .corpus import Corpus, FieldTaxonomy
+from .corpus import Corpus
 from .errors import AnalysisError, CitewinError, IntegrityError, MissingInputError, ParseError
 from .ingest import RepresentativityReport, load_corpus, representativity_filter
 from .npc import (NpcCombinedResult, PermTestResult, UdaGroups, npc_fisher_combine, top_partition,
@@ -18,7 +18,6 @@ __all__ = [
     "AnalysisError",
     "CitewinError",
     "Corpus",
-    "FieldTaxonomy",
     "IntegrityError",
     "MissingInputError",
     "NpcCombinedResult",

@@ -50,7 +50,7 @@ def run_analysis(
     years = sorted(set(years))
     counts = _citation_matrix(corpus, years)
     report = representativity_filter(corpus, pub_period, threshold)
-    if not report.retained_sds():
+    if not report.retained.any():
         raise AnalysisError(f"no SDS passes the representativity filter at threshold {threshold}")
     if baseline not in BASELINE_RULES:
         raise ValueError(f"unknown baseline rule {baseline!r}; expected one of {BASELINE_RULES}")
@@ -58,13 +58,12 @@ def run_analysis(
 
     # staffed cells of the retained SDSs keyed sds * U + university, i.e. in
     # (SDS, university) order; (cell, publication) pairs in pub_id order
-    sds_ids, univ = np.array(corpus.taxonomy.sds_ids), corpus.universities
+    sds_ids, uda_ids, univ = corpus.sds_ids, corpus.uda_ids, corpus.universities
     n_univ, n_pubs = len(univ), len(corpus.pub_ids)
-    is_retained = np.isin(sds_ids, list(report.retained_sds()))
-    retained = np.flatnonzero(is_retained)
+    retained = np.flatnonzero(report.retained)
     cell_of = corpus.res_sds * n_univ + corpus.res_univ
     staff = np.bincount(cell_of, minlength=len(sds_ids) * n_univ)
-    kept = np.repeat(is_retained, n_univ)
+    kept = np.repeat(report.retained, n_univ)
     keys = np.flatnonzero(kept & (staff > 0))
     cell_sds, cell_univ = np.divmod(keys, n_univ)
     cell, pub = np.divmod(np.unique(cell_of[corpus.link_res] * n_pubs + corpus.link_pub), n_pubs)
@@ -86,9 +85,7 @@ def run_analysis(
 
     # score of each (UDA, university), keyed uda * U + university: sum over its cells in SDS
     # order of (p / p_bar) * (RS / RS_total), degenerate (p_bar = 0) cells adding 0
-    uda_ids, uda_of = np.unique([corpus.taxonomy.sds_to_uda[s] for s in sds_ids],
-                                return_inverse=True)
-    groups, group_of = np.unique(uda_of[cell_sds] * n_univ + cell_univ, return_inverse=True)
+    groups, group_of = np.unique(corpus.sds_uda[cell_sds] * n_univ + cell_univ, return_inverse=True)
     share = rs / np.bincount(group_of, weights=rs)[group_of]
     bar = p_bar[sds_of]
     ratio = np.divide(p, bar, out=np.zeros_like(p), where=bar != 0.0)

@@ -59,7 +59,7 @@ def cmd_validate(directory: str) -> int:
         f"OK: {len(corpus.pub_ids)} publications, "
         f"{len(corpus.researcher_ids)} researchers, "
         f"{len(corpus.link_pub)} authorship links, "
-        f"{len(corpus.taxonomy.sds_ids)} SDSs in {len(corpus.taxonomy.uda_ids)} UDAs"
+        f"{len(corpus.sds_ids)} SDSs in {len(corpus.uda_ids)} UDAs"
     )
     return 0
 
@@ -311,10 +311,10 @@ def main(argv: Sequence[str] | None = None) -> int:
     }
     try:
         out = commands[args.pop("command")](**args)
-    except (MissingInputError, ValueError) as exc:
+    except (MissingInputError, ValueError, OSError) as exc:  # OSError: say, --out is a file
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except CitewinError as exc:
+    except (CitewinError, MemoryError) as exc:  # MemoryError: say, too many permutations
         print(f"error: {exc}", file=sys.stderr)
         return 1
     if isinstance(out, int):

@@ -1,4 +1,4 @@
-"""In-memory corpus model: the field taxonomy and the validated corpus columns.
+"""In-memory corpus model: the validated corpus columns.
 
 ingest.load_corpus builds every Corpus. Its publication records and per-cell index
 are cached views of the columns, for the written definitions in impact.py and
@@ -34,21 +34,6 @@ class PublicationRecord:
         return self.citation_counts.get(obs_year)
 
 
-@dataclass(frozen=True)
-class FieldTaxonomy:
-    """Total map from fine-grained field (SDS) to discipline (UDA)."""
-
-    sds_to_uda: Mapping[str, str]
-
-    @property
-    def uda_ids(self) -> tuple[str, ...]:
-        return tuple(sorted(set(self.sds_to_uda.values())))
-
-    @property
-    def sds_ids(self) -> tuple[str, ...]:
-        return tuple(sorted(self.sds_to_uda))
-
-
 @dataclass(frozen=True, eq=False)
 class Corpus:
     """Validated columns, publications and researchers in id order.
@@ -58,7 +43,9 @@ class Corpus:
     cell of its authors.
     """
 
-    taxonomy: FieldTaxonomy
+    sds_ids: np.ndarray  # [S] fine-grained fields, sorted
+    uda_ids: np.ndarray  # [D] disciplines, sorted
+    sds_uda: np.ndarray  # [S] index into uda_ids: the discipline of each field
     pub_ids: np.ndarray  # [P], sorted
     pub_year: np.ndarray  # [P]
     obs_years: np.ndarray  # [Y]: every observation year of any citation row, sorted
@@ -71,7 +58,7 @@ class Corpus:
     researcher_ids: np.ndarray  # [R], sorted
     universities: np.ndarray  # sorted university ids
     res_univ: np.ndarray  # [R] index into universities
-    res_sds: np.ndarray  # [R] index into taxonomy.sds_ids
+    res_sds: np.ndarray  # [R] index into sds_ids
     link_pub: np.ndarray  # authorship links, in input order
     link_res: np.ndarray
 
@@ -97,7 +84,7 @@ class Corpus:
     def _pubs_by_cell(self) -> Mapping[tuple[str, str], tuple[str, ...]]:
         res = self.link_res
         univ = self.universities[self.res_univ[res]].tolist()
-        sds = np.array(self.taxonomy.sds_ids, dtype=str)[self.res_sds[res]].tolist()
+        sds = self.sds_ids[self.res_sds[res]].tolist()
         return _index(zip(zip(univ, sds), self.pub_ids[self.link_pub].tolist()))
 
     def cell_pubs(self, university_id: str, sds_id: str) -> tuple[str, ...]:

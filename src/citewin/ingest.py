@@ -16,7 +16,7 @@ from typing import Callable, Mapping, NoReturn, Sequence
 
 import numpy as np
 
-from .corpus import Corpus, FieldTaxonomy
+from .corpus import Corpus
 from .errors import IntegrityError, MissingInputError, ParseError
 
 _ID, _INT = r"[A-Za-z0-9_/-]+", r"-?[0-9]+"
@@ -38,34 +38,24 @@ WEIGHT_SUM_TOL = 1e-9
 Fail = Callable[[int, str, type], NoReturn]
 
 
-@dataclass(frozen=True)
-class SdsCoverage:
-    """Per-SDS row of the representativity report."""
-
-    sds_id: str
-    staff: int
-    publishing_staff: int
-    coverage: float | None  # None when the SDS has no staff at all
-    retained: bool
-    empty: bool
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class RepresentativityReport:
-    threshold: float
-    pub_period: tuple[int, int]
-    rows: tuple[SdsCoverage, ...]
+    """Staff, publishing staff and whether each SDS is retained, in sds_ids order."""
 
-    def retained_sds(self) -> frozenset[str]:
-        return frozenset(r.sds_id for r in self.rows if r.retained)
+    sds_ids: np.ndarray
+    staff: np.ndarray
+    publishing: np.ndarray
+    retained: np.ndarray
+
+    def __post_init__(self) -> None:
+        for column in vars(self).values():
+            column.setflags(write=False)
 
     def csv_rows(self) -> list[list[str]]:
         out = [["sds_id", "staff", "publishing_staff", "coverage", "retained"]]
-        for r in self.rows:
-            coverage = "NA" if r.coverage is None else f"{r.coverage:.6f}"
-            out.append(
-                [r.sds_id, str(r.staff), str(r.publishing_staff), coverage, str(int(r.retained))]
-            )
+        for sds, n, k, kept in zip(self.sds_ids.tolist(), self.staff.tolist(),
+                                   self.publishing.tolist(), self.retained.tolist()):
+            out.append([sds, str(n), str(k), f"{k / n:.6f}" if n else "NA", str(int(kept))])
         return out
 
 
@@ -82,14 +72,13 @@ def load_corpus(directory: str | Path) -> Corpus:
     if missing:
         raise MissingInputError(f"missing corpus files in {root}: {', '.join(missing)}")
 
-    taxonomy = _checked(root, "fields.csv", lambda c, fail: _check_taxonomy(*c, fail))
-    cols = _checked(root, "researchers.csv",
-                    lambda c, fail: _check_researchers(taxonomy, *c, fail))
+    cols = _checked(root, "fields.csv", lambda c, fail: _check_taxonomy(*c, fail))
+    cols |= _checked(root, "researchers.csv", lambda c, fail: _check_researchers(cols, *c, fail))
     cols |= _checked(root, "publications.csv",
                      lambda c, fail: _check_publications(c[0], c[1], *_entries(c[2]), fail))
     cols |= _checked(root, "citations.csv", lambda c, fail: _check_citations(cols, *c, fail))
     cols |= _checked(root, "authorship.csv", lambda c, fail: _check_links(cols, *c, fail))
-    return Corpus(taxonomy=taxonomy, **cols)
+    return Corpus(**cols)
 
 
 def representativity_filter(
@@ -99,19 +88,17 @@ def representativity_filter(
 
     An SDS is retained iff the national fraction of its researchers with at
     least one publication dated inside `pub_period` reaches `threshold`
-    (inclusive). SDSs without any staff are excluded and flagged empty.
+    (inclusive). SDSs without any staff are excluded.
     """
     check_filter_arguments(pub_period, threshold)
-    start, end = pub_period
-    sds_ids = corpus.taxonomy.sds_ids
-    in_period = (corpus.pub_year >= start) & (corpus.pub_year <= end)
+    in_period = (corpus.pub_year >= pub_period[0]) & (corpus.pub_year <= pub_period[1])
     publishing = np.unique(corpus.link_res[in_period[corpus.link_pub]])
-    staff = np.bincount(corpus.res_sds, minlength=len(sds_ids)).tolist()
-    active = np.bincount(corpus.res_sds[publishing], minlength=len(sds_ids)).tolist()
-    rows = tuple(SdsCoverage(sds_id, n, k, k / n, retained=k / n >= threshold, empty=False) if n
-                 else SdsCoverage(sds_id, 0, 0, None, retained=False, empty=True)
-                 for sds_id, n, k in zip(sds_ids, staff, active))
-    return RepresentativityReport(threshold=threshold, pub_period=(start, end), rows=rows)
+    n_sds = len(corpus.sds_ids)
+    staff = np.bincount(corpus.res_sds, minlength=n_sds)
+    active = np.bincount(corpus.res_sds[publishing], minlength=n_sds)
+    # the share as a float division: 7 of 25 reaches 0.28, though 0.28 * 25 > 7
+    retained = (staff > 0) & (active / np.maximum(staff, 1) >= threshold)
+    return RepresentativityReport(corpus.sds_ids, staff, active, retained)
 
 
 def check_filter_arguments(pub_period: tuple[int, int], threshold: float) -> None:
@@ -206,17 +193,20 @@ def _entries(specs: list[str]) -> tuple[np.ndarray, list[str], list[float]]:
 # offending row through `fail(row, message, error_class)`
 
 
-def _check_taxonomy(sds: Sequence[str], uda: Sequence[str], fail: Fail) -> FieldTaxonomy:
-    """The SDS -> UDA map; rejects a repeated SDS."""
-    _first_failure(fail, [(_repeats(sds), lambda r: f"duplicate sds_id {sds[r]!r}", ParseError)])
-    return FieldTaxonomy(sds_to_uda=dict(zip(sds, uda)))
+def _check_taxonomy(sds: Sequence[str], uda: Sequence[str], fail: Fail) -> dict[str, np.ndarray]:
+    """The sorted SDSs and UDAs and the UDA of each SDS; rejects a repeated SDS."""
+    arr = np.array(sds, dtype=str)
+    _first_failure(fail, [(_repeats(arr), lambda r: f"duplicate sds_id {sds[r]!r}", ParseError)])
+    order = np.argsort(arr)
+    uda_ids, sds_uda = np.unique(np.array(uda, dtype=str)[order], return_inverse=True)
+    return dict(sds_ids=arr[order], uda_ids=uda_ids, sds_uda=sds_uda)
 
 
-def _check_researchers(taxonomy: FieldTaxonomy, ids: Sequence[str], univ: Sequence[str],
+def _check_researchers(cols: Mapping[str, np.ndarray], ids: Sequence[str], univ: Sequence[str],
                        sds: Sequence[str], fail: Fail) -> dict[str, np.ndarray]:
     """Researcher columns; rejects repeated ids and SDSs outside the taxonomy."""
     arr = np.array(ids, dtype=str)
-    res_sds, known = _lookup(taxonomy.sds_ids, sds)
+    res_sds, known = _lookup(cols["sds_ids"], sds)
     _first_failure(fail, [
         (_repeats(arr), lambda r: f"duplicate researcher_id {ids[r]!r}", ParseError),
         (~known, lambda r: f"researcher {ids[r]!r}: sds_id {sds[r]!r} missing from taxonomy",

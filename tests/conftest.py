@@ -141,7 +141,6 @@ def corpus_rows(corpus: Corpus) -> dict[str, list[tuple]]:
     """The rows of a loaded corpus, in the order its columns keep: corpus_from_rows of
     them gives the same columns."""
     pubs = corpus.publications.values()
-    sds_ids = np.array(corpus.taxonomy.sds_ids, dtype=str)
     return dict(
         publications=[(p.pub_id, p.pub_year, categories_field(p.category_weights)) for p in pubs],
         citations=[(p.pub_id, y, n) for p in pubs for y, n in p.citation_counts.items()],
@@ -149,9 +148,14 @@ def corpus_rows(corpus: Corpus) -> dict[str, list[tuple]]:
                             corpus.researcher_ids[corpus.link_res].tolist())),
         researchers=list(zip(corpus.researcher_ids.tolist(),
                              corpus.universities[corpus.res_univ].tolist(),
-                             sds_ids[corpus.res_sds].tolist())),
-        fields=sorted(corpus.taxonomy.sds_to_uda.items()),
+                             corpus.sds_ids[corpus.res_sds].tolist())),
+        fields=sorted(sds_to_uda(corpus).items()),
     )
+
+
+def sds_to_uda(corpus: Corpus) -> dict[str, str]:
+    """The taxonomy columns of a corpus as one SDS -> UDA map."""
+    return dict(zip(corpus.sds_ids.tolist(), corpus.uda_ids[corpus.sds_uda].tolist()))
 
 
 # ---------------------------------------------------------------------------

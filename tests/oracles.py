@@ -458,15 +458,14 @@ def _fmt(x, decimals=6):
 
 def cell_staff(corpus):
     """(university, SDS) -> staff count of every staffed cell, read from the researcher columns."""
-    sds_ids = corpus.taxonomy.sds_ids
     cells = zip(corpus.universities[corpus.res_univ].tolist(),
-                [sds_ids[i] for i in corpus.res_sds.tolist()])
+                corpus.sds_ids[corpus.res_sds].tolist())
     return dict(sorted(Counter(cells).items()))
 
 
-def sds_in_uda(taxonomy, uda_id):
+def sds_in_uda(corpus, uda_id):
     """The SDSs of one discipline, sorted."""
-    return tuple(s for s in taxonomy.sds_ids if taxonomy.sds_to_uda[s] == uda_id)
+    return tuple(corpus.sds_ids[corpus.uda_ids[corpus.sds_uda] == uda_id].tolist())
 
 
 def compute_cells(corpus, retained_sds, pub_period, obs_year, median_table):
@@ -501,7 +500,7 @@ def uda_scores(corpus, cells, baselines, uda_id):
     """university -> UdaProductivity for one discipline."""
     from citewin.productivity import uda_productivity
 
-    member_sds = set(sds_in_uda(corpus.taxonomy, uda_id))
+    member_sds = set(sds_in_uda(corpus, uda_id))
     by_univ = {}
     for (univ, sds), cell in sorted(cells.items()):
         if sds in member_sds:
@@ -524,11 +523,12 @@ WEIGHT_RE = re.compile(r"-?(?:[0-9]+(?:\.[0-9]*)?|\.[0-9]+)(?:[eE][-+]?[0-9]+)?"
 
 
 def read_corpus_rows(directory):
-    """(publications by id, researcher rows, authorship rows, taxonomy) of a corpus directory."""
-    from citewin.corpus import FieldTaxonomy, PublicationRecord
+    """(publications by id, researcher rows, authorship rows, SDS -> UDA map) of a corpus
+    directory."""
+    from citewin.corpus import PublicationRecord
 
     root = Path(directory)
-    taxonomy = FieldTaxonomy(sds_to_uda=_read_fields(root / "fields.csv"))
+    taxonomy = _read_fields(root / "fields.csv")
     researchers = _read_researchers(root / "researchers.csv", taxonomy)
     pubs = _read_publications(root / "publications.csv")
     _attach_citations(root / "citations.csv", pubs)
@@ -618,7 +618,7 @@ def _read_researchers(path, taxonomy):
     for line, (rid, univ, sds) in _read_rows(path, columns):
         if rid in seen:
             raise ParseError(path, line, f"duplicate researcher_id {rid!r}")
-        if sds not in taxonomy.sds_to_uda:
+        if sds not in taxonomy:
             raise IntegrityError(
                 f"{path}:{line}: researcher {rid!r}: sds_id {sds!r} missing from taxonomy"
             )

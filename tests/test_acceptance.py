@@ -127,9 +127,9 @@ def test_criterion_3_normalization_identity(tmp_path):
             corpora.append(load_corpus(root))
         for corpus in corpora:
             table = compute_median_table(corpus, 2006)
-            cells = compute_cells(corpus, corpus.taxonomy.sds_ids, PERIOD, 2006, table)
+            cells = compute_cells(corpus, corpus.sds_ids.tolist(), PERIOD, 2006, table)
             baselines = compute_baselines(cells, "aggregate")
-            for uda in corpus.taxonomy.uda_ids:
+            for uda in corpus.uda_ids.tolist():
                 scores = uda_scores(corpus, cells, baselines, uda)
                 weighted = sum(up.rs * up.value for up in scores.values())
                 total_rs = sum(up.rs for up in scores.values())
@@ -138,12 +138,10 @@ def test_criterion_3_normalization_identity(tmp_path):
             # the same identity on the columnar pipeline, at every observation year,
             # with RS counted per (UDA, university) over the retained SDSs
             run = run_analysis(corpus, PERIOD, YEARS, 0.5, "aggregate")
-            retained = run.report.retained_sds()
             rs: dict[tuple[str, str], int] = {}
             for u, s in zip(corpus.res_univ.tolist(), corpus.res_sds.tolist()):
-                sds = corpus.taxonomy.sds_ids[s]
-                if sds in retained:
-                    key = (corpus.taxonomy.sds_to_uda[sds], str(corpus.universities[u]))
+                if run.report.retained[s]:
+                    key = (str(corpus.uda_ids[corpus.sds_uda[s]]), str(corpus.universities[u]))
                     rs[key] = rs.get(key, 0) + 1
             level = run.levels["uda"]
             assert level.scope_ids

@@ -73,7 +73,7 @@ def scalar_rankings(corpus, retained, years, baseline):
         for sds in sorted(retained):
             scores = sds_scores(cells, sds)
             rankings[("sds", sds, year)] = rank_universities(scores, "sds", sds, year)
-        for uda in corpus.taxonomy.uda_ids:
+        for uda in corpus.uda_ids.tolist():
             values = {u: up.value for u, up in uda_scores(corpus, cells, baselines, uda).items()}
             if values:
                 rankings[("uda", uda, year)] = rank_universities(values, "uda", uda, year)
@@ -118,7 +118,8 @@ def level_bits(levels):
     threshold=st.sampled_from((0.0, 0.5)),
 )
 def test_core_equals_scalar_definitions_bit_for_bit(corpus, years, baseline, threshold):
-    retained = representativity_filter(corpus, PERIOD, threshold).retained_sds()
+    report = representativity_filter(corpus, PERIOD, threshold)
+    retained = report.sds_ids[report.retained].tolist()
     if not retained:
         with pytest.raises(AnalysisError, match="representativity"):
             run_analysis(corpus, PERIOD, years, threshold, baseline)

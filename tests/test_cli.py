@@ -509,6 +509,51 @@ def test_synth_command_and_validate_round_trip(tmp_path, capsys):
     assert run("validate", out) == 0
 
 
+OUTPUT_ARGS = {
+    "rankings": (),
+    "sensitivity": (),
+    "npc": ("--permutations", "200"),
+    "synth": ("--seed", "3"),
+}
+
+
+@pytest.mark.parametrize("under_file", [False, True], ids=["out_is_file", "out_under_file"])
+@pytest.mark.parametrize("command", list(OUTPUT_ARGS))
+def test_out_path_blocked_by_a_file_is_usage_error_without_traceback(
+    tmp_path, capsys, command, under_file
+):
+    blocker = tmp_path / "taken"
+    blocker.write_text("keep\n", encoding="utf-8")
+    out = blocker / "out" if under_file else blocker
+    if command == "synth":
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({
+            "n_universities": 2, "staff_range": [1, 2], "udas": {"UA": ["S1"]},
+            "pub_period": [2001, 2003], "observation_years": [2004, 2005], "pub_rate": 1.0,
+            "profiles": {"default": [0.5, 1.0]},
+        }), encoding="utf-8")
+        argv = ["synth", "--config", config]
+    else:
+        argv = [command, generate(stability_config(), tmp_path / "corpus", seed=6)]
+    assert run(*argv, "--out", out, *OUTPUT_ARGS[command]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "Traceback" not in err
+    assert blocker.read_text(encoding="utf-8") == "keep\n"
+
+
+def test_out_of_memory_is_an_error_without_traceback(tmp_path, capsys, monkeypatch):
+    def exhausted(*_args, **_kwargs):
+        raise MemoryError("Unable to allocate 7.28 TiB for an array")
+
+    monkeypatch.setattr(cli_mod, "npc_fisher_combine", exhausted)
+    root = generate(stability_config(), tmp_path / "corpus", seed=6)
+    out = tmp_path / "npc"
+    assert run("npc", root, "--out", out, "--permutations", "1000000000000") == 1
+    err = capsys.readouterr().err
+    assert err == "error: Unable to allocate 7.28 TiB for an array\n"
+    assert not out.exists()
+
+
 def test_synth_missing_config_is_usage_error(tmp_path, capsys):
     assert run("synth", "--config", tmp_path / "nope.json", "--out", tmp_path / "o") == 2
 

@@ -2,17 +2,20 @@
 
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
 import pytest
 
 from citewin.errors import IntegrityError, ParseError
-from citewin.ingest import load_corpus
+from citewin.ingest import load_corpus, representativity_filter
 
 from conftest import (
     corpus_from_rows,
     corpus_rows,
     make_random_corpus,
     random_corpus_rows,
+    sds_to_uda,
     write_corpus_dir,
 )
 from oracles import cell_staff
@@ -95,7 +98,7 @@ def test_indexes_match_full_rescan(seed):
     expected_pubs: dict = {}
     for pid, rid in rows["authorship"]:
         expected_pubs.setdefault(cell_of[rid], set()).add(pid)
-    cells = {(u, s) for u in built.universities.tolist() for s in built.taxonomy.sds_ids}
+    cells = {(u, s) for u in built.universities.tolist() for s in built.sds_ids.tolist()}
     assert {cell: set(built.cell_pubs(*cell)) for cell in cells if built.cell_pubs(*cell)} == (
         expected_pubs)
     assert all(list(built.cell_pubs(*cell)) == sorted(built.cell_pubs(*cell)) for cell in cells)
@@ -107,7 +110,7 @@ def test_indexes_match_full_rescan(seed):
 
     # rebuilding from the rows of the loaded corpus gives the same columns
     rebuilt = corpus_from_rows(**corpus_rows(built))
-    assert rebuilt.taxonomy == built.taxonomy
+    assert sds_to_uda(rebuilt) == sds_to_uda(built)
     for name, column in vars(built).items():
         if isinstance(column, np.ndarray):
             assert np.array_equal(getattr(rebuilt, name), column), name
@@ -142,7 +145,20 @@ def test_corpus_columns_are_read_only(tmp_path):
             corpus.counts[0, :] = 99
         assert corpus.publications[first].citation_counts == before
         columns = [v for v in vars(corpus).values() if isinstance(v, np.ndarray)]
-        assert len(columns) == 15
+        assert len(columns) == 18
         for column in columns:
             with pytest.raises(ValueError, match="read-only"):
                 column[...] = column
+
+
+def test_every_corpus_and_report_field_is_a_read_only_array():
+    corpus = make_random_corpus(1, pub_rate=0.4)
+    report = representativity_filter(corpus, (2001, 2003), 0.5)
+    for record in (corpus, report):
+        for field in dataclasses.fields(record):
+            column = getattr(record, field.name)
+            assert isinstance(column, np.ndarray), field.name
+            assert not column.flags.writeable, field.name
+    assert len(report.sds_ids) == len(report.staff) == len(report.publishing) == len(
+        report.retained)
+    assert np.array_equal(report.sds_ids, corpus.sds_ids)

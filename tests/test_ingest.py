@@ -23,7 +23,8 @@ from citewin.errors import CitewinError, IntegrityError, MissingInputError, Pars
 from citewin.ingest import FILES, load_corpus, representativity_filter
 from citewin.synth import SynthConfig, generate
 
-from conftest import corpus_from_rows, corpus_rows, make_random_corpus, write_corpus_dir
+from conftest import (corpus_from_rows, corpus_rows, make_random_corpus, sds_to_uda,
+                      write_corpus_dir)
 from oracles import read_corpus_rows
 
 
@@ -350,7 +351,7 @@ def assert_matches_rows(corpus, directory):
     assert dict(corpus.publications) == pubs
     assert rows["researchers"] == sorted(researchers)
     assert rows["authorship"] == links
-    assert corpus.taxonomy == taxonomy
+    assert sds_to_uda(corpus) == taxonomy
 
 
 @settings(max_examples=20, deadline=None)
@@ -438,23 +439,26 @@ def coverage_corpus(publishing: int, staff: int):
 
 
 def test_filter_threshold_is_inclusive():
-    report = representativity_filter(coverage_corpus(5, 10), (2001, 2003), 0.5)
-    (row,) = report.rows
-    assert row.coverage == 0.5
-    assert row.retained
+    # 7 / 25 == 0.28 as a float division, though 0.28 * 25 > 7
+    for publishing, staff, threshold in ((5, 10, 0.5), (7, 25, 0.28)):
+        report = representativity_filter(coverage_corpus(publishing, staff), (2001, 2003),
+                                         threshold)
+        (retained,) = report.retained
+        assert report.publishing[0] / report.staff[0] == threshold
+        assert retained
 
 
 def test_filter_below_threshold_excluded():
     report = representativity_filter(coverage_corpus(4, 10), (2001, 2003), 0.5)
-    (row,) = report.rows
-    assert not row.retained
+    (retained,) = report.retained
+    assert not retained
 
 
 def test_filter_empty_sds_flagged():
     corpus = corpus_from_rows(fields=[("S1", "UA")])
     report = representativity_filter(corpus, (2001, 2003), 0.5)
-    (row,) = report.rows
-    assert row.empty and not row.retained and row.coverage is None
+    (staff,) = report.staff
+    assert staff == 0 and not report.retained[0] and report.csv_rows()[1][3] == "NA"
 
 
 def test_filter_counts_only_period_publications():
@@ -466,16 +470,15 @@ def test_filter_counts_only_period_publications():
         fields=[("S1", "UA")],
     )
     report = representativity_filter(corpus, (2001, 2003), 0.5)
-    assert report.rows[0].publishing_staff == 0
+    assert report.publishing[0] == 0
 
 
 @pytest.mark.parametrize("seed", range(4))
 def test_filter_monotone_in_threshold(seed):
     corpus = make_random_corpus(seed, pub_rate=0.4)
     thresholds = [0.1, 0.3, 0.5, 0.7, 0.9, 1.0]
-    retained = [
-        representativity_filter(corpus, (2001, 2003), t).retained_sds() for t in thresholds
-    ]
+    reports = [representativity_filter(corpus, (2001, 2003), t) for t in thresholds]
+    retained = [set(r.sds_ids[r.retained].tolist()) for r in reports]
     for lower, higher in zip(retained, retained[1:]):
         assert higher <= lower
 
@@ -483,8 +486,8 @@ def test_filter_monotone_in_threshold(seed):
 def test_filter_at_zero_threshold_keeps_every_staffed_sds():
     corpus = make_random_corpus(1, pub_rate=0.2)
     report = representativity_filter(corpus, (2001, 2003), 0.0)
-    staffed = {r.sds_id for r in report.rows if not r.empty}
-    assert report.retained_sds() == staffed
+    staffed = set(report.sds_ids[report.staff > 0].tolist())
+    assert set(report.sds_ids[report.retained].tolist()) == staffed
 
 
 def test_filter_argument_validation():

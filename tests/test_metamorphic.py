@@ -63,3 +63,24 @@ def test_uncited_publication_of_a_publishing_researcher_changes_nothing(seed, ba
     after = run_analysis(corpus_from_rows(**added), PERIOD, YEARS, 0.0, baseline)
     assert after.medians.tolist() == before.medians.tolist()
     assert scores(after) == scores(before)
+
+
+@pytest.mark.parametrize("baseline", BASELINE_RULES)
+@pytest.mark.parametrize("seed", range(6))
+def test_researcher_without_publications_scales_only_their_cells_p(seed, baseline):
+    # p = SS / RS, so one more staff member in (u, s) scales that cell's p by
+    # RS / (RS + 1); at threshold 0 the filter keeps every staffed SDS either way
+    rows = random_corpus_rows(seed, pub_rate=1.0)
+    rng = np.random.default_rng(seed)
+    _rid, univ, sds = rows["researchers"][int(rng.integers(len(rows["researchers"])))]
+    rs = sum((u, s) == (univ, sds) for _r, u, s in rows["researchers"])
+    added = dict(rows, researchers=rows["researchers"] + [("RNEW", univ, sds)])
+
+    before = scores(run_analysis(corpus_from_rows(**rows), PERIOD, YEARS, 0.0, baseline))
+    after = scores(run_analysis(corpus_from_rows(**added), PERIOD, YEARS, 0.0, baseline))
+    sds_level = {key for key in before if key[0] == "sds"}
+    assert {key for key in after if key[0] == "sds"} == sds_level
+    for key in sds_level:
+        _level, scope, u, _year = key
+        expected = before[key] * rs / (rs + 1) if (scope, u) == (sds, univ) else before[key]
+        assert after[key] == pytest.approx(expected, rel=1e-12, abs=0.0), key

@@ -180,7 +180,7 @@ def test_uda_productivity_missing_baseline():
 def test_per_sds_weighted_ratio_sums_to_one(seed):
     corpus = make_random_corpus(seed)
     table = compute_median_table(corpus, 2006)
-    retained = corpus.taxonomy.sds_ids
+    retained = corpus.sds_ids.tolist()
     cells = compute_cells(corpus, retained, PERIOD, 2006, table)
     baselines = compute_baselines(cells)
     by_sds: dict[str, list] = {}
@@ -198,9 +198,9 @@ def test_per_sds_weighted_ratio_sums_to_one(seed):
 def test_rs_weighted_mean_of_uda_productivity_is_one(seed):
     corpus = make_random_corpus(seed)
     table = compute_median_table(corpus, 2006)
-    cells = compute_cells(corpus, corpus.taxonomy.sds_ids, PERIOD, 2006, table)
+    cells = compute_cells(corpus, corpus.sds_ids.tolist(), PERIOD, 2006, table)
     baselines = compute_baselines(cells)
-    for uda in corpus.taxonomy.uda_ids:
+    for uda in corpus.uda_ids.tolist():
         scores = uda_scores(corpus, cells, baselines, uda)
         weighted = sum(up.rs * up.value for up in scores.values())
         total_rs = sum(up.rs for up in scores.values())

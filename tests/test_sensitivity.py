@@ -399,9 +399,9 @@ def test_leader_keeps_rank_under_median_preserving_accrual():
     corpus = make_random_corpus(21, cite_rate=2.0)
     obs = 2006
     table = compute_median_table(corpus, obs)
-    cells = compute_cells(corpus, corpus.taxonomy.sds_ids, (2001, 2003), obs, table)
+    cells = compute_cells(corpus, corpus.sds_ids.tolist(), (2001, 2003), obs, table)
     baselines = compute_baselines(cells)
-    uda = corpus.taxonomy.uda_ids[0]
+    uda = corpus.uda_ids.tolist()[0]
     scores = {u: up.value for u, up in uda_scores(corpus, cells, baselines, uda).items()}
     ranking = oracles.rank_universities(scores)
     leader = ranking.entries[0].university_id
@@ -445,7 +445,7 @@ def test_leader_keeps_rank_under_median_preserving_accrual():
     corpus2 = corpus_from_rows(**rows)
     table2 = compute_median_table(corpus2, obs)
     assert table2.medians == table.medians
-    cells2 = compute_cells(corpus2, corpus2.taxonomy.sds_ids, (2001, 2003), obs, table2)
+    cells2 = compute_cells(corpus2, corpus2.sds_ids.tolist(), (2001, 2003), obs, table2)
     baselines2 = compute_baselines(cells2)
     scores2 = {u: up.value for u, up in uda_scores(corpus2, cells2, baselines2, uda).items()}
     ranking2 = oracles.rank_universities(scores2)

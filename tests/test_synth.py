@@ -82,7 +82,7 @@ def test_zero_profile_means_zero_scores(tmp_path):
     )
     table = compute_median_table(corpus, 2006)
     assert table.medians == {}
-    cells = compute_cells(corpus, corpus.taxonomy.sds_ids, (2001, 2003), 2006, table)
+    cells = compute_cells(corpus, corpus.sds_ids.tolist(), (2001, 2003), 2006, table)
     assert all(cell.ss == 0.0 and cell.p == 0.0 for cell in cells.values())
 
 
@@ -166,7 +166,8 @@ def test_fast_profiles_stabilize_earlier_than_slow(tmp_path):
     for seed in range(20):
         root = generate(SynthConfig.from_dict(raw), tmp_path / f"s{seed}", seed=seed)
         corpus = load_corpus(root)
-        retained = representativity_filter(corpus, (2001, 2003), 0.5).retained_sds()
+        report = representativity_filter(corpus, (2001, 2003), 0.5)
+        retained = report.sds_ids[report.retained].tolist()
         rankings = {}
         for year in (2004, 2008):
             table = compute_median_table(corpus, year)
@@ -189,7 +190,7 @@ def test_stability_config_produces_usable_corpora(tmp_path):
     root = generate(stability_config(), tmp_path / "stab", seed=0)
     corpus = load_corpus(root)
     report = representativity_filter(corpus, (2001, 2003), 0.5)
-    assert report.retained_sds() == set(corpus.taxonomy.sds_ids)
+    assert set(report.sds_ids[report.retained].tolist()) == set(corpus.sds_ids.tolist())
     assert category_of("SA1") == "CAT_SA1"
 
 
