@@ -8,9 +8,11 @@ Exit codes: 0 success, 1 data/validation error, 2 usage or missing input.
 from __future__ import annotations
 
 import argparse
+import errno
 import json
 import logging
 import math
+import os
 import sys
 from pathlib import Path
 from typing import Callable, Mapping, Sequence
@@ -166,6 +168,16 @@ def _check_years(years: Sequence[int], benchmark_year: int) -> list[int]:
     return years
 
 
+def _check_out_dir(out_dir: str) -> None:
+    """Raise, creating nothing, the OSError that making out_dir and writing into it would."""
+    out = path = Path(out_dir)
+    while not path.exists() and path != path.parent:  # to its nearest existing path
+        path = path.parent
+    if not (path.is_dir() and os.access(path, os.W_OK | os.X_OK)):
+        code = errno.EACCES if path.is_dir() else errno.EEXIST if path == out else errno.ENOTDIR
+        raise OSError(code, os.strerror(code), str(out_dir))
+
+
 # ---------------------------------------------------------------------------
 # output tables
 
@@ -310,6 +322,8 @@ def main(argv: Sequence[str] | None = None) -> int:
         "synth": cmd_synth,
     }
     try:
+        if "out_dir" in args:  # before any input is read
+            _check_out_dir(args["out_dir"])
         out = commands[args.pop("command")](**args)
     except (MissingInputError, ValueError, OSError) as exc:  # OSError: say, --out is a file
         print(f"error: {exc}", file=sys.stderr)

@@ -3,13 +3,18 @@
 A corpus is a directory of the five UTF-8 CSV files of FILES, with header
 rows and no quoting. Each is read once: one regex checks the grammar of its
 whole body, which is then split into columns for the _check_* function of the
-file, the one owner of that file's invariants.
+file, the one owner of that file's invariants. The columns of a corpus that
+passes are cached beside its files, in CACHE_NAME.
 """
 
 from __future__ import annotations
 
+import io
+import os
 import re
+import threading
 from dataclasses import dataclass
+from functools import partial
 from itertools import repeat
 from pathlib import Path
 from typing import Callable, Mapping, NoReturn, Sequence
@@ -36,6 +41,12 @@ _BAD_LINE = {name: re.compile("\n(?!(?:{0})?(?:\n|\\Z))".format(
     ",".join(f"(?:{_KINDS[kind]})" for _c, kind in columns))) for name, columns in FILES.items()}
 WEIGHT_SUM_TOL = 1e-9
 Fail = Callable[[int, str, type], NoReturn]
+CACHE_NAME = ".citewin-cache.npz"
+# the dtype kind and ndim of every Corpus column, as a cache holds them besides its key
+_LAYOUT = dict(sds_ids="U1", uda_ids="U1", sds_uda="i1", pub_ids="U1", pub_year="i1",
+               obs_years="i1", counts="i2", present="b2", categories="U1", entry_pub="i1",
+               entry_cat="i1", entry_weight="f1", researcher_ids="U1", universities="U1",
+               res_univ="i1", res_sds="i1", link_pub="i1", link_res="i1")
 
 
 @dataclass(frozen=True, eq=False)
@@ -64,7 +75,8 @@ def load_corpus(directory: str | Path) -> Corpus:
 
     Raises MissingInputError when a file is absent, else the first offending row of a file:
     IntegrityError when a researcher's SDS or an authorship row's publication or researcher
-    is not defined by an earlier file, ParseError otherwise."""
+    is not defined by an earlier file, ParseError otherwise. The columns of a corpus that
+    passed are read back from its cache while neither its files nor this code change."""
     root = Path(directory)
     if not root.is_dir():
         raise MissingInputError(f"corpus directory not found: {root}")
@@ -72,12 +84,24 @@ def load_corpus(directory: str | Path) -> Corpus:
     if missing:
         raise MissingInputError(f"missing corpus files in {root}: {', '.join(missing)}")
 
-    cols = _checked(root, "fields.csv", lambda c, fail: _check_taxonomy(*c, fail))
-    cols |= _checked(root, "researchers.csv", lambda c, fail: _check_researchers(cols, *c, fail))
-    cols |= _checked(root, "publications.csv",
-                     lambda c, fail: _check_publications(c[0], c[1], *_entries(c[2]), fail))
-    cols |= _checked(root, "citations.csv", lambda c, fail: _check_citations(cols, *c, fail))
-    cols |= _checked(root, "authorship.csv", lambda c, fail: _check_links(cols, *c, fail))
+    data = {name: (root / name).read_bytes() for name in FILES}
+    cache = root / CACHE_NAME
+    if cache.is_file() and (cached := _read_cache(cache, _cache_key(data))) is not None:
+        return Corpus(**cached)
+    checked = partial(_checked, root, data)
+    cols = checked("fields.csv", lambda c, fail: _check_taxonomy(*c, fail))
+    cols |= checked("researchers.csv", lambda c, fail: _check_researchers(cols, *c, fail))
+    cols |= checked("publications.csv",
+                    lambda c, fail: _check_publications(c[0], c[1], *_entries(c[2]), fail))
+    cols |= checked("citations.csv", lambda c, fail: _check_citations(cols, *c, fail))
+    cols |= checked("authorship.csv", lambda c, fail: _check_links(cols, *c, fail))
+    # best effort: a temporary file renamed into place, so readers find no cache or a whole one
+    tmp = root / f"{CACHE_NAME}.{os.getpid()}-{threading.get_ident()}.tmp.npz"
+    try:
+        np.savez(tmp, key=np.array(_cache_key(data)), **cols)
+        os.replace(tmp, cache)
+    except OSError:  # a read-only directory, a full disk: no cache and no temporary file
+        tmp.unlink(missing_ok=True)
     return Corpus(**cols)
 
 
@@ -109,11 +133,33 @@ def check_filter_arguments(pub_period: tuple[int, int], threshold: float) -> Non
         raise ValueError(f"empty publication period {pub_period}")
 
 
-def _checked(root: Path, name: str, check: Callable):
+def _cache_key(data: Mapping[str, bytes]) -> str:
+    """sha256 over the digests of the checks and column layout, numpy and the corpus files."""
+    from hashlib import sha256  # loads OpenSSL, which a load that fails its checks never needs
+    code = [Path(__file__).with_name(name).read_bytes() for name in ("ingest.py", "corpus.py")]
+    parts = [*code, np.__version__.encode(), *data.values()]  # the files in FILES order
+    return sha256(b"".join(sha256(part).digest() for part in parts)).hexdigest()
+
+
+def _read_cache(path: Path, key: str) -> dict[str, np.ndarray] | None:
+    """The columns cached at `path` under `key` in the current layout; None on any miss."""
+    import zipfile  # only a load that finds a cache reads one
+    try:
+        with zipfile.ZipFile(path) as npz:  # reading whole members checks each one's CRC-32
+            cols = {name.removesuffix(".npy"): np.lib.format.read_array(
+                io.BytesIO(npz.read(name)), allow_pickle=False) for name in npz.namelist()}
+    except Exception:  # whatever the file holds, parsing the CSV files gives the answer
+        return None
+    if cols.keys() != {*_LAYOUT, "key"} or cols.pop("key").tolist() != key:
+        return None
+    return cols if all(f"{a.dtype.kind}{a.ndim}" == _LAYOUT[n] for n, a in cols.items()) else None
+
+
+def _checked(root: Path, data: Mapping[str, bytes], name: str, check: Callable):
     """`check(columns, fail)` over the rows of one file before the first one its grammar or
     int64 rejects, then that row: an earlier offending row is still the one reported."""
     path, columns = root / name, FILES[name]
-    text = path.read_text(encoding="utf-8", errors="replace")  # so the grammar rejects bad bytes
+    text = io.TextIOWrapper(io.BytesIO(data[name]), "utf-8", "replace").read()  # as read_text()
     if not text:
         raise ParseError(path, 1, "file is empty, expected a header row")
     head, _, body = text.partition("\n")

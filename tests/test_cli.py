@@ -10,6 +10,7 @@ import math
 import pytest
 
 import citewin.cli as cli_mod
+from citewin import ingest
 from citewin.cli import _npc_rows, main
 from citewin.npc import NpcCombinedResult, PermTestResult
 
@@ -415,13 +416,26 @@ FROZEN_RUN_SHA256 = {
 }
 
 
-@pytest.mark.parametrize("argv", list(FROZEN_RUN_SHA256), ids=lambda argv: "_".join(argv).replace("-", ""))
-def test_run_bytes_frozen(tmp_path, monkeypatch, argv):
+def _parse_forbidden(*_args, **_kwargs):
+    raise AssertionError("a cached corpus was parsed again")
+
+
+@pytest.mark.parametrize("argv, warm", [
+    pytest.param(argv, warm, id="_".join(argv).replace("-", "") + ("_warm" if warm else ""))
+    for argv in FROZEN_RUN_SHA256 for warm in (False, True)
+])
+def test_run_bytes_frozen(tmp_path, monkeypatch, argv, warm):
+    """Cold: one run on a fresh corpus. Warm: a second run on the same corpus, which reads
+    the column cache the first run left, writes the same pinned bytes."""
     # a relative input path keeps manifest.json's input_dir independent of tmp_path
     monkeypatch.chdir(tmp_path)
     generate(stability_config(), "corpus", seed=6)
     assert run(argv[0], "corpus", "--out", "out", *argv[1:]) == 0
     assert _digests(tmp_path / "out") == FROZEN_RUN_SHA256[argv]
+    if warm:
+        monkeypatch.setattr(ingest, "_checked", _parse_forbidden)
+        assert run(argv[0], "corpus", "--out", "warm", *argv[1:]) == 0
+        assert _digests(tmp_path / "warm") == FROZEN_RUN_SHA256[argv]
 
 
 def test_sensitivity_workers_flag_is_accepted_and_ignored(tmp_path):
@@ -538,6 +552,28 @@ def test_out_path_blocked_by_a_file_is_usage_error_without_traceback(
     assert run(*argv, "--out", out, *OUTPUT_ARGS[command]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error:") and "Traceback" not in err
+    assert blocker.read_text(encoding="utf-8") == "keep\n"
+
+
+@pytest.mark.parametrize("under_file", [False, True], ids=["out_is_file", "out_under_file"])
+@pytest.mark.parametrize("command", ["rankings", "sensitivity", "npc"])
+def test_blocked_out_path_fails_before_the_corpus_is_read(
+    tmp_path, capsys, monkeypatch, command, under_file
+):
+    def no_reading(*_args, **_kwargs):
+        raise AssertionError("the corpus was read")
+
+    monkeypatch.setattr(cli_mod, "load_corpus", no_reading)
+    blocker = tmp_path / "taken"
+    blocker.write_text("keep\n", encoding="utf-8")
+    out = blocker / "out" if under_file else blocker
+    before = sorted(tmp_path.iterdir())
+    assert run(command, tmp_path / "corpus", "--out", out, *OUTPUT_ARGS[command]) == 2
+    # the message mkdir would give, with nothing created
+    expected = (f"[Errno 20] Not a directory: '{out}'" if under_file
+                else f"[Errno 17] File exists: '{out}'")
+    assert capsys.readouterr().err == f"error: {expected}\n"
+    assert sorted(tmp_path.iterdir()) == before
     assert blocker.read_text(encoding="utf-8") == "keep\n"
 
 
