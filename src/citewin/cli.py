@@ -139,10 +139,6 @@ def cmd_npc(
             logger.warning("excluding UDA %s from the combined test: %s", scope, exc)
             continue
         groups.append(UdaGroups(uda_id=scope, values=moves, top=top))
-    if len(groups) < 2:
-        raise AnalysisError(
-            f"only {len(groups)} UDA(s) usable for the combined test; need at least 2"
-        )
     result = npc_fisher_combine(groups, n_perm=n_perm, seed=seed, workers=workers)
     tables = {"npc_results.csv": _npc_rows(result, seed),
               "representativity.csv": run.report.csv_rows()}

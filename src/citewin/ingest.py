@@ -86,7 +86,8 @@ def load_corpus(directory: str | Path) -> Corpus:
 
     data = {name: (root / name).read_bytes() for name in FILES}
     cache = root / CACHE_NAME
-    if cache.is_file() and (cached := _read_cache(cache, _cache_key(data))) is not None:
+    key = _cache_key(data) if cache.is_file() else None
+    if key is not None and (cached := _read_cache(cache, key)) is not None:
         return Corpus(**cached)
     checked = partial(_checked, root, data)
     cols = checked("fields.csv", lambda c, fail: _check_taxonomy(*c, fail))
@@ -98,7 +99,7 @@ def load_corpus(directory: str | Path) -> Corpus:
     # best effort: a temporary file renamed into place, so readers find no cache or a whole one
     tmp = root / f"{CACHE_NAME}.{os.getpid()}-{threading.get_ident()}.tmp.npz"
     try:
-        np.savez(tmp, key=np.array(_cache_key(data)), **cols)
+        np.savez(tmp, key=np.array(key or _cache_key(data)), **cols)
         os.replace(tmp, cache)
     except OSError:  # a read-only directory, a full disk: no cache and no temporary file
         tmp.unlink(missing_ok=True)

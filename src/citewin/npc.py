@@ -135,7 +135,8 @@ def two_sample_perm_test(
         t_obs = stats[0]  # first combination is (0..k-1), the observed labeling
     else:
         positions = np.arange(n, dtype=np.intp)
-        (stats,) = _sample_stats([(pool, positions[:k], positions)], n, n_perm, seed, workers=1)
+        with ThreadPoolExecutor(max_workers=1) as executor:
+            (stats,) = _sample_stats([(pool, positions[:k], positions)], n, n_perm, seed, executor, 1)
         t_obs = stats[n_perm]  # the observed labeling
     p = np.count_nonzero(np.abs(stats) >= abs(t_obs)) / stats.size
     return PermTestResult(scope_id, float(t_obs), p, _direction(t_obs),
@@ -158,15 +159,13 @@ def npc_fisher_combine(
     distribution and combined as -2 * sum(log(lambda)); the combined p is the
     observed-inclusive fraction of iterations at or above the observed
     combination. n_perm only sets the Monte Carlo precision, never the null
-    model. With workers > 1, that many threads rank the orderings and compute
+    model. A pool of that many worker threads ranks the orderings and computes
     the significance levels; the result is the same for every worker count.
     Memory: n_perm + 1 floats per discipline, whose levels overwrite its
     statistics, and two such arrays per thread.
     """
     if n_perm < 1:
         raise ValueError(f"n_perm must be >= 1, got {n_perm}")
-    if workers < 1:
-        raise ValueError(f"workers must be >= 1, got {workers}")
     if len(groups) < 2:
         raise AnalysisError(f"nonparametric combination needs >= 2 disciplines, got {len(groups)}")
     groups = sorted(groups, key=lambda g: g.uda_id)
@@ -176,9 +175,9 @@ def npc_fisher_combine(
     universe = sorted({u for g in groups for u in g.values})
     position = {u: i for i, u in enumerate(universe)}
     prepared = [_prepared(g, position) for g in groups]
-    executor = ThreadPoolExecutor(max_workers=workers) if workers > 1 else None
+    executor = ThreadPoolExecutor(max_workers=workers)
     try:
-        stats = _sample_stats(prepared, len(universe), n_perm, seed, workers, executor)
+        stats = _sample_stats(prepared, len(universe), n_perm, seed, executor, workers)
         observed, p_values = [float(s[n_perm]) for s in stats], [0.0] * len(stats)
 
         def levels_in_place(gi: int) -> np.ndarray:  # the statistics are not read again
@@ -187,10 +186,9 @@ def npc_fisher_combine(
             return lam
 
         # at most workers groups hold level temporaries; the sum takes them in group order
-        fisher = _fisher((executor.map if executor else map)(levels_in_place, range(len(stats))))
+        fisher = _fisher(executor.map(levels_in_place, range(len(stats))))
     finally:
-        if executor is not None:
-            executor.shutdown(cancel_futures=True)
+        executor.shutdown(cancel_futures=True)
 
     combined_count = int(np.count_nonzero(fisher >= fisher[n_perm]))
     partials = tuple(PermTestResult(g.uda_id, t_obs, p, _direction(t_obs), n_perm, seed, False)
@@ -285,21 +283,21 @@ def _sample_stats(
     n_all: int,
     n_perm: int,
     seed: int | None,
-    workers: int = 1,
-    executor: ThreadPoolExecutor | None = None,
+    executor: ThreadPoolExecutor,
+    workers: int,
 ) -> list[np.ndarray]:
     """Each group's statistic under n_perm shared random orderings of the
     n_all universities, with the observed labeling at index n_perm.
 
     Each ordering ranks one row of uniform keys. This thread draws the keys
     block by block, in block order, so the stream depends on the seed alone.
-    Each block is cut into workers contiguous slices of rows; with an
-    executor, its threads rank the slices of one block while this thread
-    draws the next. A group's permuted top set is its first |top| members in
-    the ranking. Groups with the same members share one argsort per slice,
-    taken on the keys in place when the members are the whole universe,
-    and groups that also share |top| share one contiguous copy of the first
-    |top| columns. Every row is computed as it would be in a single thread.
+    Each block is cut into workers contiguous slices of rows, which the
+    executor's threads rank while this thread draws the next block. A group's
+    permuted top set is its first |top| members in the ranking. Groups with
+    the same members share one argsort per slice, taken on the keys in place
+    when the members are the whole universe, and groups that also share |top|
+    share one contiguous copy of the first |top| columns. Every row is
+    computed as it would be in a single thread.
     """
     stats = [np.empty(n_perm + 1) for _ in prepared]
     member_sets: dict[bytes, tuple[np.ndarray, dict[int, list[int]]]] = {}
@@ -326,12 +324,8 @@ def _sample_stats(
         for task in pending:  # the previous block, ranked while this one was drawn
             task.result()
         cuts = [len(keys) * t // workers for t in range(workers + 1)]
-        slices = [(keys[lo:hi], start + lo) for lo, hi in zip(cuts, cuts[1:])]
-        if executor is None:
-            for rows in slices:
-                fill_rows(*rows)
-        else:
-            pending = [executor.submit(fill_rows, *rows) for rows in slices]
+        pending = [executor.submit(fill_rows, keys[lo:hi], start + lo)
+                   for lo, hi in zip(cuts, cuts[1:])]
     for task in pending:
         task.result()
 

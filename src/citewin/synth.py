@@ -20,7 +20,7 @@ from typing import Mapping
 import numpy as np
 
 from .errors import MissingInputError, ParseError
-from .ingest import _ID
+from .ingest import _ID, FILES
 
 
 @dataclass(frozen=True)
@@ -77,8 +77,7 @@ class SynthConfig:
 
     def _check_finite(self) -> None:
         """Reject NaN or an infinity in any float field, naming the field."""
-        values = [(name, getattr(self, name)) for name in ("pub_rate", "quality_mu",
-                  "quality_sigma", "coauthor_rate", "multi_category_rate")]
+        values = [(name, getattr(self, name)) for name in _FLOATS]
         values += [(f"profile {name!r}", r) for name, p in self.profiles.items() for r in p]
         if bad := [(name, value) for name, value in values if not math.isfinite(value)]:
             raise ValueError(f"{bad[0][0]} must be a finite number, got {bad[0][1]}")
@@ -92,26 +91,20 @@ class SynthConfig:
     @staticmethod
     def from_dict(raw: Mapping) -> "SynthConfig":
         try:
-            staff, period = _list(raw["staff_range"]), _list(raw["pub_period"])
-            config = SynthConfig(
-                n_universities=_int(raw["n_universities"]),
-                staff_range=(_int(staff[0]), _int(staff[1])),
-                udas={u: tuple(map(_name, _list(s))) for u, s in raw["udas"].items()},
-                pub_period=(_int(period[0]), _int(period[1])),
-                observation_years=tuple(map(_int, _list(raw["observation_years"]))),
-                pub_rate=float(raw["pub_rate"]),
-                profiles={n: tuple(float(x) for x in _list(p)) for n, p in raw["profiles"].items()},
-                sds_profiles={s: _name(p) for s, p in raw.get("sds_profiles", {}).items()},
-                default_profile=_name(raw.get("default_profile", "default")),
-                quality_mu=float(raw.get("quality_mu", 0.0)),
-                quality_sigma=float(raw.get("quality_sigma", 0.5)),
-                coauthor_rate=float(raw.get("coauthor_rate", 0.1)),
-                multi_category_rate=float(raw.get("multi_category_rate", 0.0)),
-                seed=_int(raw.get("seed", 0)),
-            )
+            parsed = {}
+            for key, value in raw.items():
+                if key not in _PARSERS:
+                    raise ValueError(f"unknown key {key!r}")
+                try:
+                    parsed[key] = _PARSERS[key](value)
+                except (TypeError, AttributeError, ValueError, OverflowError) as exc:
+                    raise ValueError(f"{key}: {exc}") from exc
+            config = SynthConfig(**parsed)
+            if stray := config.sds_profiles.keys() - config.sds_ids():
+                raise ValueError(f"sds_profiles: SDS {min(stray)!r} is not listed in udas")
             config._check_finite()  # so the message names the config, as a bad type's does
             return config
-        except (KeyError, TypeError, IndexError, AttributeError, ValueError, OverflowError) as exc:
+        except (TypeError, AttributeError, ValueError, OverflowError) as exc:
             raise ValueError(f"bad synthetic-corpus config: {exc!r}") from exc
 
     @staticmethod
@@ -126,22 +119,38 @@ class SynthConfig:
         return SynthConfig.from_dict(raw)
 
 
-def _name(value) -> str:
-    if not isinstance(value, str):
-        raise TypeError(f"expected a name, got {value!r}")
-    return value
+def _typed(types: tuple[type, ...], what: str):
+    """A parser that takes a value of one of `types`, never a bool, as the first of them."""
+    def parse(value):
+        if isinstance(value, bool) or not isinstance(value, types):
+            raise TypeError(f"expected {what}, got {value!r}")
+        return types[0](value)
+    return parse
 
 
-def _int(value) -> int:
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise TypeError(f"expected an integer, got {value!r}")
-    return value
+_name, _int = _typed((str,), "a name"), _typed((int,), "an integer")
+_list, _float = _typed((list, tuple), "a list"), _typed((float, int), "a number")
 
 
-def _list(value) -> list | tuple:
-    if not isinstance(value, (list, tuple)):
-        raise TypeError(f"expected a list, got {value!r}")
-    return value
+def _pair(value) -> tuple[int, int]:
+    if len(_list(value)) != 2:
+        raise ValueError(f"expected two entries, got {value!r}")
+    return _int(value[0]), _int(value[1])
+
+
+_FLOATS = ("pub_rate", "quality_mu", "quality_sigma", "coauthor_rate", "multi_category_rate")
+_PARSERS = {  # one per SynthConfig field; an absent optional field keeps its default
+    "n_universities": _int,
+    "staff_range": _pair,
+    "udas": lambda udas: {u: tuple(map(_name, _list(s))) for u, s in udas.items()},
+    "pub_period": _pair,
+    "observation_years": lambda years: tuple(map(_int, _list(years))),
+    "profiles": lambda profiles: {n: tuple(map(_float, _list(p))) for n, p in profiles.items()},
+    "sds_profiles": lambda names: {s: _name(p) for s, p in names.items()},
+    "default_profile": _name,
+    "seed": _int,
+    **dict.fromkeys(_FLOATS, _float),
+}
 
 
 def category_of(sds_id: str) -> str:
@@ -224,11 +233,10 @@ def generate(config: SynthConfig, out_dir: str | Path, seed: int | None = None) 
     out = Path(out_dir)  # made only once every draw has succeeded
     out.mkdir(parents=True, exist_ok=True)
     fields = [f"{s},{uda}" for uda, group in config.udas.items() for s in group]
-    _write_rows(out / "fields.csv", "sds_id,uda_id", fields)
-    _write_rows(out / "researchers.csv", "researcher_id,university_id,sds_id", researchers)
-    _write_rows(out / "publications.csv", "pub_id,pub_year,categories", pubs)
-    _write_rows(out / "authorship.csv", "pub_id,researcher_id", authors)
-    _write_rows(out / "citations.csv", "pub_id,obs_year,cum_citations", citations)
+    tables = {"fields.csv": fields, "researchers.csv": researchers, "publications.csv": pubs,
+              "authorship.csv": authors, "citations.csv": citations}
+    for name, blocks in tables.items():
+        _write_rows(out / name, ",".join(column for column, _kind in FILES[name]), blocks)
     return out
 
 

@@ -385,3 +385,26 @@ def test_corpus_failing_a_check_computes_no_key(tmp_path):
     done = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
                           env=env, timeout=120)
     assert (done.returncode, done.stdout, done.stderr) == (0, "[]\n", "")
+
+
+def test_a_load_computes_the_cache_key_at_most_once(tmp_path, monkeypatch):
+    calls = []
+    real_key = ingest._cache_key
+    monkeypatch.setattr(ingest, "_cache_key", lambda data: calls.append(1) or real_key(data))
+    root = small_corpus(tmp_path)
+    load_corpus(root)  # no cache yet: the key is computed to write one
+    path = root / "citations.csv"
+    path.write_text(path.read_text(encoding="utf-8").replace("P2,2005,1", "P2,2005,2"),
+                    encoding="utf-8")
+    calls.clear()
+    load_corpus(root)  # stale: the key that missed is the one written
+    assert len(calls) == 1
+    calls.clear()
+    hit(root, monkeypatch)
+    assert len(calls) == 1
+    failing = write_corpus_dir(tmp_path / "failing", **{
+        **SMALL_ROWS, "citations": [*SMALL_ROWS["citations"], ("P9", 2004, 1)]})
+    calls.clear()
+    with pytest.raises(ParseError):
+        load_corpus(failing)
+    assert calls == []

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import csv
+import dataclasses
 import hashlib
 import json
 import math
@@ -590,6 +591,16 @@ def test_out_of_memory_is_an_error_without_traceback(tmp_path, capsys, monkeypat
     assert not out.exists()
 
 
+def test_npc_on_a_single_uda_is_an_error_without_traceback(tmp_path, capsys):
+    config = dataclasses.replace(stability_config(), udas={"DISC_A": ("SA1", "SA2", "SA3")})
+    root = generate(config, tmp_path / "corpus", seed=6)
+    out = tmp_path / "npc"
+    assert run("npc", root, "--out", out, "--permutations", "100") == 1
+    err = capsys.readouterr().err
+    assert err == "error: nonparametric combination needs >= 2 disciplines, got 1\n"
+    assert not out.exists()
+
+
 def test_synth_missing_config_is_usage_error(tmp_path, capsys):
     assert run("synth", "--config", tmp_path / "nope.json", "--out", tmp_path / "o") == 2
 
@@ -613,11 +624,20 @@ def test_synth_missing_config_is_usage_error(tmp_path, capsys):
     {"multi_category_rate": -math.inf},
     {"n_universities": 2, "pub_rate": 1e300},
     {"n_universities": 2, "profiles": {"default": [1e300]}},
+    {"coauthor_rte": 0.9},
+    {"staff_range": [2, 3, 4]},
+    {"pub_period": [2001, 2002, 2003]},
+    {"sds_profiles": {"S9": "default"}},
+    {"pub_rate": "1.5"},
+    {"coauthor_rate": True},
+    {"profiles": {"default": ["0.5", 1.0]}},
 ], ids=["udas_list", "profiles_list", "n_universities_inf", "profile_name_list",
         "sds_string", "profile_string", "staff_range_string", "floats_and_bool_for_ints",
         "float_n_universities", "bool_seed", "nan_pub_rate", "nan_quality_sigma",
         "nan_coauthor_rate", "infinite_profile_rate", "minus_infinite_multi_category_rate",
-        "pub_rate_too_large_to_draw", "profile_rate_too_large_to_draw"])
+        "pub_rate_too_large_to_draw", "profile_rate_too_large_to_draw", "unknown_key",
+        "three_entry_staff_range", "three_entry_pub_period", "profile_of_an_unlisted_sds",
+        "string_pub_rate", "bool_coauthor_rate", "string_profile_rate"])
 def test_synth_wrongly_typed_config_is_usage_error(tmp_path, capsys, override):
     config = {"n_universities": 4, "staff_range": [2, 3], "udas": {"UA": ["S1"]},
               "pub_period": [2001, 2003], "observation_years": [2004, 2005], "pub_rate": 1.0,
@@ -629,10 +649,16 @@ def test_synth_wrongly_typed_config_is_usage_error(tmp_path, capsys, override):
     assert err.startswith("error: bad synthetic-corpus config")
     assert not (tmp_path / "corpus").exists()
     field, value = next(iter(override.items()))
-    if field in ("pub_rate", "quality_sigma", "coauthor_rate", "multi_category_rate"):
+    if field in ("pub_rate", "quality_sigma", "coauthor_rate", "multi_category_rate") and isinstance(
+            value, float):
         assert f"{field} must be a finite number, got {value}" in err
     if value == {"default": [math.inf]}:
         assert "profile 'default' must be a finite number, got inf" in err
+    if field in ("coauthor_rte", "staff_range", "pub_period", "sds_profiles", "pub_rate",
+                 "coauthor_rate"):
+        assert field in err
+    if value == {"default": ["0.5", 1.0]}:
+        assert "profiles: expected a number, got '0.5'" in err
 
 
 @pytest.mark.parametrize("override, field", [

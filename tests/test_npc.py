@@ -264,8 +264,7 @@ def test_sampler_matches_reference_bit_for_bit(monkeypatch, workers, chunk):
 
     want = sample_stats(prepared, len(universe), n_perm, 5, workers, chunk_values)
     with ThreadPoolExecutor(max_workers=workers) as executor:
-        got = npc_mod._sample_stats(prepared, len(universe), n_perm, 5, workers,
-                                    executor if workers > 1 else None)
+        got = npc_mod._sample_stats(prepared, len(universe), n_perm, 5, executor, workers)
     assert hexes(got) == hexes(want)
     want_levels = [significance_levels_sorted(np.abs(s)) for s in want]
     got_levels = [_significance_levels(s) for s in got]
@@ -292,9 +291,10 @@ def test_running_fisher_sum_matches_stacked_sum(n_groups):
     assert hexes([npc_mod._fisher(levels)]) == hexes([want])
 
 
-def test_npc_leaves_no_thread_behind():
+@pytest.mark.parametrize("workers", [1, 3])
+def test_npc_leaves_no_thread_behind(workers):
     before = threading.active_count()
-    npc_fisher_combine(frozen_groups(), n_perm=999, seed=1, workers=3)
+    npc_fisher_combine(frozen_groups(), n_perm=999, seed=1, workers=workers)
     assert threading.active_count() == before
 
 
@@ -373,7 +373,8 @@ def test_npc_folds_levels_in_group_order_when_later_groups_finish_first(monkeypa
     assert result_hexes(result) == want
 
 
-def test_npc_error_in_a_later_groups_levels_propagates(monkeypatch):
+@pytest.mark.parametrize("workers", [1, 3])
+def test_npc_error_in_a_later_groups_levels_propagates(monkeypatch, workers):
     groups = sampler_groups()
     want_stats, _want = oracle_npc(groups, 1000, 5)
     real_levels = npc_mod._significance_levels
@@ -386,7 +387,7 @@ def test_npc_error_in_a_later_groups_levels_propagates(monkeypatch):
     monkeypatch.setattr(npc_mod, "_significance_levels", failing_levels)
     before = threading.active_count()
     with pytest.raises(RuntimeError, match="levels of group 3 fail"):
-        npc_fisher_combine(groups, n_perm=1000, seed=5, workers=3)
+        npc_fisher_combine(groups, n_perm=1000, seed=5, workers=workers)
     assert threading.active_count() == before
 
 

@@ -145,6 +145,16 @@ def test_config_file_round_trip(tmp_path):
         SynthConfig.from_file(bad)
 
 
+def test_config_reads_every_field():
+    full = dataclasses.replace(
+        config(), profiles={"default": (0.5, 1.0), "fast": (1.0,)}, sds_profiles={"S1": "fast"},
+        default_profile="default", quality_mu=0.25, quality_sigma=0.7, coauthor_rate=0.3,
+        multi_category_rate=0.2, seed=3)
+    raw = json.loads(json.dumps(dataclasses.asdict(full)))
+    assert raw.keys() == {f.name for f in dataclasses.fields(SynthConfig)}
+    assert SynthConfig.from_dict(raw) == full
+
+
 def test_fast_profiles_stabilize_earlier_than_slow(tmp_path):
     """Fields whose citations arrive early settle their rankings sooner.
 
