@@ -13,6 +13,7 @@ import json
 import logging
 import math
 import os
+import re
 import sys
 from pathlib import Path
 from typing import Callable, Mapping, Sequence
@@ -20,7 +21,7 @@ from typing import Callable, Mapping, Sequence
 from . import __version__
 from .analysis import BASELINE_RULES, AnalysisRun, run_analysis
 from .errors import AnalysisError, CitewinError, MissingInputError
-from .ingest import check_filter_arguments, load_corpus
+from .ingest import _INT, check_filter_arguments, load_corpus
 from .npc import (NpcCombinedResult, UdaGroups, check_percentile, max_rank_shifts,
                   npc_fisher_combine, top_partition)
 from .sensitivity import battery_tables, ranking_rows
@@ -47,23 +48,12 @@ MANIFEST_PARAMETERS = ("pub_period", "observation_years", "threshold", "baseline
 # commands
 
 
-def cmd_validate(directory: str) -> int:
-    """Load and fully check a corpus directory; report findings."""
-    try:
-        corpus = load_corpus(directory)
-    except MissingInputError as exc:
-        print(f"MISSING INPUT: {exc}", file=sys.stderr)
-        return 2
-    except CitewinError as exc:
-        print(f"INVALID: {exc}", file=sys.stderr)
-        return 1
-    print(
-        f"OK: {len(corpus.pub_ids)} publications, "
-        f"{len(corpus.researcher_ids)} researchers, "
-        f"{len(corpus.link_pub)} authorship links, "
-        f"{len(corpus.sds_ids)} SDSs in {len(corpus.uda_ids)} UDAs"
-    )
-    return 0
+def cmd_validate(directory: str) -> str:
+    """Load and fully check a corpus directory; the counts of what it holds."""
+    corpus = load_corpus(directory)
+    return (f"OK: {len(corpus.pub_ids)} publications, {len(corpus.researcher_ids)} researchers, "
+            f"{len(corpus.link_pub)} authorship links, "
+            f"{len(corpus.sds_ids)} SDSs in {len(corpus.uda_ids)} UDAs")
 
 
 def cmd_rankings(
@@ -228,36 +218,23 @@ def _npc_rows(result: NpcCombinedResult, seed: int) -> list[list[str]]:
 # argument parsing
 
 
-def _parse_period(text: str) -> tuple[int, int]:
-    try:
-        start, _, end = text.partition("-")
-        return int(start), int(end)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"bad period {text!r}, expected YYYY-YYYY") from None
-
-
-def _parse_years(text: str) -> tuple[int, ...]:
-    try:
-        return tuple(int(y) for y in text.split(","))
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"bad years {text!r}, expected comma-separated") from None
-
-
-def _int_at_least(low: int, kind: str) -> Callable[[str], int]:
-    def parse(text: str) -> int:
-        try:
-            value = int(text)
-        except ValueError:
-            value = low - 1
-        if value < low:
-            raise argparse.ArgumentTypeError(f"expected a {kind} integer, got {text!r}")
-        return value
+def _integers(what: str, low: float = -math.inf, sep: str = "",
+              count: int = 0) -> Callable[[str], object]:
+    """An argparse type for integers of the corpus grammar ingest._INT, each at least low:
+    one integer, or with sep the tuple of those sep joins (exactly count, if count is set)."""
+    def parse(text: str) -> int | tuple[int, ...]:
+        parts = text.split(sep) if sep else [text]
+        if (count and len(parts) != count) or not all(
+                re.fullmatch(_INT, part) and int(part) >= low for part in parts):
+            raise argparse.ArgumentTypeError(f"expected {what}, got {text!r}")
+        return tuple(map(int, parts)) if sep else int(text)
 
     return parse
 
 
-_positive_int = _int_at_least(1, "positive")
-_seed = _int_at_least(0, "non-negative")
+_positive_int = _integers("a positive integer", low=1)
+_seed = _integers("a non-negative integer", low=0)
+_year = _integers("an integer year")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -274,19 +251,20 @@ def build_parser() -> argparse.ArgumentParser:
     def common(p: argparse.ArgumentParser, with_years: bool) -> None:
         p.add_argument("directory")
         p.add_argument("--out", dest="out_dir", metavar="OUT", required=True, help="output directory")
-        p.add_argument("--period", dest="pub_period", metavar="PERIOD", type=_parse_period,
-                       default=DEFAULT_PERIOD)
+        p.add_argument("--period", dest="pub_period", metavar="PERIOD", default=DEFAULT_PERIOD,
+                       type=_integers("a period YYYY-YYYY", sep="-", count=2))
         p.add_argument("--threshold", type=float, default=DEFAULT_THRESHOLD)
         p.add_argument("--baseline", choices=BASELINE_RULES, default=DEFAULT_BASELINE)
         if with_years:
-            p.add_argument("--years", type=_parse_years, default=DEFAULT_YEARS)
-            p.add_argument("--benchmark", dest="benchmark_year", metavar="BENCHMARK", type=int,
+            p.add_argument("--years", type=_integers("comma-separated years", sep=","),
+                           default=DEFAULT_YEARS)
+            p.add_argument("--benchmark", dest="benchmark_year", metavar="BENCHMARK", type=_year,
                            default=DEFAULT_BENCHMARK)
             p.add_argument("--workers", type=_positive_int, default=1)
 
     p = sub.add_parser("rankings", help="productivity rankings for one observation year")
     common(p, with_years=False)
-    p.add_argument("--obs-year", type=int, default=DEFAULT_BENCHMARK)
+    p.add_argument("--obs-year", type=_year, default=DEFAULT_BENCHMARK)
     p.add_argument("--level", choices=("uda", "sds"), default="uda")
 
     p = sub.add_parser("sensitivity", help="rank-stability statistics across years")
@@ -327,8 +305,6 @@ def main(argv: Sequence[str] | None = None) -> int:
     except (CitewinError, MemoryError) as exc:  # MemoryError: say, too many permutations
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    if isinstance(out, int):
-        return out  # validate prints its own findings
     print(out)
     return 0
 

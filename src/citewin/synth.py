@@ -61,7 +61,7 @@ class SynthConfig:
             raise ValueError("need at least one observation year")
         if min(self.observation_years) < end:
             raise ValueError("observation years must not precede the publication period end")
-        self._check_finite()
+        self._check_fields()
         if self.pub_rate < 0 or self.coauthor_rate < 0 or self.multi_category_rate < 0:
             raise ValueError("rates must be nonnegative")
         if self.quality_sigma < 0:
@@ -75,8 +75,10 @@ class SynthConfig:
             if self.profile_for(sds) is None:
                 raise ValueError(f"no accrual profile for SDS {sds!r}")
 
-    def _check_finite(self) -> None:
-        """Reject NaN or an infinity in any float field, naming the field."""
+    def _check_fields(self) -> None:
+        """Reject a profile of an SDS that no UDA lists, or a non-finite float, naming the field."""
+        if stray := self.sds_profiles.keys() - self.sds_ids():
+            raise ValueError(f"sds_profiles: SDS {min(stray)!r} is not listed in udas")
         values = [(name, getattr(self, name)) for name in _FLOATS]
         values += [(f"profile {name!r}", r) for name, p in self.profiles.items() for r in p]
         if bad := [(name, value) for name, value in values if not math.isfinite(value)]:
@@ -100,9 +102,7 @@ class SynthConfig:
                 except (TypeError, AttributeError, ValueError, OverflowError) as exc:
                     raise ValueError(f"{key}: {exc}") from exc
             config = SynthConfig(**parsed)
-            if stray := config.sds_profiles.keys() - config.sds_ids():
-                raise ValueError(f"sds_profiles: SDS {min(stray)!r} is not listed in udas")
-            config._check_finite()  # so the message names the config, as a bad type's does
+            config._check_fields()  # so the message names the config, as a bad type's does
             return config
         except (TypeError, AttributeError, ValueError, OverflowError) as exc:
             raise ValueError(f"bad synthetic-corpus config: {exc!r}") from exc

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import argparse
 import csv
 import dataclasses
 import hashlib
@@ -12,7 +13,7 @@ import pytest
 
 import citewin.cli as cli_mod
 from citewin import ingest
-from citewin.cli import _npc_rows, main
+from citewin.cli import _npc_rows, build_parser, main
 from citewin.npc import NpcCombinedResult, PermTestResult
 
 from conftest import (
@@ -47,7 +48,9 @@ def valid_dir(tmp_path):
 
 def test_validate_ok(tmp_path, capsys):
     assert run("validate", valid_dir(tmp_path)) == 0
-    assert "OK" in capsys.readouterr().out
+    out, err = capsys.readouterr()
+    assert out == "OK: 2 publications, 2 researchers, 2 authorship links, 1 SDSs in 1 UDAs\n"
+    assert err == ""
 
 
 def test_validate_reports_bad_data_with_location(tmp_path, capsys):
@@ -74,8 +77,9 @@ def test_validate_rejects_non_strict_integer_without_traceback(tmp_path, capsys)
         fields=[("S1", "UA")],
     )
     assert run("validate", root) == 1
-    err = capsys.readouterr().err
-    assert "citations.csv:3:" in err and "Traceback" not in err
+    out, err = capsys.readouterr()
+    assert err.startswith(f"error: {root / 'citations.csv'}:3: ") and "Traceback" not in err
+    assert out == ""
 
 
 def test_validate_missing_dir_is_usage_error(tmp_path, capsys):
@@ -83,6 +87,14 @@ def test_validate_missing_dir_is_usage_error(tmp_path, capsys):
     empty.mkdir()
     assert run("validate", empty) == 2
     assert "missing" in capsys.readouterr().err.lower()
+
+
+def test_validate_reports_an_absent_directory_like_every_command(tmp_path, capsys):
+    absent = tmp_path / "absent"
+    assert run("validate", absent) == 2
+    out, err = capsys.readouterr()
+    assert err == f"error: corpus directory not found: {absent}\n"
+    assert out == ""
 
 
 def test_rankings_reproduces_golden_productivity(tmp_path):
@@ -453,6 +465,10 @@ def test_sensitivity_workers_flag_is_accepted_and_ignored(tmp_path):
         ("npc", "--workers", "0"),
         ("npc", "--workers", "-2"),
         ("npc", "--permutations", "0"),
+        ("npc", "--permutations", "1_000"),
+        ("npc", "--workers", "+7"),
+        ("sensitivity", "--workers", " 7"),
+        ("npc", "--permutations", "\u0667"),  # ARABIC-INDIC DIGIT SEVEN
     ],
 )
 def test_count_below_one_is_usage_error_before_any_work(
@@ -469,7 +485,7 @@ def test_count_below_one_is_usage_error_before_any_work(
 
 
 @pytest.mark.parametrize("command", ["npc", "synth"])
-@pytest.mark.parametrize("value", ["-5", "1.5", "x"])
+@pytest.mark.parametrize("value", ["-5", "1.5", "x", "1_000", "+7", " 7", "\u0667"])
 def test_negative_seed_is_usage_error_before_any_work(
     golden_corpus_dir, tmp_path, capsys, monkeypatch, command, value
 ):
@@ -487,6 +503,55 @@ def test_negative_seed_is_usage_error_before_any_work(
     assert err.startswith("usage:")
     assert f"argument --seed: expected a non-negative integer, got '{value}'" in err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("command, flag, value", [
+    ("sensitivity", "--years", "2004,2_008"),
+    ("rankings", "--period", "2001- 2003"),
+    ("rankings", "--period", "2001-2003-2005"),
+    ("npc", "--benchmark", "2_008"),
+    ("rankings", "--obs-year", "\u0662\u0660\u0660\u0668"),  # 2008 in Arabic-Indic digits
+])
+def test_integer_outside_the_corpus_grammar_is_usage_error_before_any_work(
+    golden_corpus_dir, tmp_path, capsys, monkeypatch, command, flag, value
+):
+    def no_reading(*args, **kwargs):
+        raise AssertionError("the input was read")
+
+    monkeypatch.setattr(cli_mod, "load_corpus", no_reading)
+    out = tmp_path / "out"
+    with pytest.raises(SystemExit) as exc:
+        run(command, golden_corpus_dir, "--out", out, flag, value)
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage:")
+    assert f"argument {flag}: expected " in err and f"got {value!r}" in err
+    assert not out.exists()
+
+
+def test_integer_flags_read_the_benchmark_argv_forms():
+    args = build_parser().parse_args([
+        "npc", "corpus", "--out", "out", "--seed", "0", "--permutations", "1000000",
+        "--workers", "2", "--years", "2004,2005,2006,2007,2008", "--benchmark", "2008",
+        "--period", "2001-2003",
+    ])
+    assert (args.seed, args.n_perm, args.workers, args.benchmark_year) == (0, 1_000_000, 2, 2008)
+    assert args.years == (2004, 2005, 2006, 2007, 2008) and args.pub_period == (2001, 2003)
+    args = build_parser().parse_args(["rankings", "corpus", "--out", "out", "--obs-year", "2006"])
+    assert args.obs_year == 2006
+
+
+def test_no_flag_parses_with_int_and_every_help_exits_0(capsys):
+    """A type=int flag would accept int()'s grammar: '1_000', '+7', ' 7', non-ASCII digits."""
+    parser = build_parser()
+    (commands,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    assert set(commands.choices) == {"validate", "rankings", "sensitivity", "npc", "synth"}
+    for name, sub in commands.choices.items():
+        assert [a.dest for a in [*parser._actions, *sub._actions] if a.type is int] == [], name
+        with pytest.raises(SystemExit) as exc:
+            main([name, "--help"])
+        assert exc.value.code == 0
+        assert capsys.readouterr().out.startswith(f"usage: citewin {name}")
 
 
 def test_baseline_rule_switch_changes_scores(tmp_path):

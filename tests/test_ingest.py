@@ -418,7 +418,7 @@ def test_single_field_corruption_fails_like_the_row_reader(data):
             err = io.StringIO()
             with contextlib.redirect_stderr(err):
                 assert main(["validate", str(directory)]) == 1
-            assert err.getvalue() == f"INVALID: {exc}\n"
+            assert err.getvalue() == f"error: {exc}\n"
         else:
             assert_matches_rows(load_corpus(directory), directory)
 

@@ -119,6 +119,15 @@ def test_config_validation():
         dataclasses.replace(config(), profiles={"default": (1.0, math.inf)}).validate()
 
 
+def test_directly_built_config_with_a_profile_of_an_unlisted_sds_writes_nothing(tmp_path):
+    stray = dataclasses.replace(config(), sds_profiles={"ZZ": "default"})
+    with pytest.raises(ValueError, match="^sds_profiles: SDS 'ZZ' is not listed in udas$"):
+        stray.validate()
+    with pytest.raises(ValueError, match="^sds_profiles: SDS 'ZZ' is not listed in udas$"):
+        generate(stray, tmp_path / "corpus")
+    assert not (tmp_path / "corpus").exists()
+
+
 @pytest.mark.parametrize("overrides, message", [
     ({"pub_rate": 1e300}, "pub_rate 1e+300 is too large"),
     ({"profiles": {"default": [0.5, 1e300, 0.8]}}, "profile 'default' has a rate too large"),
