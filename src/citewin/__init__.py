@@ -5,33 +5,28 @@ and citewin.productivity are the written reference, imported only by path."""
 
 __version__ = "0.1.0"
 
-from .corpus import Corpus
-from .errors import AnalysisError, CitewinError, IntegrityError, MissingInputError, ParseError
-from .ingest import RepresentativityReport, load_corpus, representativity_filter
-from .npc import (NpcCombinedResult, PermTestResult, UdaGroups, npc_fisher_combine, top_partition,
-                  two_sample_perm_test)
-from .sensitivity import ShiftStats, StabilitySummary
-from .synth import SynthConfig, generate
+# the module of each export, imported on first use (PEP 562): `import citewin` loads none
+_EXPORTS = {
+    "corpus": ("Corpus",),
+    "errors": ("AnalysisError", "CitewinError", "IntegrityError", "MissingInputError",
+               "ParseError"),
+    "ingest": ("RepresentativityReport", "load_corpus", "representativity_filter"),
+    "npc": ("NpcCombinedResult", "PermTestResult", "UdaGroups", "npc_fisher_combine",
+            "top_partition", "two_sample_perm_test"),
+    "sensitivity": ("ShiftStats", "StabilitySummary"),
+    "synth": ("SynthConfig", "generate"),
+}
+_HOME = {name: module for module, names in _EXPORTS.items() for name in names}
+__all__ = ["__version__", *_HOME]
 
-__all__ = [
-    "__version__",
-    "AnalysisError",
-    "CitewinError",
-    "Corpus",
-    "IntegrityError",
-    "MissingInputError",
-    "NpcCombinedResult",
-    "ParseError",
-    "PermTestResult",
-    "RepresentativityReport",
-    "SynthConfig",
-    "ShiftStats",
-    "StabilitySummary",
-    "UdaGroups",
-    "generate",
-    "load_corpus",
-    "npc_fisher_combine",
-    "representativity_filter",
-    "top_partition",
-    "two_sample_perm_test",
-]
+
+def __getattr__(name: str) -> object:
+    if name not in _HOME:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from importlib import import_module
+    value = globals()[name] = getattr(import_module(f"{__name__}.{_HOME[name]}"), name)
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *__all__})

@@ -21,12 +21,10 @@ import numpy as np
 
 from .corpus import Corpus
 from .errors import AnalysisError
-from .ingest import RepresentativityReport, representativity_filter
+from .ingest import BASELINE_RULES, RepresentativityReport, representativity_filter
 from .sensitivity import LevelRanks, rank_scopes
 
 logger = logging.getLogger(__name__)
-
-BASELINE_RULES = ("aggregate", "mean")
 
 
 @dataclass(frozen=True, eq=False)

@@ -9,23 +9,21 @@ from __future__ import annotations
 
 import argparse
 import errno
-import json
 import logging
 import math
 import os
 import re
 import sys
 from pathlib import Path
-from typing import Callable, Mapping, Sequence
+from typing import TYPE_CHECKING, Callable, Mapping, Sequence
 
 from . import __version__
-from .analysis import BASELINE_RULES, AnalysisRun, run_analysis
 from .errors import AnalysisError, CitewinError, MissingInputError
-from .ingest import _INT, check_filter_arguments, load_corpus
-from .npc import (NpcCombinedResult, UdaGroups, check_percentile, max_rank_shifts,
-                  npc_fisher_combine, top_partition)
-from .sensitivity import battery_tables, ranking_rows
-from .synth import SynthConfig, generate
+from .ingest import _INT, _WEIGHT, BASELINE_RULES, check_filter_arguments, load_corpus
+
+if TYPE_CHECKING:  # each command imports the modules it runs when it runs
+    from .analysis import AnalysisRun
+    from .npc import NpcCombinedResult
 
 logger = logging.getLogger(__name__)
 
@@ -66,6 +64,7 @@ def cmd_rankings(
     baseline: str = DEFAULT_BASELINE,
 ) -> Path:
     """Write rankings.csv for one observation year at one level."""
+    from .analysis import run_analysis
     check_filter_arguments(pub_period, threshold)
     corpus = load_corpus(directory)
     run = run_analysis(corpus, pub_period, [obs_year], threshold, baseline)
@@ -85,6 +84,8 @@ def cmd_sensitivity(
     baseline: str = DEFAULT_BASELINE,
 ) -> Path:
     """Write the full rank-stability battery against the benchmark year."""
+    from .analysis import run_analysis
+    from .sensitivity import battery_tables
     years = _check_years(years, benchmark_year)
     check_filter_arguments(pub_period, threshold)
     corpus = load_corpus(directory)
@@ -112,6 +113,9 @@ def cmd_npc(
     workers: int = 1,
 ) -> Path:
     """Top-vs-rest permutation test per UDA plus the Fisher combination."""
+    from .analysis import run_analysis
+    from .npc import (UdaGroups, check_percentile, max_rank_shifts, npc_fisher_combine,
+                      top_partition)
     years = _check_years(years, benchmark_year)
     check_filter_arguments(pub_period, threshold)
     check_percentile(top_percentile)
@@ -140,6 +144,7 @@ def cmd_npc(
 
 
 def cmd_synth(config_path: str, out_dir: str, seed: int | None = None) -> Path:
+    from .synth import SynthConfig, generate
     config = SynthConfig.from_file(config_path)
     return generate(config, out_dir, seed=seed)
 
@@ -176,6 +181,7 @@ def _write_run(
     **parameters: object,
 ) -> Path:
     """Write each named table as a CSV file under out_dir, then manifest.json."""
+    import json
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     for name, rows in tables.items():
@@ -195,6 +201,7 @@ def _write_run(
 
 def _analysis_tables(run: AnalysisRun, *levels: str) -> dict[str, list[list[str]]]:
     """rankings.csv of the given levels, representativity.csv and medians.csv of a run."""
+    from .sensitivity import ranking_rows
     medians = [["pub_year", "category_id", "obs_year", "median"]]
     medians += [[str(py), cat, str(y), f"{m:.6f}"] for py, cat, y, m in run.medians.tolist()]
     return {"rankings.csv": ranking_rows({level: run.levels[level] for level in levels}),
@@ -232,6 +239,13 @@ def _integers(what: str, low: float = -math.inf, sep: str = "",
     return parse
 
 
+def _decimal(text: str) -> float:
+    """An argparse type for a number of the corpus weight grammar ingest._WEIGHT."""
+    if not re.fullmatch(_WEIGHT, text):
+        raise argparse.ArgumentTypeError(f"expected a decimal number, got {text!r}")
+    return float(text)
+
+
 _positive_int = _integers("a positive integer", low=1)
 _seed = _integers("a non-negative integer", low=0)
 _year = _integers("an integer year")
@@ -253,7 +267,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out", dest="out_dir", metavar="OUT", required=True, help="output directory")
         p.add_argument("--period", dest="pub_period", metavar="PERIOD", default=DEFAULT_PERIOD,
                        type=_integers("a period YYYY-YYYY", sep="-", count=2))
-        p.add_argument("--threshold", type=float, default=DEFAULT_THRESHOLD)
+        p.add_argument("--threshold", type=_decimal, default=DEFAULT_THRESHOLD)
         p.add_argument("--baseline", choices=BASELINE_RULES, default=DEFAULT_BASELINE)
         if with_years:
             p.add_argument("--years", type=_integers("comma-separated years", sep=","),
@@ -272,7 +286,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("npc", help="top-vs-rest permutation tests and Fisher combination")
     common(p, with_years=True)
-    p.add_argument("--top-percentile", type=float, default=DEFAULT_TOP_PERCENTILE)
+    p.add_argument("--top-percentile", type=_decimal, default=DEFAULT_TOP_PERCENTILE)
     p.add_argument("--permutations", dest="n_perm", metavar="PERMUTATIONS", type=_positive_int,
                    default=DEFAULT_PERMUTATIONS)
     p.add_argument("--seed", type=_seed, default=DEFAULT_SEED)

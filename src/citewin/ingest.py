@@ -14,7 +14,7 @@ import os
 import re
 import threading
 from dataclasses import dataclass
-from functools import partial
+from functools import cache, partial
 from itertools import repeat
 from pathlib import Path
 from typing import Callable, Mapping, NoReturn, Sequence
@@ -28,7 +28,6 @@ _ID, _INT = r"[A-Za-z0-9_/-]+", r"-?[0-9]+"
 _WEIGHT = r"-?(?:[0-9]+(?:\.[0-9]*)?|\.[0-9]+)(?:[eE][-+]?[0-9]+)?"
 _KINDS = {"id": _ID, "int": _INT, "weight": _WEIGHT,
           "categories": rf"{_ID}:{_WEIGHT}(?:;{_ID}:{_WEIGHT})*|{_ID}(?:;{_ID})*"}
-_FIELD = {kind: re.compile(pattern) for kind, pattern in _KINDS.items()}
 FILES = {
     "publications.csv": (("pub_id", "id"), ("pub_year", "int"), ("categories", "categories")),
     "citations.csv": (("pub_id", "id"), ("obs_year", "int"), ("cum_citations", "int")),
@@ -36,10 +35,9 @@ FILES = {
     "researchers.csv": (("researcher_id", "id"), ("university_id", "id"), ("sds_id", "id")),
     "fields.csv": (("sds_id", "id"), ("uda_id", "id")),
 }
-# a newline followed by neither a row nor a blank line starts the first line the grammar rejects
-_BAD_LINE = {name: re.compile("\n(?!(?:{0})?(?:\n|\\Z))".format(
-    ",".join(f"(?:{_KINDS[kind]})" for _c, kind in columns))) for name, columns in FILES.items()}
 WEIGHT_SUM_TOL = 1e-9
+# the national baseline rules of the analysis, here where the command-line parser reads them
+BASELINE_RULES = ("aggregate", "mean")
 Fail = Callable[[int, str, type], NoReturn]
 CACHE_NAME = ".citewin-cache.npz"
 # the dtype kind and ndim of every Corpus column, as a cache holds them besides its key
@@ -134,6 +132,16 @@ def check_filter_arguments(pub_period: tuple[int, int], threshold: float) -> Non
         raise ValueError(f"empty publication period {pub_period}")
 
 
+@cache
+def _grammar() -> tuple[dict[str, re.Pattern], dict[str, re.Pattern]]:
+    """Each field kind's pattern, and per file a newline followed by neither a row nor a blank
+    line: the start of its first line the grammar rejects. Only a parse compiles them."""
+    field = {kind: re.compile(pattern) for kind, pattern in _KINDS.items()}
+    bad_line = {name: re.compile("\n(?!(?:{0})?(?:\n|\\Z))".format(",".join(
+        f"(?:{_KINDS[kind]})" for _c, kind in columns))) for name, columns in FILES.items()}
+    return field, bad_line
+
+
 def _cache_key(data: Mapping[str, bytes]) -> str:
     """sha256 over the digests of the checks and column layout, numpy and the corpus files."""
     from hashlib import sha256  # loads OpenSSL, which a load that fails its checks never needs
@@ -167,7 +175,7 @@ def _checked(root: Path, data: Mapping[str, bytes], name: str, check: Callable):
     header = [c for c, _k in columns]
     if head.split(",") != header:
         raise ParseError(path, 1, f"bad header {head.split(',')!r}, expected {header!r}")
-    error, found = None, _BAD_LINE[name].search(text, len(head))
+    error, found = None, _grammar()[1][name].search(text, len(head))
     if found:
         start = found.start() - len(head)
         bad = body[start:].partition("\n")[0]
@@ -206,11 +214,11 @@ def _checked(root: Path, data: Mapping[str, bytes], name: str, check: Callable):
 
 def _grammar_error(text: str, columns: tuple[tuple[str, str], ...]) -> str:
     """What is wrong with one line the body grammar rejects."""
-    values = text.split(",")
+    values, field = text.split(","), _grammar()[0]
     if len(values) != len(columns):
         return f"expected {len(columns)} fields, got {len(values)}"
     for value, (name, kind) in zip(values, columns):
-        if kind != "categories" and not _FIELD[kind].fullmatch(value):
+        if kind != "categories" and not field[kind].fullmatch(value):
             problem = "is not an integer" if kind == "int" else f"does not match {_ID}"
             return f"{name} {value!r} {problem}"
         parts = [part.partition(":") for part in value.split(";")] if kind == "categories" else []
@@ -219,9 +227,9 @@ def _grammar_error(text: str, columns: tuple[tuple[str, str], ...]) -> str:
         if 0 < sum(bool(colon) for _n, colon, _w in parts) < len(parts):
             return f"mixed weighted/unweighted categories in {value!r}"
         for cat, colon, weight in parts:
-            if colon and not _FIELD["weight"].fullmatch(weight):
+            if colon and not field["weight"].fullmatch(weight):
                 return f"bad category weight {weight!r}"
-            if not _FIELD["id"].fullmatch(cat):
+            if not field["id"].fullmatch(cat):
                 return f"category {cat!r} does not match {_ID}"
     raise AssertionError(f"the grammar rejects {text!r} for no reason found")
 

@@ -18,10 +18,10 @@ import logging
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
-from .analysis import BASELINE_RULES
 from .corpus import Corpus
 from .errors import AnalysisError
 from .impact import MedianTable, article_impact_index
+from .ingest import BASELINE_RULES
 
 logger = logging.getLogger(__name__)
 

@@ -12,7 +12,8 @@ from contextlib import contextmanager
 import numpy as np
 import pytest
 
-from citewin.cli import cmd_npc, cmd_sensitivity, run_analysis
+from citewin.analysis import run_analysis
+from citewin.cli import cmd_npc, cmd_sensitivity
 from citewin.impact import MedianTable, article_impact_index, compute_median_table
 from citewin.ingest import load_corpus
 from citewin.npc import UdaGroups, npc_fisher_combine, two_sample_perm_test

@@ -12,7 +12,7 @@ import math
 import pytest
 
 import citewin.cli as cli_mod
-from citewin import ingest
+from citewin import ingest, npc
 from citewin.cli import _npc_rows, build_parser, main
 from citewin.npc import NpcCombinedResult, PermTestResult
 
@@ -23,7 +23,7 @@ from conftest import (
     stability_config,
     write_corpus_dir,
 )
-from citewin.synth import generate
+from citewin.synth import SynthConfig, generate
 
 
 def run(*argv) -> int:
@@ -275,7 +275,6 @@ def test_single_observation_year_is_rejected_before_any_work(
 RANGE_ERRORS = [
     ("--threshold", "1.5", "threshold must be in [0, 1], got 1.5"),
     ("--threshold", "-0.1", "threshold must be in [0, 1], got -0.1"),
-    ("--threshold", "nan", "threshold must be in [0, 1], got nan"),
     ("--period", "2003-2001", "empty publication period (2003, 2001)"),
 ]
 PERCENTILE_ERRORS = [
@@ -493,7 +492,7 @@ def test_negative_seed_is_usage_error_before_any_work(
         raise AssertionError("the input was read")
 
     monkeypatch.setattr(cli_mod, "load_corpus", no_reading)
-    monkeypatch.setattr(cli_mod.SynthConfig, "from_file", no_reading)
+    monkeypatch.setattr(SynthConfig, "from_file", no_reading)
     out = tmp_path / "out"
     args = [golden_corpus_dir] if command == "npc" else ["--config", tmp_path / "config.json"]
     with pytest.raises(SystemExit) as exc:
@@ -529,6 +528,31 @@ def test_integer_outside_the_corpus_grammar_is_usage_error_before_any_work(
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command, flag, value", [
+    ("rankings", "--threshold", "0.0_5"),
+    ("rankings", "--threshold", " 0.5"),
+    ("sensitivity", "--threshold", "+0.5"),
+    ("rankings", "--threshold", "\u0660.\u0665"),  # 0.5 in Arabic-Indic digits
+    ("npc", "--top-percentile", "8_0"),
+    ("npc", "--top-percentile", "inf"),
+] + [(command, "--threshold", "nan") for command in ("rankings", "sensitivity", "npc")])
+def test_float_outside_the_grammar_is_usage_error_before_any_work(
+    golden_corpus_dir, tmp_path, capsys, monkeypatch, command, flag, value
+):
+    def no_reading(*args, **kwargs):
+        raise AssertionError("the input was read")
+
+    monkeypatch.setattr(cli_mod, "load_corpus", no_reading)
+    out = tmp_path / "out"
+    with pytest.raises(SystemExit) as exc:
+        run(command, golden_corpus_dir, "--out", out, flag, value)
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage:")
+    assert f"argument {flag}: expected a decimal number, got {value!r}" in err
+    assert not out.exists()
+
+
 def test_integer_flags_read_the_benchmark_argv_forms():
     args = build_parser().parse_args([
         "npc", "corpus", "--out", "out", "--seed", "0", "--permutations", "1000000",
@@ -542,12 +566,13 @@ def test_integer_flags_read_the_benchmark_argv_forms():
 
 
 def test_no_flag_parses_with_int_and_every_help_exits_0(capsys):
-    """A type=int flag would accept int()'s grammar: '1_000', '+7', ' 7', non-ASCII digits."""
+    """A type=int or type=float flag would accept int()'s or float()'s grammar: '1_000', '+7',
+    ' 7', non-ASCII digits, 'nan'."""
     parser = build_parser()
     (commands,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
     assert set(commands.choices) == {"validate", "rankings", "sensitivity", "npc", "synth"}
     for name, sub in commands.choices.items():
-        assert [a.dest for a in [*parser._actions, *sub._actions] if a.type is int] == [], name
+        assert [a.dest for a in [*parser._actions, *sub._actions] if a.type in (int, float)] == [], name
         with pytest.raises(SystemExit) as exc:
             main([name, "--help"])
         assert exc.value.code == 0
@@ -647,7 +672,7 @@ def test_out_of_memory_is_an_error_without_traceback(tmp_path, capsys, monkeypat
     def exhausted(*_args, **_kwargs):
         raise MemoryError("Unable to allocate 7.28 TiB for an array")
 
-    monkeypatch.setattr(cli_mod, "npc_fisher_combine", exhausted)
+    monkeypatch.setattr(npc, "npc_fisher_combine", exhausted)
     root = generate(stability_config(), tmp_path / "corpus", seed=6)
     out = tmp_path / "npc"
     assert run("npc", root, "--out", out, "--permutations", "1000000000000") == 1

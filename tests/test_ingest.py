@@ -6,6 +6,7 @@ import ast
 import contextlib
 import functools
 import io
+import json
 import os
 import subprocess
 import sys
@@ -24,7 +25,7 @@ from citewin.ingest import FILES, load_corpus, representativity_filter
 from citewin.synth import SynthConfig, generate
 
 from conftest import (corpus_from_rows, corpus_rows, make_random_corpus, sds_to_uda,
-                      write_corpus_dir)
+                      stability_config, write_corpus_dir)
 from oracles import read_corpus_rows
 
 
@@ -232,7 +233,8 @@ def test_grammar_needs_no_regex_syntax_newer_than_python_3_10():
         else:
             yield str(node)
 
-    patterns = [*ingest._FIELD.values(), *ingest._BAD_LINE.values()]
+    field, bad_line = ingest._grammar()
+    patterns = [*field.values(), *bad_line.values()]
     used = {op for pattern in patterns for op in opcodes(_parser.parse(pattern.pattern))}
     assert "MAX_REPEAT" in used
     assert not used & {"POSSESSIVE_REPEAT", "ATOMIC_GROUP"}
@@ -283,15 +285,59 @@ def test_columnar_core_does_not_import_the_scalar_definitions():
     assert not imported & {"citewin.impact", "citewin.productivity"}
 
 
-def test_commands_load_only_the_columnar_core():
-    """impact.py and productivity.py are the written reference: no command imports them."""
-    code = "import sys, citewin.cli; print(' '.join(sorted(sys.modules)))"
+CORE = {"citewin", "citewin.cli", "citewin.corpus", "citewin.errors", "citewin.ingest"}
+ANALYSIS = CORE | {"citewin.analysis", "citewin.sensitivity"}
+COMMAND_MODULES = {
+    "validate": CORE,
+    "rankings": ANALYSIS,
+    "sensitivity": ANALYSIS,
+    "npc": ANALYSIS | {"citewin.npc"},
+    "synth": CORE | {"citewin.synth"},
+    "--help": CORE,
+}
+# runs `cli.main(sys.argv[1:])` and prints the citewin modules then loaded, whether
+# concurrent.futures is, and the ingest grammar patterns that re.compile was given
+RUN_COMMAND = """
+import contextlib, io, json, re, sys
+compiled, compile = [], re.compile
+re.compile = lambda pattern, flags=0: compiled.append(pattern) or compile(pattern, flags)
+from citewin import cli, ingest
+try:
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = cli.main(sys.argv[1:])
+except SystemExit as exc:
+    code = exc.code
+assert code == 0, code
+seen = set(compiled)
+grammar = {p.pattern for kind in ingest._grammar.__wrapped__() for p in kind.values()}
+print(json.dumps([sorted(m for m in sys.modules if m.split(".")[0] == "citewin"),
+                  "concurrent.futures" in sys.modules, sorted(grammar & seen)]))
+"""
+
+
+@pytest.mark.parametrize("command", list(COMMAND_MODULES))
+def test_each_command_loads_only_the_modules_it_runs(tmp_path, command):
+    """A fresh process runs one command and holds exactly its modules afterwards: impact.py
+    and productivity.py are the written reference, which no command imports. Reading a
+    cached corpus compiles none of the grammar patterns of a parse."""
+    corpus = generate(stability_config(), tmp_path / "corpus", seed=3)
+    load_corpus(corpus)  # writes the cache
+    config, out = tmp_path / "config.json", tmp_path / "out"
+    config.write_text(json.dumps({"n_universities": 2, "staff_range": [2, 3], "udas": {"UA": ["S1"]},
+                                  "pub_period": [2001, 2003], "observation_years": [2004],
+                                  "pub_rate": 1.0, "profiles": {"default": [1.0]}}), encoding="utf-8")
+    argv = {"validate": ["validate", corpus], "synth": ["synth", "--config", config, "--out", out],
+            "npc": ["npc", corpus, "--out", out, "--permutations", "100"], "--help": ["--help"]}
+    argv = argv.get(command, [command, corpus, "--out", out])
     src = str(Path(ingest.__file__).parents[1])
-    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                          check=True, env={**os.environ, "PYTHONPATH": src})
-    loaded = {m for m in proc.stdout.split() if m.startswith("citewin.")}
-    assert loaded == {f"citewin.{m}" for m in ("analysis", "cli", "corpus", "errors", "ingest",
-                                               "npc", "sensitivity", "synth")}
+    proc = subprocess.run([sys.executable, "-c", RUN_COMMAND, *map(str, argv)], capture_output=True,
+                          text=True, timeout=120, env={**os.environ, "PYTHONPATH": src})
+    assert proc.returncode == 0, proc.stderr
+    loaded, futures, grammar_compiled = json.loads(proc.stdout)
+    assert set(loaded) == COMMAND_MODULES[command]
+    assert futures == (command == "npc")
+    if command == "validate":
+        assert grammar_compiled == []
 
 
 REMOVED_NAMES = (
@@ -315,6 +361,26 @@ def test_all_lists_importable_names_only():
         assert name not in citewin.__all__ and not hasattr(citewin, name)
         with pytest.raises(ImportError):
             exec(f"from citewin import {name}", {})
+
+
+def test_exports_are_the_objects_of_their_home_modules():
+    """The package serves each export from its module on first use."""
+    assert "__all__" in dir(citewin) and set(citewin.__all__) <= set(dir(citewin))
+    for name in citewin.__all__[1:]:  # after __version__
+        value = getattr(citewin, name)
+        assert value.__module__.startswith("citewin.")
+        assert getattr(sys.modules[value.__module__], name) is value, name
+    assert citewin.load_corpus is citewin.ingest.load_corpus
+    with pytest.raises(AttributeError, match="has no attribute 'build_corpus'"):
+        citewin.build_corpus
+
+
+def test_importing_the_package_loads_no_submodule():
+    src = str(Path(ingest.__file__).parents[1])
+    code = "import sys, citewin; print(sorted(m for m in sys.modules if m.startswith('citewin')))"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          check=True, timeout=120, env={**os.environ, "PYTHONPATH": src})
+    assert proc.stdout == "['citewin']\n"
 
 
 def test_earlier_value_error_wins_over_later_grammar_error(tmp_path):

@@ -577,7 +577,7 @@ def test_npc_monotone_response_to_injected_separation():
 def test_pipeline_null_rarely_produces_tiny_partial_p(tmp_path):
     """Across 100 seeded null corpora, at least 95 must have every per-UDA
     p-value >= 0.01 (the top/rest groups share one generative process)."""
-    from citewin.cli import run_analysis
+    from citewin.analysis import run_analysis
     from citewin.ingest import load_corpus
     from citewin.synth import generate
 
