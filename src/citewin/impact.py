@@ -16,8 +16,26 @@ import statistics
 from dataclasses import dataclass
 from typing import Mapping
 
-from .corpus import Corpus, PublicationRecord
 from .errors import AnalysisError
+
+
+@dataclass(frozen=True)
+class PublicationRecord:
+    """A publication with weighted subject categories and cumulative citations.
+
+    citation_counts maps observation year -> citations accumulated at Dec 31
+    of that year. Counts are cumulative, so they never decrease as the
+    observation year advances; years may be missing (analyses that need a
+    missing year fail fast instead of guessing).
+    """
+
+    pub_id: str
+    pub_year: int
+    category_weights: tuple[tuple[str, float], ...]
+    citation_counts: Mapping[int, int]
+
+    def citations_at(self, obs_year: int) -> int | None:
+        return self.citation_counts.get(obs_year)
 
 
 @dataclass(frozen=True)
@@ -35,17 +53,20 @@ class MedianTable:
         return self.medians.get((pub_year, category_id))
 
 
-def compute_median_table(corpus: Corpus, obs_year: int) -> MedianTable:
-    """Build the normalization table for one observation year.
+def compute_median_table(
+    publications: Mapping[str, PublicationRecord], obs_year: int
+) -> MedianTable:
+    """Build the normalization table for one observation year from every
+    publication of the corpus, by pub_id.
 
-    Every publication in the corpus must carry a citation count for
-    obs_year (fail fast naming the first that does not). A publication
+    Every publication must carry a citation count for obs_year (fail fast
+    naming the first in pub_id order that does not). A publication
     contributes its count to the cell of each of its categories; zero
     counts are excluded from the median.
     """
     cells: dict[tuple[int, str], list[int]] = {}
-    for pid in sorted(corpus.publications):
-        pub = corpus.publications[pid]
+    for pid in sorted(publications):
+        pub = publications[pid]
         count = pub.citations_at(obs_year)
         if count is None:
             raise AnalysisError(

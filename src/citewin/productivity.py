@@ -16,11 +16,10 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
-from .corpus import Corpus
 from .errors import AnalysisError
-from .impact import MedianTable, article_impact_index
+from .impact import MedianTable, PublicationRecord, article_impact_index
 from .ingest import BASELINE_RULES
 
 logger = logging.getLogger(__name__)
@@ -68,22 +67,18 @@ class UdaProductivity:
 
 
 def scientific_strength(
-    corpus: Corpus,
-    university_id: str,
-    sds_id: str,
+    pubs: Iterable[PublicationRecord],
     pub_period: tuple[int, int],
     obs_year: int,
     median_table: MedianTable,
 ) -> float:
-    """Sum of impact scores over the cell's distinct publications in the period.
+    """Sum of impact scores over a cell's publications in the period.
 
-    A publication co-authored across different cells counts fully in each
-    of them; co-authors within the same cell contribute it once.
+    pubs are the cell's distinct publications, in the order they are added.
     """
     start, end = pub_period
     total = 0.0
-    for pid in corpus.cell_pubs(university_id, sds_id):
-        pub = corpus.publications[pid]
+    for pub in pubs:
         if start <= pub.pub_year <= end:
             total += article_impact_index(pub, obs_year, median_table)
     return total

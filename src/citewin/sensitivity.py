@@ -178,13 +178,13 @@ def stability_battery(ranks: LevelRanks, benchmark_year: int) -> list[ScopeStabi
         rows = ranks.bounds[scopes, None] + np.arange(n)
         rank, fractional, score = (np.ascontiguousarray(m[rows][..., years].transpose(0, 2, 1))
                                    for m in (ranks.ranks, ranks.fractional, ranks.scores))
-        moves = np.abs(_shifts(rank))
+        moves, low, high = np.abs(_shifts(rank)), rank.min(axis=1), rank.max(axis=1)
         shifts = _descriptives(moves.astype(float))
-        summaries = _stability(rank)
+        summaries = _stability(moves, high - low)
         rho = _spearman(fractional[:, :-1], fractional[:, -1:])
         pcts = _small_shift_pcts(moves[:, 0]).tolist()
         quartiles = _class_shifts(_quartile_classes(score)[1]) if n >= 4 else None
-        low, high = rank.min(axis=1).tolist(), rank.max(axis=1).tolist()
+        low, high = low.tolist(), high.tolist()
         k = len(years) - 1
         for i, s in enumerate(scopes.tolist()):
             each = slice(i * k, (i + 1) * k)
@@ -274,15 +274,14 @@ def _spearman(xs: np.ndarray, ys: np.ndarray) -> list[float | None]:
             for sx, sy, sxy in zip(*(s.ravel().tolist() for s in sums))]
 
 
-def _stability(ranks: np.ndarray) -> list[tuple[StabilitySummary, int]]:
-    """(StabilitySummary, universities that move) of each block of ranks[..., year, n]."""
-    moves = np.abs(_shifts(ranks))
+def _stability(moves: np.ndarray, spread: np.ndarray) -> list[tuple[StabilitySummary, int]]:
+    """(StabilitySummary, universities that move) of each block, from its absolute
+    shifts moves[..., comparison year, n] and rank spreads (max - min over all years) [..., n]."""
     mean_shifts = moves.sum(axis=-2) / moves.shape[-2]
-    spread = ranks.max(axis=-2) - ranks.min(axis=-2)
     changed = (spread > 0).sum(axis=-1)
     columns = (changed, mean_shifts.mean(axis=-1), np.median(mean_shifts, axis=-1),
                mean_shifts.std(axis=-1), spread.max(axis=-1))
-    n = ranks.shape[-1]
+    n = moves.shape[-1]
     return [(StabilitySummary(n, c / n, average, median, std_dev, variation), c)
             for c, average, median, std_dev, variation in zip(*(np.ravel(a).tolist() for a in columns))]
 

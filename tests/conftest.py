@@ -18,6 +18,8 @@ from citewin.ingest import load_corpus
 from citewin.sensitivity import LevelRanks, rank_scopes
 from citewin.synth import SynthConfig
 
+from oracles import publications
+
 # ---------------------------------------------------------------------------
 # golden per-field inputs: staff count, publication count, strength (SS),
 # national baseline productivity, and the published contribution to P
@@ -140,7 +142,7 @@ def categories_field(weights) -> str:
 def corpus_rows(corpus: Corpus) -> dict[str, list[tuple]]:
     """The rows of a loaded corpus, in the order its columns keep: corpus_from_rows of
     them gives the same columns."""
-    pubs = corpus.publications.values()
+    pubs = publications(corpus).values()
     return dict(
         publications=[(p.pub_id, p.pub_year, categories_field(p.category_weights)) for p in pubs],
         citations=[(p.pub_id, y, n) for p in pubs for y, n in p.citation_counts.items()],

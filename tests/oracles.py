@@ -456,6 +456,42 @@ def _fmt(x, decimals=6):
 # against
 
 
+def publications(corpus):
+    """pub_id -> PublicationRecord of every publication, read from the columns: its
+    categories in listed order and the citation counts of the years it was given."""
+    from citewin.impact import PublicationRecord
+
+    cats = [[] for _ in corpus.pub_ids]
+    for p, cat, weight in zip(corpus.entry_pub.tolist(),
+                              corpus.categories[corpus.entry_cat].tolist(),
+                              corpus.entry_weight.tolist()):
+        cats[p].append((cat, weight))
+    years = corpus.obs_years.tolist()
+    counts = [{y: n for y, n, has in zip(years, ns, given) if has}
+              for ns, given in zip(corpus.counts.tolist(), corpus.present.tolist())]
+    rows = zip(corpus.pub_ids.tolist(), corpus.pub_year.tolist(), cats, counts)
+    return {p: PublicationRecord(p, y, tuple(c), n) for p, y, c, n in rows}
+
+
+def pubs_by_cell(corpus):
+    """(university, SDS) -> the cell's distinct pub_ids, sorted. A publication is
+    listed once per cell, however many researchers of the cell co-authored it,
+    and under the cell of each of its authors."""
+    res = corpus.link_res
+    cells = zip(corpus.universities[corpus.res_univ[res]].tolist(),
+                corpus.sds_ids[corpus.res_sds[res]].tolist())
+    out = {}
+    for cell, pid in zip(cells, corpus.pub_ids[corpus.link_pub].tolist()):
+        out.setdefault(cell, set()).add(pid)
+    return {cell: tuple(sorted(pids)) for cell, pids in out.items()}
+
+
+def cell_pubs(corpus, university_id, sds_id):
+    """The distinct pub_ids of one (university, SDS) cell, sorted; () for a cell
+    without publications."""
+    return pubs_by_cell(corpus).get((university_id, sds_id), ())
+
+
 def cell_staff(corpus):
     """(university, SDS) -> staff count of every staffed cell, read from the researcher columns."""
     cells = zip(corpus.universities[corpus.res_univ].tolist(),
@@ -472,12 +508,13 @@ def compute_cells(corpus, retained_sds, pub_period, obs_year, median_table):
     """All (university, SDS) productivity cells of the retained SDSs, SDS by SDS."""
     from citewin.productivity import scientific_strength, sds_productivity
 
-    staff = cell_staff(corpus)
+    staff, pubs, index = cell_staff(corpus), publications(corpus), pubs_by_cell(corpus)
     cells = {}
     for sds_id in sorted(retained_sds):
         for univ in sorted(u for (u, s) in staff if s == sds_id):
             rs = staff[(univ, sds_id)]
-            ss = scientific_strength(corpus, univ, sds_id, pub_period, obs_year, median_table)
+            records = [pubs[pid] for pid in index.get((univ, sds_id), ())]
+            ss = scientific_strength(records, pub_period, obs_year, median_table)
             cells[(univ, sds_id)] = sds_productivity(univ, sds_id, obs_year, ss, rs)
     return cells
 
@@ -525,7 +562,7 @@ WEIGHT_RE = re.compile(r"-?(?:[0-9]+(?:\.[0-9]*)?|\.[0-9]+)(?:[eE][-+]?[0-9]+)?"
 def read_corpus_rows(directory):
     """(publications by id, researcher rows, authorship rows, SDS -> UDA map) of a corpus
     directory."""
-    from citewin.corpus import PublicationRecord
+    from citewin.impact import PublicationRecord
 
     root = Path(directory)
     taxonomy = _read_fields(root / "fields.csv")

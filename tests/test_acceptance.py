@@ -14,11 +14,11 @@ import pytest
 
 from citewin.analysis import run_analysis
 from citewin.cli import cmd_npc, cmd_sensitivity
-from citewin.impact import MedianTable, article_impact_index, compute_median_table
+from citewin.impact import (MedianTable, PublicationRecord, article_impact_index,
+                            compute_median_table)
 from citewin.ingest import load_corpus
 from citewin.npc import UdaGroups, npc_fisher_combine, two_sample_perm_test
 from citewin.productivity import NationalBaseline, ProductivityCell, uda_productivity
-from citewin.corpus import PublicationRecord
 from citewin.sensitivity import _quartile_classes, stability_battery
 from citewin.synth import generate
 
@@ -37,6 +37,7 @@ from oracles import (
     compute_baselines,
     compute_cells,
     perm_test_exhaustive,
+    publications,
     spearman_brute,
     uda_scores,
 )
@@ -105,7 +106,7 @@ def test_criterion_2_impact_unit_suite_and_scale_invariance():
             citations=[(f"P{i}", 2004, c) for i, c in enumerate((0, 0, 3, 5))],
             fields=[("S1", "UA")],
         )
-        assert compute_median_table(zeros, 2004).median_for(2001, "K") == 4.0
+        assert compute_median_table(publications(zeros), 2004).median_for(2001, "K") == 4.0
         uncited = PublicationRecord("PZ", 2001, (("K", 1.0),), {2004: 0})
         assert article_impact_index(uncited, 2004, MedianTable(2004, {})) == 0.0
 
@@ -127,7 +128,7 @@ def test_criterion_3_normalization_identity(tmp_path):
             root = generate(stability_config(), tmp_path / f"s{seed}", seed=seed)
             corpora.append(load_corpus(root))
         for corpus in corpora:
-            table = compute_median_table(corpus, 2006)
+            table = compute_median_table(publications(corpus), 2006)
             cells = compute_cells(corpus, corpus.sds_ids.tolist(), PERIOD, 2006, table)
             baselines = compute_baselines(cells, "aggregate")
             for uda in corpus.uda_ids.tolist():

@@ -18,7 +18,8 @@ from citewin.ingest import representativity_filter
 from citewin.productivity import BASELINE_RULES
 
 from conftest import categories_field, corpus_from_rows
-from oracles import compute_baselines, compute_cells, rank_universities, sds_scores, uda_scores
+from oracles import (compute_baselines, compute_cells, publications, rank_universities, sds_scores,
+                     uda_scores)
 
 PERIOD = (2001, 2003)
 YEARS = (2004, 2005, 2006, 2007)
@@ -65,9 +66,9 @@ def corpora(draw):
 
 def scalar_rankings(corpus, retained, years, baseline):
     """(median tables, rankings) of the per-year walk over the scalar definitions."""
-    tables, rankings = {}, {}
+    tables, rankings, pubs = {}, {}, publications(corpus)
     for year in years:
-        tables[year] = table = compute_median_table(corpus, year)
+        tables[year] = table = compute_median_table(pubs, year)
         cells = compute_cells(corpus, retained, PERIOD, year, table)
         baselines = compute_baselines(cells, baseline)
         for sds in sorted(retained):

@@ -23,6 +23,7 @@ from citewin.ingest import CACHE_NAME, FILES, load_corpus
 from citewin.synth import generate
 
 from conftest import random_corpus_rows, stability_config, write_corpus_dir
+from oracles import publications
 
 SMALL_ROWS = dict(
     publications=[("P1", 2001, "K1"), ("P2", 2002, "K1:0.5;K2:0.5"), ("P3", 2003, "K1;K2")],
@@ -263,11 +264,11 @@ def test_edited_byte_in_any_file_is_a_miss(tmp_path, monkeypatch, name):
 
 def test_edited_count_is_read_from_the_files_not_the_cache(tmp_path):
     root = small_corpus(tmp_path)
-    assert load_corpus(root).publications["P1"].citation_counts == {2004: 2, 2005: 3}
+    assert publications(load_corpus(root))["P1"].citation_counts == {2004: 2, 2005: 3}
     path = root / "citations.csv"
     path.write_text(path.read_text(encoding="utf-8").replace("P1,2005,3", "P1,2005,4"),
                     encoding="utf-8")
-    assert load_corpus(root).publications["P1"].citation_counts == {2004: 2, 2005: 4}
+    assert publications(load_corpus(root))["P1"].citation_counts == {2004: 2, 2005: 4}
 
 
 @pytest.mark.parametrize("edited", [None, "ingest.py", "corpus.py"])

@@ -2,11 +2,15 @@
 
 from __future__ import annotations
 
+import ast
 import dataclasses
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import citewin
+from citewin.corpus import Corpus
 from citewin.errors import IntegrityError, ParseError
 from citewin.ingest import load_corpus, representativity_filter
 
@@ -18,7 +22,7 @@ from conftest import (
     sds_to_uda,
     write_corpus_dir,
 )
-from oracles import cell_staff
+from oracles import cell_pubs, cell_staff, publications, pubs_by_cell
 
 FIELDS = [("S1", "UA"), ("S2", "UA"), ("S3", "UB")]
 
@@ -30,8 +34,8 @@ def corpus(publications=(("P1", 2001, "K1"),), citations=(("P1", 2004, 1),), aut
 
 def test_minimal_corpus_indexed():
     built = corpus(authorship=[("P1", "R1")], researchers=[("R1", "U1", "S1")])
-    assert built.cell_pubs("U1", "S1") == ("P1",)
-    assert built.cell_pubs("U1", "S2") == ()
+    assert cell_pubs(built, "U1", "S1") == ("P1",)
+    assert cell_pubs(built, "U1", "S2") == ()
     assert cell_staff(built) == {("U1", "S1"): 1}
 
 
@@ -43,14 +47,14 @@ def test_dangling_pub_reference_names_record():
 def test_cross_university_coauthorship_indexes_both_cells():
     built = corpus(authorship=[("P1", "R1"), ("P1", "R2")],
                    researchers=[("R1", "U1", "S1"), ("R2", "U2", "S2")])
-    assert built.cell_pubs("U1", "S1") == ("P1",)
-    assert built.cell_pubs("U2", "S2") == ("P1",)
+    assert cell_pubs(built, "U1", "S1") == ("P1",)
+    assert cell_pubs(built, "U2", "S2") == ("P1",)
 
 
 def test_same_cell_coauthors_count_publication_once():
     built = corpus(authorship=[("P1", "R1"), ("P1", "R2")],
                    researchers=[("R1", "U1", "S1"), ("R2", "U1", "S1")])
-    assert built.cell_pubs("U1", "S1") == ("P1",)
+    assert cell_pubs(built, "U1", "S1") == ("P1",)
 
 
 @pytest.mark.parametrize(
@@ -99,9 +103,10 @@ def test_indexes_match_full_rescan(seed):
     for pid, rid in rows["authorship"]:
         expected_pubs.setdefault(cell_of[rid], set()).add(pid)
     cells = {(u, s) for u in built.universities.tolist() for s in built.sds_ids.tolist()}
-    assert {cell: set(built.cell_pubs(*cell)) for cell in cells if built.cell_pubs(*cell)} == (
+    index = pubs_by_cell(built)
+    assert {cell: set(index.get(cell, ())) for cell in cells if index.get(cell, ())} == (
         expected_pubs)
-    assert all(list(built.cell_pubs(*cell)) == sorted(built.cell_pubs(*cell)) for cell in cells)
+    assert all(list(index.get(cell, ())) == sorted(index.get(cell, ())) for cell in cells)
 
     expected_staff: dict = {}
     for rid, univ, sds in rows["researchers"]:
@@ -119,7 +124,7 @@ def test_indexes_match_full_rescan(seed):
 @pytest.mark.parametrize("seed", range(4))
 def test_random_corpus_record_invariants(seed):
     corpus = make_random_corpus(seed)
-    for p in corpus.publications.values():
+    for p in publications(corpus).values():
         assert abs(sum(w for _c, w in p.category_weights) - 1.0) <= 1e-9
         years = sorted(p.citation_counts)
         for a, b in zip(years, years[1:]):
@@ -140,10 +145,10 @@ def test_corpus_columns_are_read_only(tmp_path):
     loaded = load_corpus(root)
     for corpus in (built, loaded):
         first = corpus.pub_ids[0]
-        before = corpus.publications[first].citation_counts
+        before = publications(corpus)[first].citation_counts
         with pytest.raises(ValueError, match="read-only"):
             corpus.counts[0, :] = 99
-        assert corpus.publications[first].citation_counts == before
+        assert publications(corpus)[first].citation_counts == before
         columns = [v for v in vars(corpus).values() if isinstance(v, np.ndarray)]
         assert len(columns) == 18
         for column in columns:
@@ -162,3 +167,26 @@ def test_every_corpus_and_report_field_is_a_read_only_array():
     assert len(report.sds_ids) == len(report.staff) == len(report.publishing) == len(
         report.retained)
     assert np.array_equal(report.sds_ids, corpus.sds_ids)
+
+
+def test_a_corpus_is_its_columns():
+    corpus = make_random_corpus(2)
+    fields = {field.name for field in dataclasses.fields(Corpus)}
+    assert {name for name in dir(corpus) if not name.startswith("_")} == fields
+    for name in fields:
+        column = getattr(corpus, name)
+        assert isinstance(column, np.ndarray) and not column.flags.writeable, name
+
+
+@pytest.mark.parametrize("module", ["impact", "productivity"])
+def test_scalar_reference_does_not_import_the_corpus(module):
+    source = Path(citewin.__file__).with_name(f"{module}.py")
+    imported = set()
+    for node in ast.walk(ast.parse(source.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.Import):
+            imported |= {alias.name for alias in node.names}
+        elif isinstance(node, ast.ImportFrom):
+            base = ".".join(filter(None, ["citewin" if node.level else "", node.module]))
+            imported |= {base} | {f"{base}.{alias.name}" for alias in node.names}
+    assert not {name for name in imported
+                if name == "citewin.corpus" or name.startswith("citewin.corpus.")}

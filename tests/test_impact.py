@@ -4,11 +4,12 @@ from __future__ import annotations
 
 import pytest
 
-from citewin.corpus import PublicationRecord
 from citewin.errors import AnalysisError
-from citewin.impact import MedianTable, article_impact_index, compute_median_table
+from citewin.impact import (MedianTable, PublicationRecord, article_impact_index,
+                            compute_median_table)
 
 from conftest import corpus_from_rows, make_random_corpus, scale_citations
+from oracles import publications
 
 
 def corpus_with_counts(counts_by_pub: dict[str, int], cat="K1", year=2001, obs=2004):
@@ -21,19 +22,19 @@ def corpus_with_counts(counts_by_pub: dict[str, int], cat="K1", year=2001, obs=2
 
 def test_median_excludes_uncited_and_uses_midpoint():
     corpus = corpus_with_counts({"P1": 0, "P2": 0, "P3": 3, "P4": 5})
-    table = compute_median_table(corpus, 2004)
+    table = compute_median_table(publications(corpus), 2004)
     assert table.median_for(2001, "K1") == 4.0
 
 
 def test_median_single_cited_pub():
     corpus = corpus_with_counts({"P1": 2})
-    table = compute_median_table(corpus, 2004)
+    table = compute_median_table(publications(corpus), 2004)
     assert table.median_for(2001, "K1") == 2.0
 
 
 def test_all_uncited_cell_has_no_entry():
     corpus = corpus_with_counts({"P1": 0, "P2": 0})
-    table = compute_median_table(corpus, 2004)
+    table = compute_median_table(publications(corpus), 2004)
     assert table.median_for(2001, "K1") is None
     assert table.medians == {}
 
@@ -41,7 +42,7 @@ def test_all_uncited_cell_has_no_entry():
 def test_missing_observation_year_fails_fast():
     corpus = corpus_with_counts({"P1": 1})
     with pytest.raises(AnalysisError, match="P1"):
-        compute_median_table(corpus, 2005)
+        compute_median_table(publications(corpus), 2005)
 
 
 def test_impact_identity_at_median():
@@ -71,9 +72,10 @@ def test_inconsistent_table_names_pub_and_category():
 
 def test_impact_strictly_increasing_in_citations_within_cell():
     corpus = corpus_with_counts({"P1": 1, "P2": 2, "P3": 5, "P4": 9})
-    table = compute_median_table(corpus, 2004)
+    pubs = publications(corpus)
+    table = compute_median_table(pubs, 2004)
     scores = [
-        article_impact_index(corpus.publications[p], 2004, table)
+        article_impact_index(pubs[p], 2004, table)
         for p in ("P1", "P2", "P3", "P4")
     ]
     assert scores == sorted(scores)
@@ -84,11 +86,11 @@ def test_impact_strictly_increasing_in_citations_within_cell():
 @pytest.mark.parametrize("k", [2, 3])
 def test_scale_invariance_of_impact(seed, k):
     corpus = make_random_corpus(seed)
-    scaled = scale_citations(corpus, k)
+    pubs, scaled = publications(corpus), publications(scale_citations(corpus, k))
     for obs in (2004, 2006, 2008):
-        table = compute_median_table(corpus, obs)
+        table = compute_median_table(pubs, obs)
         scaled_table = compute_median_table(scaled, obs)
-        for pid in corpus.publications:
-            before = article_impact_index(corpus.publications[pid], obs, table)
-            after = article_impact_index(scaled.publications[pid], obs, scaled_table)
+        for pid in pubs:
+            before = article_impact_index(pubs[pid], obs, table)
+            after = article_impact_index(scaled[pid], obs, scaled_table)
             assert before == after  # bit-identical, not merely close

@@ -26,7 +26,7 @@ from citewin.synth import SynthConfig, generate
 
 from conftest import (corpus_from_rows, corpus_rows, make_random_corpus, sds_to_uda,
                       stability_config, write_corpus_dir)
-from oracles import read_corpus_rows
+from oracles import publications, read_corpus_rows
 
 
 def small_fixture(tmp_path, **overrides):
@@ -59,11 +59,12 @@ def small_fixture(tmp_path, **overrides):
 
 def test_round_trip(tmp_path):
     corpus = load_corpus(small_fixture(tmp_path))
-    assert len(corpus.publications) == 3
+    pubs = publications(corpus)
+    assert len(pubs) == 3
     assert len(corpus.researcher_ids) == 4
-    assert corpus.publications["P2"].category_weights == (("K1", 0.5), ("K2", 0.5))
+    assert pubs["P2"].category_weights == (("K1", 0.5), ("K2", 0.5))
     # omitted weights become uniform
-    assert corpus.publications["P3"].category_weights == (("K1", 0.5), ("K2", 0.5))
+    assert pubs["P3"].category_weights == (("K1", 0.5), ("K2", 0.5))
 
 
 def test_weight_sum_violation_names_row(tmp_path):
@@ -177,7 +178,7 @@ def test_count_outside_int64_is_a_parse_error(tmp_path, capsys):
 def test_int64_bounds_accepted(tmp_path):
     top = str(2**63 - 1)
     path = small_fixture(tmp_path, citations=[("P1", 2004, top), ("P2", 2004, 0), ("P3", 2004, 1)])
-    assert load_corpus(path).publications["P1"].citation_counts == {2004: 2**63 - 1}
+    assert publications(load_corpus(path))["P1"].citation_counts == {2004: 2**63 - 1}
 
 
 def rewrite(path, name, edit):
@@ -187,7 +188,7 @@ def rewrite(path, name, edit):
 def test_crlf_line_endings_keep_line_numbers(tmp_path):
     path = small_fixture(tmp_path)
     rewrite(path, "citations.csv", lambda t: t.replace("\n", "\r\n"))
-    assert load_corpus(path).publications["P1"].citation_counts == {2004: 2, 2005: 3}
+    assert publications(load_corpus(path))["P1"].citation_counts == {2004: 2, 2005: 3}
     rewrite(path, "citations.csv", lambda t: t.replace("P2,2005,1", "P2,2005,x"))
     with pytest.raises(ParseError, match=r"citations\.csv:5: cum_citations 'x'"):
         load_corpus(path)
@@ -207,7 +208,7 @@ def test_blank_lines_skipped_but_counted(tmp_path):
 def test_missing_final_newline(tmp_path):
     path = small_fixture(tmp_path)
     rewrite(path, "citations.csv", lambda t: t.rstrip("\n"))
-    assert load_corpus(path).publications["P3"].citation_counts == {2004: 1, 2005: 1}
+    assert publications(load_corpus(path))["P3"].citation_counts == {2004: 1, 2005: 1}
     rewrite(path, "citations.csv", lambda t: t + "_")
     with pytest.raises(ParseError, match=r"citations\.csv:7: cum_citations '1_'"):
         load_corpus(path)
@@ -414,7 +415,7 @@ def synth_configs(draw):
 def assert_matches_rows(corpus, directory):
     pubs, researchers, links, taxonomy = read_corpus_rows(directory)
     rows = corpus_rows(corpus)
-    assert dict(corpus.publications) == pubs
+    assert publications(corpus) == pubs
     assert rows["researchers"] == sorted(researchers)
     assert rows["authorship"] == links
     assert sds_to_uda(corpus) == taxonomy

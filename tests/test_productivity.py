@@ -16,7 +16,7 @@ from citewin.productivity import (
 )
 
 from conftest import GOLDEN_SDS_ROWS, GOLDEN_TOTAL_P, corpus_from_rows, make_random_corpus
-from oracles import compute_baselines, compute_cells, uda_scores
+from oracles import cell_pubs, compute_baselines, compute_cells, publications, uda_scores
 
 FIELDS = [("S1", "UA"), ("S2", "UA")]
 PERIOD = (2001, 2003)
@@ -37,17 +37,24 @@ def anchored_cell_corpus():
     )
 
 
+def cell_records(corpus, pubs, university_id, sds_id):
+    """The PublicationRecords of one cell's distinct publications, in pub_id order."""
+    return [pubs[pid] for pid in cell_pubs(corpus, university_id, sds_id)]
+
+
 def test_scientific_strength_sums_impact_scores():
     corpus = anchored_cell_corpus()
-    table = compute_median_table(corpus, 2004)
+    pubs = publications(corpus)
+    table = compute_median_table(pubs, 2004)
     assert table.median_for(2001, "K1") == 2.0
-    assert scientific_strength(corpus, "U1", "S1", PERIOD, 2004, table) == 1.5
+    assert scientific_strength(cell_records(corpus, pubs, "U1", "S1"), PERIOD, 2004, table) == 1.5
 
 
 def test_scientific_strength_empty_cell_is_zero():
     corpus = anchored_cell_corpus()
-    table = compute_median_table(corpus, 2004)
-    assert scientific_strength(corpus, "U2", "S1", PERIOD, 2004, table) == 0.0
+    pubs = publications(corpus)
+    table = compute_median_table(pubs, 2004)
+    assert scientific_strength(cell_records(corpus, pubs, "U2", "S1"), PERIOD, 2004, table) == 0.0
 
 
 def test_scientific_strength_respects_period():
@@ -58,8 +65,9 @@ def test_scientific_strength_respects_period():
         researchers=[("R1", "U1", "S1")],
         fields=FIELDS,
     )
-    table = compute_median_table(corpus, 2004)
-    assert scientific_strength(corpus, "U1", "S1", PERIOD, 2004, table) == 1.0
+    pubs = publications(corpus)
+    table = compute_median_table(pubs, 2004)
+    assert scientific_strength(cell_records(corpus, pubs, "U1", "S1"), PERIOD, 2004, table) == 1.0
 
 
 def test_cross_university_pub_counts_in_both_cells():
@@ -71,10 +79,11 @@ def test_cross_university_pub_counts_in_both_cells():
         researchers=[("R1", "U1", "S1"), ("R2", "U2", "S1")],
         fields=FIELDS,
     )
-    table = compute_median_table(corpus, 2004)
+    pubs = publications(corpus)
+    table = compute_median_table(pubs, 2004)
     score = 2.0  # count 2 over cell median 1
-    assert scientific_strength(corpus, "U1", "S1", PERIOD, 2004, table) == score
-    assert scientific_strength(corpus, "U2", "S1", PERIOD, 2004, table) == score
+    assert scientific_strength(cell_records(corpus, pubs, "U1", "S1"), PERIOD, 2004, table) == score
+    assert scientific_strength(cell_records(corpus, pubs, "U2", "S1"), PERIOD, 2004, table) == score
 
 
 @pytest.mark.parametrize(
@@ -179,7 +188,7 @@ def test_uda_productivity_missing_baseline():
 @pytest.mark.parametrize("seed", range(5))
 def test_per_sds_weighted_ratio_sums_to_one(seed):
     corpus = make_random_corpus(seed)
-    table = compute_median_table(corpus, 2006)
+    table = compute_median_table(publications(corpus), 2006)
     retained = corpus.sds_ids.tolist()
     cells = compute_cells(corpus, retained, PERIOD, 2006, table)
     baselines = compute_baselines(cells)
@@ -197,7 +206,7 @@ def test_per_sds_weighted_ratio_sums_to_one(seed):
 @pytest.mark.parametrize("seed", range(5))
 def test_rs_weighted_mean_of_uda_productivity_is_one(seed):
     corpus = make_random_corpus(seed)
-    table = compute_median_table(corpus, 2006)
+    table = compute_median_table(publications(corpus), 2006)
     cells = compute_cells(corpus, corpus.sds_ids.tolist(), PERIOD, 2006, table)
     baselines = compute_baselines(cells)
     for uda in corpus.uda_ids.tolist():

@@ -29,6 +29,7 @@ from oracles import (
     compute_baselines,
     compute_cells,
     moment_stats,
+    publications,
     spearman_brute,
     uda_scores,
 )
@@ -398,7 +399,8 @@ def test_leader_keeps_rank_under_median_preserving_accrual():
     # cells with >= 3 cited pubs, which leaves every median untouched
     corpus = make_random_corpus(21, cite_rate=2.0)
     obs = 2006
-    table = compute_median_table(corpus, obs)
+    pubs = publications(corpus)
+    table = compute_median_table(pubs, obs)
     cells = compute_cells(corpus, corpus.sds_ids.tolist(), (2001, 2003), obs, table)
     baselines = compute_baselines(cells)
     uda = corpus.uda_ids.tolist()[0]
@@ -407,7 +409,7 @@ def test_leader_keeps_rank_under_median_preserving_accrual():
     leader = ranking.entries[0].university_id
 
     counts_by_cell: dict = {}
-    for p in corpus.publications.values():
+    for p in pubs.values():
         c = p.citation_counts[obs]
         if c >= 1:
             for cat, _w in p.category_weights:
@@ -426,7 +428,7 @@ def test_leader_keeps_rank_under_median_preserving_accrual():
 
     boosted = {}
     for pid in leader_pubs:
-        p = corpus.publications[pid]
+        p = pubs[pid]
         c = p.citation_counts[obs]
         if c < 1:
             continue
@@ -443,7 +445,7 @@ def test_leader_keeps_rank_under_median_preserving_accrual():
     rows["citations"] = [(pid, y, boosted[pid][y] if pid in boosted else cnt)
                          for pid, y, cnt in rows["citations"]]
     corpus2 = corpus_from_rows(**rows)
-    table2 = compute_median_table(corpus2, obs)
+    table2 = compute_median_table(publications(corpus2), obs)
     assert table2.medians == table.medians
     cells2 = compute_cells(corpus2, corpus2.sds_ids.tolist(), (2001, 2003), obs, table2)
     baselines2 = compute_baselines(cells2)

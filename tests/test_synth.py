@@ -24,6 +24,7 @@ from conftest import small_null_config, stability_config
 from oracles import (
     compute_cells,
     generate_reference,
+    publications,
     rank_universities,
     sds_scores,
     spearman_rho,
@@ -67,20 +68,21 @@ def test_seed_changes_output(tmp_path):
 @pytest.mark.parametrize("seed", range(5))
 def test_generated_corpora_load_cleanly(tmp_path, seed):
     root = generate(config(), tmp_path / f"c{seed}", seed=seed)
-    corpus = load_corpus(root)
-    assert len(corpus.publications) > 0
+    pubs = publications(load_corpus(root))
+    assert len(pubs) > 0
     # citations recorded for every observation year
-    for pub in corpus.publications.values():
+    for pub in pubs.values():
         assert set(pub.citation_counts) == {2004, 2005, 2006}
 
 
 def test_zero_profile_means_zero_scores(tmp_path):
     root = generate(config(profiles={"default": [0.0]}), tmp_path / "zero")
     corpus = load_corpus(root)
+    pubs = publications(corpus)
     assert all(
-        count == 0 for p in corpus.publications.values() for count in p.citation_counts.values()
+        count == 0 for p in pubs.values() for count in p.citation_counts.values()
     )
-    table = compute_median_table(corpus, 2006)
+    table = compute_median_table(pubs, 2006)
     assert table.medians == {}
     cells = compute_cells(corpus, corpus.sds_ids.tolist(), (2001, 2003), 2006, table)
     assert all(cell.ss == 0.0 and cell.p == 0.0 for cell in cells.values())
@@ -88,9 +90,8 @@ def test_zero_profile_means_zero_scores(tmp_path):
 
 def test_multi_category_weights_parse(tmp_path):
     root = generate(config(multi_category_rate=0.5, seed=3), tmp_path / "mc")
-    corpus = load_corpus(root)
     weighted = [
-        p for p in corpus.publications.values() if len(p.category_weights) == 2
+        p for p in publications(load_corpus(root)).values() if len(p.category_weights) == 2
     ]
     assert weighted, "expected some two-category publications"
     assert all(w == 0.5 for p in weighted for _c, w in p.category_weights)
@@ -187,9 +188,9 @@ def test_fast_profiles_stabilize_earlier_than_slow(tmp_path):
         corpus = load_corpus(root)
         report = representativity_filter(corpus, (2001, 2003), 0.5)
         retained = report.sds_ids[report.retained].tolist()
-        rankings = {}
+        rankings, pubs = {}, publications(corpus)
         for year in (2004, 2008):
-            table = compute_median_table(corpus, year)
+            table = compute_median_table(pubs, year)
             cells = compute_cells(corpus, retained, (2001, 2003), year, table)
             for sds in sorted(retained):
                 scores = sds_scores(cells, sds)
