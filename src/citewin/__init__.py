@@ -13,7 +13,6 @@ _EXPORTS = {
     "ingest": ("RepresentativityReport", "load_corpus", "representativity_filter"),
     "npc": ("NpcCombinedResult", "PermTestResult", "UdaGroups", "npc_fisher_combine",
             "top_partition", "two_sample_perm_test"),
-    "sensitivity": ("ShiftStats", "StabilitySummary"),
     "synth": ("SynthConfig", "generate"),
 }
 _HOME = {name: module for module, names in _EXPORTS.items() for name in names}

@@ -103,68 +103,27 @@ def rank_scopes(
                       tuple(years), scores, ranks, fractional, ranked)
 
 
-@dataclass(frozen=True)
-class ShiftStats:
-    """Descriptive statistics of a shift distribution.
-
-    Central moments use divisor n; skewness is m3/m2^1.5 and kurtosis is
-    the excess m4/m2^2 - 3. Both are None when the variance is zero.
-    """
-
-    n: int
-    mean: float
-    median: float
-    std_dev: float
-    skewness: float | None
-    kurtosis: float | None
+_DESCRIPTIVES = ("mean", "median", "std_dev", "skewness", "kurtosis")
+_PER_YEAR = (*_DESCRIPTIVES, "rho", "avg_class_shift", "outliers")
+_PER_SCOPE = ("changed", "mean_shift_average", "mean_shift_median", "mean_shift_std_dev",
+              "max_ranking_variation", "no_change_pct", "leq3_pct")
 
 
-@dataclass(frozen=True)
-class StabilitySummary:
-    """Per-scope stability of rankings across all observation years.
+def stability_battery(ranks: LevelRanks, benchmark_year: int) -> dict[str, np.ndarray]:
+    """Every battery statistic of every scope of one level against the benchmark year,
+    as one read-only float array per statistic, NaN where it is undefined:
 
-    pct_any_change is the fraction of universities whose rank moves at
-    least once across the years. The average/median/std_dev are over each
-    university's mean absolute shift against the benchmark (population
-    std dev, consistent with ShiftStats). max_ranking_variation is
-    the widest per-university rank range over all years.
-    """
+    - [scope, comparison year]: "mean", "median", "std_dev", "skewness" and "kurtosis"
+      of the absolute rank shifts, Spearman's "rho", the quartile "avg_class_shift"
+      and the 2-3-class "outliers" (the last two NaN below 4 universities);
+    - [scope]: "changed" (universities that move in some year), "mean_shift_average",
+      "mean_shift_median" and "mean_shift_std_dev" of each university's mean shift,
+      "max_ranking_variation", and "no_change_pct" and "leq3_pct" at the earliest
+      comparison year;
+    - [row]: "min_rank" and "max_rank" over all years.
 
-    n_universities: int
-    pct_any_change: float
-    mean_shift_average: float
-    mean_shift_median: float
-    mean_shift_std_dev: float
-    max_ranking_variation: int
-
-
-@dataclass(frozen=True)
-class QuartileShiftStats:
-    average_abs_shift: float
-    outliers: int  # universities moving 2 or 3 classes
-
-
-@dataclass(frozen=True)
-class ScopeStability:
-    """The whole battery of one scope against the benchmark year; every
-    tuple over years follows the comparison years in order."""
-
-    scope_id: str
-    universities: tuple[str, ...]  # in id order
-    shifts: tuple[ShiftStats, ...]  # of the absolute rank shifts
-    summary: StabilitySummary
-    changed: int  # universities whose rank moves in some year
-    spearman: tuple[float | None, ...]
-    small_shift_pcts: tuple[int, int]  # shift 0 and <= 3 at the earliest comparison year
-    quartiles: tuple[QuartileShiftStats, ...] | None  # None below 4 universities
-    rank_ranges: tuple[tuple[int, int], ...]  # (min, max) rank of each university
-
-
-def stability_battery(ranks: LevelRanks, benchmark_year: int) -> list[ScopeStability]:
-    """Every battery statistic of every scope of one level, in scope order.
-
-    The scopes ranking n universities form one [scope, year, n] block per n,
-    and each statistic is computed for the whole block at once.
+    Comparison years are the level's years but the benchmark, in order. The scopes
+    ranking n universities form one [scope, year, n] block, computed at once.
     """
     if benchmark_year not in ranks.years or len(ranks.years) < 2:
         raise AnalysisError(f"the battery needs benchmark year {benchmark_year} and another "
@@ -172,28 +131,25 @@ def stability_battery(ranks: LevelRanks, benchmark_year: int) -> list[ScopeStabi
     b = ranks.years.index(benchmark_year)
     years = [y for y in range(len(ranks.years)) if y != b] + [b]
     sizes = np.diff(ranks.bounds)
-    out: list = [None] * len(sizes)
+    out = {name: np.full((len(sizes), len(years) - 1), np.nan) for name in _PER_YEAR}
+    out.update((name, np.full(len(sizes), np.nan)) for name in _PER_SCOPE)
+    low, high = ranks.ranks.min(axis=1), ranks.ranks.max(axis=1)
+    out["min_rank"], out["max_rank"] = low.astype(float), high.astype(float)
     for n in np.unique(sizes).tolist():
         scopes = np.flatnonzero(sizes == n)
         rows = ranks.bounds[scopes, None] + np.arange(n)
         rank, fractional, score = (np.ascontiguousarray(m[rows][..., years].transpose(0, 2, 1))
                                    for m in (ranks.ranks, ranks.fractional, ranks.scores))
-        moves, low, high = np.abs(_shifts(rank)), rank.min(axis=1), rank.max(axis=1)
-        shifts = _descriptives(moves.astype(float))
-        summaries = _stability(moves, high - low)
-        rho = _spearman(fractional[:, :-1], fractional[:, -1:])
-        pcts = _small_shift_pcts(moves[:, 0]).tolist()
-        quartiles = _class_shifts(_quartile_classes(score)[1]) if n >= 4 else None
-        low, high = low.tolist(), high.tolist()
-        k = len(years) - 1
-        for i, s in enumerate(scopes.tolist()):
-            each = slice(i * k, (i + 1) * k)
-            out[s] = ScopeStability(
-                ranks.scope_ids[s], ranks.university_ids[rows[i, 0]:rows[i, 0] + n],
-                tuple(shifts[each]), *summaries[i], tuple(rho[each]), tuple(pcts[i]),
-                None if quartiles is None else tuple(quartiles[each]),
-                tuple(zip(low[i], high[i])),
-            )
+        moves = np.abs(_shifts(rank))
+        block = {**_descriptives(moves.astype(float)), **_stability(moves, (high - low)[rows]),
+                 "rho": _spearman(fractional[:, :-1], fractional[:, -1:]),
+                 **_small_shift_pcts(moves[:, 0])}
+        if n >= 4:
+            block.update(_class_shifts(_quartile_classes(score)[1]))
+        for name, values in block.items():
+            out[name][scopes] = values
+    for values in out.values():
+        values.flags.writeable = False
     return out
 
 
@@ -212,23 +168,24 @@ def battery_tables(levels: Sequence[LevelRanks], benchmark_year: int) -> dict[st
     }
     shifts, summaries, spearman, small, quartiles, ranges = tables.values()
     for level in levels:
-        for st in stability_battery(level, benchmark_year):
-            scope, n, s = [level.level, st.scope_id], len(st.universities), st.summary
-            for name in ("mean", "median", "std_dev", "skewness", "kurtosis"):
-                shifts.append([*scope, name, *(_fmt(getattr(x, name)) for x in st.shifts)])
-            summaries.append([*scope, str(n), str(_percent(st.changed, n)), _fmt(s.mean_shift_average),
-                              _fmt(s.mean_shift_median), _fmt(s.mean_shift_std_dev),
-                              str(s.max_ranking_variation)])
-            spearman.append([*scope, *map(_fmt, st.spearman)])
-            small.append([*scope, str(n), str(comparison[0]), *map(str, st.small_shift_pcts)])
-            if st.quartiles is None:
+        st = {k: v.tolist() for k, v in stability_battery(level, benchmark_year).items()}
+        bounds = level.bounds.tolist()
+        for s, (scope_id, lo, hi) in enumerate(zip(level.scope_ids, bounds, bounds[1:])):
+            scope, n = [level.level, scope_id], hi - lo
+            shifts.extend([*scope, name, *map(_fmt, st[name][s])] for name in _DESCRIPTIVES)
+            mean_shift = (_fmt(st[f"mean_shift_{x}"][s]) for x in ("average", "median", "std_dev"))
+            summaries.append([*scope, str(n), str(_percent(int(st["changed"][s]), n)), *mean_shift,
+                              _fmt(st["max_ranking_variation"][s], 0)])
+            spearman.append([*scope, *map(_fmt, st["rho"][s])])
+            small.append([*scope, str(n), str(comparison[0]), _fmt(st["no_change_pct"][s], 0),
+                          _fmt(st["leq3_pct"][s], 0)])
+            if n < 4:
                 logger.warning("skipping quartile stats for %s %s: fewer than 4 universities", *scope)
             else:
-                quartiles.append([*scope, "avg_class_shift",
-                                  *(_fmt(q.average_abs_shift) for q in st.quartiles)])
-                quartiles.append([*scope, "outliers", *(str(q.outliers) for q in st.quartiles)])
-            ranges.extend([*scope, u, str(lo), str(hi)]
-                          for u, (lo, hi) in zip(st.universities, st.rank_ranges))
+                quartiles.append([*scope, "avg_class_shift", *map(_fmt, st["avg_class_shift"][s])])
+                quartiles.append([*scope, "outliers", *(_fmt(x, 0) for x in st["outliers"][s])])
+            ranges.extend([*scope, u, _fmt(low, 0), _fmt(high, 0)] for u, low, high in zip(
+                level.university_ids[lo:hi], st["min_rank"][lo:hi], st["max_rank"][lo:hi]))
     return tables
 
 
@@ -254,42 +211,44 @@ def _shifts(ranks: np.ndarray) -> np.ndarray:
     return ranks[..., :-1, :] - ranks[..., -1:, :]
 
 
-def _descriptives(xs: np.ndarray) -> list[ShiftStats]:
-    """ShiftStats of each row of xs[..., n]."""
-    n, mean = xs.shape[-1], xs.mean(axis=-1)
+def _descriptives(xs: np.ndarray) -> dict[str, np.ndarray]:
+    """The descriptives of each row of xs[..., n]: central moments use divisor n, skewness
+    is m3/m2^1.5 and kurtosis the excess m4/m2^2 - 3, both NaN at zero variance."""
+    mean = xs.mean(axis=-1)
     dev = xs - mean[..., None]
-    columns = (mean, np.median(xs, axis=-1), *((dev**k).mean(axis=-1) for k in (2, 3, 4)))
-    return [ShiftStats(n, mu, median, 0.0, None, None) if m2 == 0.0
-            else ShiftStats(n, mu, median, math.sqrt(m2), m3 / m2**1.5, m4 / m2**2 - 3.0)
-            for mu, median, m2, m3, m4 in zip(*(np.ravel(c).tolist() for c in columns))]
+    m2, m3, m4 = ((dev**k).mean(axis=-1) for k in (2, 3, 4))
+    # Python's float power on each entry: numpy's vectorised m2**1.5 rounds some
+    # entries an ulp away from it (shifts 0, 1, 7, 7 for one)
+    m2s = m2.ravel().tolist()
+    p15, p2 = (np.reshape([m**e if m else math.nan for m in m2s], m2.shape) for e in (1.5, 2))
+    return {"mean": mean, "median": np.median(xs, axis=-1), "std_dev": np.sqrt(m2),
+            "skewness": m3 / p15, "kurtosis": m4 / p2 - 3.0}
 
 
-def _spearman(xs: np.ndarray, ys: np.ndarray) -> list[float | None]:
+def _spearman(xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
     """Pearson correlation of each row pair of fractional ranks [..., n]
-    (broadcast); None where either side has zero variance."""
+    (broadcast); NaN where either side has zero variance."""
     xd = xs - xs.mean(axis=-1, keepdims=True)
     yd = ys - ys.mean(axis=-1, keepdims=True)
-    sums = np.broadcast_arrays((xd**2).sum(axis=-1), (yd**2).sum(axis=-1), (xd * yd).sum(axis=-1))
-    return [None if sx == 0.0 or sy == 0.0 else sxy / math.sqrt(sx * sy)
-            for sx, sy, sxy in zip(*(s.ravel().tolist() for s in sums))]
+    sx, sy, sxy = (xd**2).sum(axis=-1), (yd**2).sum(axis=-1), (xd * yd).sum(axis=-1)
+    return np.divide(sxy, np.sqrt(sx * sy), out=np.full(sxy.shape, np.nan),
+                     where=(sx != 0.0) & (sy != 0.0))
 
 
-def _stability(moves: np.ndarray, spread: np.ndarray) -> list[tuple[StabilitySummary, int]]:
-    """(StabilitySummary, universities that move) of each block, from its absolute
-    shifts moves[..., comparison year, n] and rank spreads (max - min over all years) [..., n]."""
+def _stability(moves: np.ndarray, spread: np.ndarray) -> dict[str, np.ndarray]:
+    """The per-scope summary of each block, from its absolute shifts moves[..., comparison
+    year, n] and rank spreads (max - min over all years) [..., n]."""
     mean_shifts = moves.sum(axis=-2) / moves.shape[-2]
-    changed = (spread > 0).sum(axis=-1)
-    columns = (changed, mean_shifts.mean(axis=-1), np.median(mean_shifts, axis=-1),
-               mean_shifts.std(axis=-1), spread.max(axis=-1))
+    return {"changed": (spread > 0).sum(axis=-1), "mean_shift_average": mean_shifts.mean(axis=-1),
+            "mean_shift_median": np.median(mean_shifts, axis=-1),
+            "mean_shift_std_dev": mean_shifts.std(axis=-1), "max_ranking_variation": spread.max(-1)}
+
+
+def _small_shift_pcts(moves: np.ndarray) -> dict[str, np.ndarray]:
+    """Percentages of universities with shift 0 and <= 3, per row of moves[..., n]."""
     n = moves.shape[-1]
-    return [(StabilitySummary(n, c / n, average, median, std_dev, variation), c)
-            for c, average, median, std_dev, variation in zip(*(np.ravel(a).tolist() for a in columns))]
-
-
-def _small_shift_pcts(moves: np.ndarray) -> np.ndarray:
-    """[..., 2] percentages of universities with shift 0 and <= 3, per row of moves[..., n]."""
-    counts = np.stack([(moves == 0).sum(axis=-1), (moves <= 3).sum(axis=-1)], axis=-1)
-    return _percent(counts, moves.shape[-1])
+    return {"no_change_pct": _percent((moves == 0).sum(axis=-1), n),
+            "leq3_pct": _percent((moves <= 3).sum(axis=-1), n)}
 
 
 def _quartile_classes(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -298,12 +257,11 @@ def _quartile_classes(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return q, 1 + sum(values > boundary[..., None] for boundary in q)
 
 
-def _class_shifts(classes: np.ndarray) -> list[QuartileShiftStats]:
-    """QuartileShiftStats of each comparison year of classes[..., year, n]."""
+def _class_shifts(classes: np.ndarray) -> dict[str, np.ndarray]:
+    """Mean absolute class shift and 2-3-class outliers of each year of classes[..., year, n]."""
     moves = np.abs(_shifts(classes))
-    averages = (moves.sum(axis=-1) / moves.shape[-1]).ravel().tolist()
-    outliers = (moves >= 2).sum(axis=-1).ravel().tolist()
-    return [QuartileShiftStats(a, o) for a, o in zip(averages, outliers)]
+    return {"avg_class_shift": moves.sum(axis=-1) / moves.shape[-1],
+            "outliers": (moves >= 2).sum(axis=-1)}
 
 
 def _percent(count, n):
@@ -312,5 +270,6 @@ def _percent(count, n):
     return (200 * count + n) // (2 * n)
 
 
-def _fmt(x: float | None, decimals: int = 6) -> str:
-    return "NA" if x is None else f"{x:.{decimals}f}"
+def _fmt(x: float, decimals: int = 6) -> str:
+    """x with the given decimals (0 for the integer statistics), NA for NaN."""
+    return "NA" if math.isnan(x) else f"{x:.{decimals}f}"

@@ -20,7 +20,6 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from citewin.errors import AnalysisError
-from citewin.sensitivity import QuartileShiftStats, ShiftStats, StabilitySummary
 
 
 def fractional_ranks_desc(scores: Sequence[float]) -> list[float]:
@@ -202,6 +201,47 @@ class QuartileAssignment:
 
     boundaries: tuple[float, float, float]  # 25th, 50th, 75th percentile of the scores
     classes: Mapping[str, int]
+
+
+@dataclass(frozen=True)
+class ShiftStats:
+    """Descriptive statistics of a shift distribution.
+
+    Central moments use divisor n; skewness is m3/m2^1.5 and kurtosis is
+    the excess m4/m2^2 - 3. Both are None when the variance is zero.
+    """
+
+    n: int
+    mean: float
+    median: float
+    std_dev: float
+    skewness: float | None
+    kurtosis: float | None
+
+
+@dataclass(frozen=True)
+class StabilitySummary:
+    """Per-scope stability of rankings across all observation years.
+
+    pct_any_change is the fraction of universities whose rank moves at
+    least once across the years. The average/median/std_dev are over each
+    university's mean absolute shift against the benchmark (population
+    std dev, consistent with ShiftStats). max_ranking_variation is
+    the widest per-university rank range over all years.
+    """
+
+    n_universities: int
+    pct_any_change: float
+    mean_shift_average: float
+    mean_shift_median: float
+    mean_shift_std_dev: float
+    max_ranking_variation: int
+
+
+@dataclass(frozen=True)
+class QuartileShiftStats:
+    average_abs_shift: float
+    outliers: int  # universities moving 2 or 3 classes
 
 
 def rank_universities(

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 import citewin
+from citewin import sensitivity
 from citewin.corpus import Corpus
 from citewin.errors import IntegrityError, ParseError
 from citewin.ingest import load_corpus, representativity_filter
@@ -176,6 +177,15 @@ def test_a_corpus_is_its_columns():
     for name in fields:
         column = getattr(corpus, name)
         assert isinstance(column, np.ndarray) and not column.flags.writeable, name
+
+
+def test_the_battery_is_its_arrays():
+    # the battery's statistics are arrays: no record type of them comes back
+    classes = [value for value in vars(sensitivity).values()
+               if isinstance(value, type) and value.__module__ == sensitivity.__name__]
+    assert [c.__name__ for c in classes if dataclasses.is_dataclass(c)] == ["LevelRanks"]
+    exported = [getattr(citewin, name) for name in citewin.__all__]
+    assert not [value for value in exported if value in classes and value is not sensitivity.LevelRanks]
 
 
 @pytest.mark.parametrize("module", ["impact", "productivity"])

@@ -174,3 +174,48 @@ def test_cloning_every_university_keeps_p_and_ties_each_rank_at_2r_minus_1(
         r = ranks[(level, scope, univ, year)]
         for u in (univ, twin(univ)):
             assert after_ranks[(level, scope, u, year)] == 2 * r - 1, (level, scope, u, year)
+
+
+@pytest.mark.parametrize("baseline", BASELINE_RULES)
+@pytest.mark.parametrize("source,seed", [("random", k) for k in range(6)] + [("synth", 0)])
+def test_scaling_the_citations_of_one_exclusive_cell_changes_no_score(source, seed, baseline, tmp_path):
+    # every count of a (pub_year, category) cell times k scales the cell's median by
+    # k, so each impact k*c / (k*m) stays c / m up to rounding. No multi-category
+    # publication lists the category, so no other cell holds a scaled count
+    rows = property_rows(source, seed, tmp_path)
+
+    def categories(spec):
+        return [field.split(":")[0] for field in spec.split(";")]
+
+    listed = sorted({c for _p, _y, spec in rows["publications"] for c in categories(spec)})
+    category = listed[seed % len(listed)]
+    # make the category exclusive: a multi-category publication listing it keeps
+    # only its first other category
+    publications = [
+        (pid, year, f"{next(c for c in categories(spec) if c != category)}:1.0")
+        if category in categories(spec) and len(categories(spec)) > 1 else (pid, year, spec)
+        for pid, year, spec in rows["publications"]
+    ]
+    exclusive = dict(rows, publications=publications)
+    sizes: dict = {}
+    for _pid, year, spec in publications:
+        if categories(spec) == [category]:
+            sizes[year] = sizes.get(year, 0) + 1
+    cell_year = max(sorted(sizes), key=sizes.get)  # the largest cell of the category
+    cell = {pid for pid, year, spec in publications if (year, categories(spec)) == (cell_year, [category])}
+    k = 2 + seed % 3
+    scaled = dict(exclusive, citations=[(pid, y, n * k if pid in cell else n)
+                                        for pid, y, n in exclusive["citations"]])
+
+    before = run_analysis(corpus_from_rows(**exclusive), PERIOD, YEARS, 0.5, baseline)
+    after = run_analysis(corpus_from_rows(**scaled), PERIOD, YEARS, 0.5, baseline)
+    scored, after_scores = scores(before), scores(after)
+    assert after_scores.keys() == scored.keys()
+    for key, p in scored.items():
+        assert after_scores[key] == pytest.approx(p, rel=1e-12, abs=0.0), key
+
+    clear = clear_of_near_ties(scored)
+    ranks, after_ranks = per_university(before, "ranks"), per_university(after, "ranks")
+    assert len(clear) >= len(ranks) // 2
+    for key in clear:
+        assert after_ranks[key] == ranks[key], key
