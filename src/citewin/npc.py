@@ -17,13 +17,13 @@ import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from itertools import combinations
-from typing import Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Mapping, Sequence
 
 import numpy as np
 
 from .errors import AnalysisError
 
-_CHUNK_VALUES = 1 << 20  # random doubles per Monte Carlo block
+_CHUNK_VALUES = 1 << 20  # random keys per Monte Carlo block
 
 
 def max_rank_shifts(ranks: np.ndarray, bench_col: int) -> np.ndarray:
@@ -131,7 +131,7 @@ def two_sample_perm_test(
     total = math.comb(n, k)
     exact = total <= n_perm and not force_monte_carlo
     if exact:
-        stats = _group_stats(pool, _all_combinations(n, k, total))
+        stats = _group_stats(pool, _all_combinations(n, k, total).T)
         t_obs = stats[0]  # first combination is (0..k-1), the observed labeling
     else:
         positions = np.arange(n, dtype=np.intp)
@@ -222,11 +222,46 @@ def _all_combinations(n: int, k: int, total: int) -> np.ndarray:
     return flat.reshape(total, k)
 
 
-def _group_stats(pool: np.ndarray, top_idx: np.ndarray) -> np.ndarray:
-    """mean(top) - mean(rest) for each row of top indices into pool."""
-    k = top_idx.shape[-1]
-    top_sum = pool[top_idx].sum(axis=-1)
+def _group_stats(pool: np.ndarray, top_cols: np.ndarray) -> np.ndarray:
+    """mean(top) - mean(rest) for each column of top_cols, (k, rows) indices
+    into pool. The k gathered columns are added in the order of numpy's row sum
+    pool[idx].sum(axis=-1), so each statistic is bit-identical to its row form."""
+    k = len(top_cols)
+    top_sum = _pairwise_sum(lambda j: pool[top_cols[j]], 0, k) + 0.0  # numpy starts from +0.0
     return top_sum / k - (pool.sum() - top_sum) / (pool.size - k)
+
+
+def _pairwise_sum(term: Callable[[int], np.ndarray], lo: int, n: int) -> np.ndarray:
+    """term(lo) + ... + term(lo + n - 1), each term a fresh array, in numpy's
+    pairwise order: above 128 terms two halves, the first a multiple of 8; else
+    8 interleaved partial sums (1 below 8 terms) added pairwise, then the rest."""
+    if n > 128:
+        half = n // 2 - n // 2 % 8
+        return _pairwise_sum(term, lo, half) + _pairwise_sum(term, lo + half, n - half)
+    width = 8 if n >= 8 else 1
+    acc = [term(lo + j) for j in range(width)]
+    end = lo + n - n % width
+    for i in range(lo + width, end, width):
+        for j in range(width):
+            acc[j] += term(i + j)
+    while len(acc) > 1:  # ((r0 + r1) + (r2 + r3)) + ((r4 + r5) + (r6 + r7))
+        acc = [acc[i] + acc[i + 1] for i in range(0, len(acc), 2)]
+    total = acc[0]
+    for i in range(end, lo + n):
+        total += term(i)
+    return total
+
+
+def _top_columns(keys: np.ndarray, low: np.uint64, k: int) -> np.ndarray:
+    """(k, rows) positions of the k lowest raw 64-bit keys of each row, lowest
+    first. The low bits (mask low) of each key are overwritten by its position,
+    so one in-place value sort ranks each row and ties go to the lower position."""
+    keys &= ~low
+    keys |= np.arange(keys.shape[1], dtype=np.uint64)
+    keys.sort(axis=1)
+    top = np.ascontiguousarray(keys[:, :k].T)
+    top &= low
+    return top.view(np.int64)
 
 
 def _significance_levels(stats: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
@@ -289,38 +324,39 @@ def _sample_stats(
     """Each group's statistic under n_perm shared random orderings of the
     n_all universities, with the observed labeling at index n_perm.
 
-    Each ordering ranks one row of uniform keys. This thread draws the keys
-    block by block, in block order, so the stream depends on the seed alone.
-    Each block is cut into workers contiguous slices of rows, which the
-    executor's threads rank while this thread draws the next block. A group's
-    permuted top set is its first |top| members in the ranking. Groups with
-    the same members share one argsort per slice, taken on the keys in place
-    when the members are the whole universe, and groups that also share |top|
-    share one contiguous copy of the first |top| columns. Every row is
-    computed as it would be in a single thread.
+    Each ordering ranks one row of raw 64-bit keys, the draws behind random(),
+    which is (raw >> 11) * 2**-53. This thread draws the keys block by block,
+    in block order, so the stream depends on the seed alone. Each block is cut
+    into workers contiguous slices of rows, which the executor's threads rank
+    while this thread draws the next block. A group's permuted top set is its
+    first |top| members in the ranking. Groups with the same members share one
+    sort per slice (_top_columns) of a copy of their keys, or of the keys in
+    place for the whole universe. Every row is computed as in a single thread.
     """
     stats = [np.empty(n_perm + 1) for _ in prepared]
-    member_sets: dict[bytes, tuple[np.ndarray, dict[int, list[int]]]] = {}
-    for gi, (_values, obs_idx, member_pos) in enumerate(prepared):
-        _pos, by_k = member_sets.setdefault(member_pos.tobytes(), (member_pos, {}))
-        by_k.setdefault(obs_idx.size, []).append(gi)
+    member_sets: dict[bytes, tuple[np.ndarray, list[int]]] = {}
+    for gi, (_values, _obs_idx, member_pos) in enumerate(prepared):
+        member_sets.setdefault(member_pos.tobytes(), (member_pos, []))[1].append(gi)
+    # n_all members are the whole universe (positions are sorted): it sorts the keys in place, last
+    sets = sorted(member_sets.values(), key=lambda s: s[0].size == n_all)
+    # b = max(11, bits of n_all - 1) low bits carry the positions: up to 2,048
+    # universities the sort reads exactly the 53 bits of random(), above fewer
+    low = np.uint64((1 << max(11, (n_all - 1).bit_length())) - 1)
 
     def fill_rows(keys: np.ndarray, start: int) -> None:
         span = slice(start, start + len(keys))
-        for member_pos, by_k in member_sets.values():
-            # positions are sorted, so a set of n_all members is the identity
+        for member_pos, group_ids in sets:
             ranked = keys if member_pos.size == n_all else np.take(keys, member_pos, axis=1)
-            order = np.argsort(ranked, axis=1)
-            for k, group_ids in by_k.items():
-                top_idx = np.ascontiguousarray(order[:, :k])
-                for gi in group_ids:
-                    stats[gi][span] = _group_stats(prepared[gi][0], top_idx)
+            top_cols = _top_columns(ranked, low, max(prepared[gi][1].size for gi in group_ids))
+            for gi in group_ids:
+                values, obs_idx, _pos = prepared[gi]
+                stats[gi][span] = _group_stats(values, top_cols[:obs_idx.size])
 
-    rng = np.random.default_rng(seed)
+    bit_generator = np.random.default_rng(seed).bit_generator
     block_rows = max(1, _CHUNK_VALUES // n_all)
     pending: list = []
     for start in range(0, n_perm, block_rows):
-        keys = rng.random((min(block_rows, n_perm - start), n_all))
+        keys = bit_generator.random_raw((min(block_rows, n_perm - start), n_all))
         for task in pending:  # the previous block, ranked while this one was drawn
             task.result()
         cuts = [len(keys) * t // workers for t in range(workers + 1)]
@@ -330,5 +366,5 @@ def _sample_stats(
         task.result()
 
     for gi, (values, obs_idx, _pos) in enumerate(prepared):
-        stats[gi][n_perm] = _group_stats(values, obs_idx[None, :])[0]
+        stats[gi][n_perm] = _group_stats(values, obs_idx[:, None])[0]
     return stats

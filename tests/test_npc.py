@@ -26,6 +26,7 @@ from citewin.npc import (
 )
 
 from oracles import (
+    group_stats,
     perm_test_exhaustive,
     sample_stats,
     significance_levels,
@@ -279,6 +280,74 @@ def test_sampler_matches_reference_bit_for_bit(monkeypatch, workers, chunk):
     assert result.combined_statistic.hex() == want_fisher[n_perm].hex()
     combined_count = np.count_nonzero(want_fisher >= want_fisher[n_perm])
     assert result.combined_p == combined_count / (n_perm + 1)
+
+
+@pytest.mark.parametrize("seed, shape", [(0, (7,)), (5, (3, 13)), (2718, (41, 30)), (None, (4, 3000))])
+def test_random_doubles_are_the_raw_draws_shifted_to_53_bits(seed, shape):
+    # the sampler ranks raw 64-bit draws, so every NPC p-value rests on this
+    entropy = np.random.SeedSequence(seed).entropy
+    doubles = np.random.default_rng(entropy).random(shape)
+    raw = np.random.default_rng(entropy).bit_generator.random_raw(shape)
+    assert hexes([doubles.ravel()]) == hexes([((raw >> np.uint64(11)) * 2.0**-53).ravel()])
+
+
+def test_column_sums_match_numpy_row_sums_bit_for_bit():
+    # sequential below 8 terms, eight partial sums up to 128, halves above;
+    # non-dyadic values over 16 binades, with a few -0.0 entries
+    rng = np.random.default_rng(11)
+    for k in [*range(1, 301), 511, 700]:
+        n = k + 40
+        pool = rng.integers(1, 1000, n) / 7 * 2.0 ** rng.integers(-30, 30, n)
+        pool *= rng.choice([-1.0, 1.0], n)
+        pool[rng.choice(n, 4, replace=False)] = -0.0
+        idx = np.array([rng.choice(n, k, replace=False) for _ in range(12)])
+        assert hexes([npc_mod._group_stats(pool, idx.T)]) == hexes([group_stats(pool, idx)]), k
+    # numpy's row sum starts from +0.0, so a top set of -0.0s sums to +0.0;
+    # with a rest that sums to 0 too, the sign shows in the statistic
+    pool = np.array([-0.0, -0.0, 1.5, -1.5, -0.0])
+    idx = np.array([[0], [1], [4], [2]])
+    assert hexes([npc_mod._group_stats(pool, idx.T)]) == hexes([group_stats(pool, idx)])
+    idx = np.array([[0, 1, 4], [2, 3, 0]])
+    assert hexes([npc_mod._group_stats(pool, idx.T)]) == hexes([group_stats(pool, idx)])
+
+
+def test_sampler_matches_reference_above_2048_universities(monkeypatch):
+    # 3,000 universities: 12 low bits of each key carry its position, one
+    # more than below 2,049; 7-row blocks, so the 61 rows cross blocks
+    monkeypatch.setattr(npc_mod, "_CHUNK_VALUES", 7 * 3000)
+    rng = np.random.default_rng(29)
+    universe = [f"U{i:04d}" for i in range(3000)]
+    subset = universe[40:2900:3]
+
+    def group(uda, members, k):
+        values = {u: float(rng.integers(1, 900)) / 7 for u in members}
+        return UdaGroups(uda, values, frozenset(rng.choice(members, k, replace=False).tolist()))
+
+    groups = [group("A", universe, 5), group("B", universe, 150),
+              group("C", subset, 9), group("D", subset, 2)]
+    position = {u: i for i, u in enumerate(universe)}
+    prepared = [npc_mod._prepared(g, position) for g in groups]
+    want = sample_stats(prepared, len(universe), 60, 3, 2, 7 * 3000)
+    with ThreadPoolExecutor(max_workers=2) as executor:
+        got = npc_mod._sample_stats(prepared, len(universe), 60, 3, executor, 2)
+    assert hexes(got) == hexes(want)
+
+
+def test_equal_keys_rank_the_lower_position_first():
+    # positions 1 and 2 share the 53 bits of random() (the same double), and
+    # position 2 has the smaller raw draw; the ranking follows position
+    key = 0x8000_0000_0000_0000
+    keys = np.array([[0xF000_0000_0000_0000, key | 0x7FF, key | 0x001, 0x1000_0000_0000_0000],
+                     [key | 0x001, 0xF000_0000_0000_0000, 0x1000_0000_0000_0000, key | 0x7FF]],
+                    dtype=np.uint64)
+    doubles = (keys >> np.uint64(11)) * 2.0**-53
+    assert doubles[0, 1] == doubles[0, 2] and doubles[1, 0] == doubles[1, 3]
+    top = npc_mod._top_columns(keys.copy(), np.uint64(0x7FF), 3)
+    assert top.shape == (3, 2) and top.T.tolist() == [[3, 1, 2], [2, 0, 3]]
+    # above 2,048 universities 12 low bits go: keys equal but for bit 11 tie too
+    keys = np.array([[key | 0x800, key, 0x1000_0000_0000_0000]], dtype=np.uint64)
+    assert npc_mod._top_columns(keys.copy(), np.uint64(0xFFF), 3).T.tolist() == [[2, 0, 1]]
+    assert npc_mod._top_columns(keys.copy(), np.uint64(0x7FF), 3).T.tolist() == [[2, 1, 0]]
 
 
 @pytest.mark.parametrize("n_groups", [2, 9, 12])
