@@ -13,7 +13,6 @@ matrix is then ranked for every year at once (sensitivity.rank_scopes).
 
 from __future__ import annotations
 
-import logging
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -24,17 +23,18 @@ from .errors import AnalysisError
 from .ingest import BASELINE_RULES, RepresentativityReport, representativity_filter
 from .sensitivity import LevelRanks, rank_scopes
 
-logger = logging.getLogger(__name__)
-
 
 @dataclass(frozen=True, eq=False)
 class AnalysisRun:
     """Both levels' scores and ranks at every scope and year, the median of
-    every (obs_year, pub_year, category) cell in that order, and provenance."""
+    every (obs_year, pub_year, category) cell in that order, provenance, and
+    [sds_id, obs_year] of each zero national baseline in (SDS, year) order,
+    whose cells add 0 to their discipline's score."""
 
     report: RepresentativityReport
     medians: np.recarray  # fields pub_year, category_id, obs_year, median
     levels: dict[str, LevelRanks]  # "uda" and "sds"
+    degenerate: list[list]
 
 
 def run_analysis(
@@ -77,9 +77,8 @@ def run_analysis(
         p_bar = _sum_rows(sds_of, len(retained), ss) / np.bincount(sds_of, weights=rs)[:, None]
     else:
         p_bar = _sum_rows(sds_of, len(retained), p) / np.bincount(sds_of)[:, None]
-    for si, yi in zip(*np.nonzero(p_bar == 0.0)):
-        logger.warning("SDS %s has zero national baseline at %d; its contributions are "
-                       "flagged degenerate", sds_ids[retained[si]], years[yi])
+    degenerate = [[str(sds_ids[retained[si]]), years[yi]]
+                  for si, yi in np.argwhere(p_bar == 0.0).tolist()]
 
     # score of each (UDA, university), keyed uda * U + university: sum over its cells in SDS
     # order of (p / p_bar) * (RS / RS_total), degenerate (p_bar = 0) cells adding 0
@@ -92,7 +91,7 @@ def run_analysis(
     return AnalysisRun(report, medians, {
         "uda": rank_scopes("uda", uda_ids[groups // n_univ], univ[groups % n_univ], years, value),
         "sds": rank_scopes("sds", sds_ids[cell_sds], univ[cell_univ], years, p),
-    })
+    }, degenerate)
 
 
 def _citation_matrix(corpus: Corpus, years: list[int]) -> np.ndarray:

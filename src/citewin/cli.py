@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import argparse
 import errno
-import logging
 import math
 import os
 import re
@@ -25,8 +24,6 @@ if TYPE_CHECKING:  # each command imports the modules it runs when it runs
     from .analysis import AnalysisRun
     from .npc import NpcCombinedResult
 
-logger = logging.getLogger(__name__)
-
 DEFAULT_PERIOD = (2001, 2003)
 DEFAULT_YEARS = (2004, 2005, 2006, 2007, 2008)
 DEFAULT_BENCHMARK = 2008
@@ -37,9 +34,11 @@ DEFAULT_PERMUTATIONS = 10_000
 DEFAULT_SEED = 42
 
 
-# manifest.json records each of these, null where a command does not set it
+# manifest.json records each of these parameters, null where a command does not set it,
 MANIFEST_PARAMETERS = ("pub_period", "observation_years", "threshold", "baseline",
                        "benchmark_year", "level", "top_percentile", "n_perm", "seed")
+# and each of these findings, what a run drops or flags, null where it does not compute it
+MANIFEST_FINDINGS = ("degenerate_baselines", "scopes_without_quartiles", "npc_excluded_udas")
 
 
 # ---------------------------------------------------------------------------
@@ -71,6 +70,7 @@ def cmd_rankings(
     return _write_run(
         out_dir, "rankings", directory, _analysis_tables(run, level), pub_period=pub_period,
         observation_years=[obs_year], threshold=threshold, baseline=baseline, level=level,
+        degenerate_baselines=run.degenerate,
     )
 
 
@@ -85,17 +85,19 @@ def cmd_sensitivity(
 ) -> Path:
     """Write the full rank-stability battery against the benchmark year."""
     from .analysis import run_analysis
-    from .sensitivity import battery_tables
+    from .sensitivity import QUARTILE_MIN, battery_tables
     years = _check_years(years, benchmark_year)
     check_filter_arguments(pub_period, threshold)
     corpus = load_corpus(directory)
     run = run_analysis(corpus, pub_period, years, threshold, baseline)
-    tables = {**battery_tables([run.levels["uda"], run.levels["sds"]], benchmark_year),
-              **_analysis_tables(run, "uda", "sds")}
+    levels = [run.levels["uda"], run.levels["sds"]]
+    tables = {**battery_tables(levels, benchmark_year), **_analysis_tables(run, "uda", "sds")}
     return _write_run(
         out_dir, "sensitivity", directory, tables, pub_period=pub_period,
         observation_years=years, threshold=threshold, baseline=baseline,
-        benchmark_year=benchmark_year,
+        benchmark_year=benchmark_year, degenerate_baselines=run.degenerate,
+        scopes_without_quartiles=[[ranks.level, scope] for ranks in levels for scope, n in zip(
+            ranks.scope_ids, (ranks.bounds[1:] - ranks.bounds[:-1]).tolist()) if n < QUARTILE_MIN],
     )
 
 
@@ -112,7 +114,8 @@ def cmd_npc(
     seed: int = DEFAULT_SEED,
     workers: int = 1,
 ) -> Path:
-    """Top-vs-rest permutation test per UDA plus the Fisher combination."""
+    """Top-vs-rest permutation test per UDA plus the Fisher combination; the manifest
+    records each UDA that top_partition leaves out of the combination, with the reason."""
     from .analysis import run_analysis
     from .npc import (UdaGroups, check_percentile, max_rank_shifts, npc_fisher_combine,
                       top_partition)
@@ -125,21 +128,22 @@ def cmd_npc(
     uda = run.levels["uda"]
     bench = uda.years.index(benchmark_year)
     scores = uda.by_scope(uda.scores[:, bench])
-    groups = []
+    groups, excluded = [], []
     for scope, moves in uda.by_scope(max_rank_shifts(uda.ranks, bench).astype(float)).items():
         try:
             top, _rest = top_partition(scores[scope], top_percentile)
         except AnalysisError as exc:
-            logger.warning("excluding UDA %s from the combined test: %s", scope, exc)
+            excluded.append([scope, str(exc)])
             continue
         groups.append(UdaGroups(uda_id=scope, values=moves, top=top))
-    result = npc_fisher_combine(groups, n_perm=n_perm, seed=seed, workers=workers)
+    result = npc_fisher_combine(groups, n_perm, seed, workers, excluded)
     tables = {"npc_results.csv": _npc_rows(result, seed),
               "representativity.csv": run.report.csv_rows()}
     return _write_run(
         out_dir, "npc", directory, tables, pub_period=pub_period, observation_years=years,
         threshold=threshold, baseline=baseline, benchmark_year=benchmark_year,
         top_percentile=top_percentile, n_perm=n_perm, seed=seed,
+        degenerate_baselines=run.degenerate, npc_excluded_udas=excluded,
     )
 
 
@@ -178,7 +182,7 @@ def _write_run(
     command: str,
     directory: str,
     tables: Mapping[str, Sequence[Sequence[str]]],
-    **parameters: object,
+    **recorded: object,
 ) -> Path:
     """Write each named table as a CSV file under out_dir, then manifest.json."""
     import json
@@ -190,7 +194,8 @@ def _write_run(
         "command": command,
         "tool_version": __version__,
         "input_dir": str(directory),
-        "parameters": {name: parameters.get(name) for name in MANIFEST_PARAMETERS},
+        "parameters": {name: recorded.get(name) for name in MANIFEST_PARAMETERS},
+        "findings": {name: recorded.get(name) for name in MANIFEST_FINDINGS},
         "outputs": sorted(tables),
     }
     (out / "manifest.json").write_text(
@@ -299,7 +304,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    logging.basicConfig(level=logging.WARNING, format="%(levelname)s %(name)s: %(message)s")
     args = vars(build_parser().parse_args(argv))
     # parser dests are the commands' parameter names, looked up when main runs
     commands = {

@@ -148,6 +148,7 @@ def npc_fisher_combine(
     n_perm: int,
     seed: int | None = None,
     workers: int = 1,
+    excluded: Sequence[Sequence[str]] = (),
 ) -> NpcCombinedResult:
     """Combine the per-discipline permutation tests with Fisher's function.
 
@@ -162,12 +163,14 @@ def npc_fisher_combine(
     model. A pool of that many worker threads ranks the orderings and computes
     the significance levels; the result is the same for every worker count.
     Memory: n_perm + 1 floats per discipline, whose levels overwrite its
-    statistics, and two such arrays per thread.
+    statistics, and two such arrays per thread. The error for fewer than two
+    groups names each (uda_id, reason) of excluded, the disciplines left out.
     """
     if n_perm < 1:
         raise ValueError(f"n_perm must be >= 1, got {n_perm}")
     if len(groups) < 2:
-        raise AnalysisError(f"nonparametric combination needs >= 2 disciplines, got {len(groups)}")
+        raise AnalysisError(f"nonparametric combination needs >= 2 disciplines, got {len(groups)}"
+                            + "".join(f"; {uda} excluded: {why}" for uda, why in excluded))
     groups = sorted(groups, key=lambda g: g.uda_id)
     for group in groups:
         group.validate()

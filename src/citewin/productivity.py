@@ -14,15 +14,12 @@ analysis.run_analysis computes every year at once and matches them bit for bit.
 
 from __future__ import annotations
 
-import logging
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
 from .errors import AnalysisError
 from .impact import MedianTable, PublicationRecord, article_impact_index
 from .ingest import BASELINE_RULES
-
-logger = logging.getLogger(__name__)
 
 
 @dataclass(frozen=True)
@@ -154,11 +151,6 @@ def uda_productivity(
                     f"inconsistent baseline: p_bar = 0 for SDS {cell.sds_id!r} "
                     f"but university {university_id!r} has p = {cell.p}"
                 )
-            logger.warning(
-                "SDS %s has zero national baseline; contribution of %s flagged degenerate",
-                cell.sds_id,
-                university_id,
-            )
             contributions.append(
                 SdsContribution(cell.sds_id, cell.p, 0.0, cell.rs, 0.0, degenerate=True)
             )

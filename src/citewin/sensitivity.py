@@ -16,7 +16,6 @@ row does.
 
 from __future__ import annotations
 
-import logging
 import math
 from dataclasses import dataclass
 from typing import Mapping, Sequence
@@ -25,7 +24,7 @@ import numpy as np
 
 from .errors import AnalysisError
 
-logger = logging.getLogger(__name__)
+QUARTILE_MIN = 4  # universities a scope ranks for its quartile statistics
 
 
 @dataclass(frozen=True, eq=False)
@@ -115,7 +114,7 @@ def stability_battery(ranks: LevelRanks, benchmark_year: int) -> dict[str, np.nd
 
     - [scope, comparison year]: "mean", "median", "std_dev", "skewness" and "kurtosis"
       of the absolute rank shifts, Spearman's "rho", the quartile "avg_class_shift"
-      and the 2-3-class "outliers" (the last two NaN below 4 universities);
+      and the 2-3-class "outliers" (the last two NaN below QUARTILE_MIN universities);
     - [scope]: "changed" (universities that move in some year), "mean_shift_average",
       "mean_shift_median" and "mean_shift_std_dev" of each university's mean shift,
       "max_ranking_variation", and "no_change_pct" and "leq3_pct" at the earliest
@@ -144,7 +143,7 @@ def stability_battery(ranks: LevelRanks, benchmark_year: int) -> dict[str, np.nd
         block = {**_descriptives(moves.astype(float)), **_stability(moves, (high - low)[rows]),
                  "rho": _spearman(fractional[:, :-1], fractional[:, -1:]),
                  **_small_shift_pcts(moves[:, 0])}
-        if n >= 4:
+        if n >= QUARTILE_MIN:
             block.update(_class_shifts(_quartile_classes(score)[1]))
         for name, values in block.items():
             out[name][scopes] = values
@@ -154,7 +153,8 @@ def stability_battery(ranks: LevelRanks, benchmark_year: int) -> dict[str, np.nd
 
 
 def battery_tables(levels: Sequence[LevelRanks], benchmark_year: int) -> dict[str, list[list[str]]]:
-    """The six rank-stability tables, rows scope by scope, level by level."""
+    """The six rank-stability tables, rows scope by scope, level by level;
+    quartile_stats.csv has no rows for a scope ranking fewer than QUARTILE_MIN universities."""
     comparison = [y for y in levels[0].years if y != benchmark_year]
     tables = {
         "shift_descriptives.csv": [["scope_level", "scope_id", "statistic", *map(str, comparison)]],
@@ -179,9 +179,7 @@ def battery_tables(levels: Sequence[LevelRanks], benchmark_year: int) -> dict[st
             spearman.append([*scope, *map(_fmt, st["rho"][s])])
             small.append([*scope, str(n), str(comparison[0]), _fmt(st["no_change_pct"][s], 0),
                           _fmt(st["leq3_pct"][s], 0)])
-            if n < 4:
-                logger.warning("skipping quartile stats for %s %s: fewer than 4 universities", *scope)
-            else:
+            if n >= QUARTILE_MIN:
                 quartiles.append([*scope, "avg_class_shift", *map(_fmt, st["avg_class_shift"][s])])
                 quartiles.append([*scope, "outliers", *(_fmt(x, 0) for x in st["outliers"][s])])
             ranges.extend([*scope, u, _fmt(low, 0), _fmt(high, 0)] for u, low, high in zip(

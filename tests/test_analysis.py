@@ -145,6 +145,7 @@ def test_degenerate_sds_scores_zero_and_contributes_nothing():
     assert sds.by_scope(sds.scores[:, 0])["S3"] == {"U1": 0.0}
     # U1: S1 at 2/3 of the baseline, weighted by half its staff; S3 adds 0
     assert uda.by_scope(uda.scores[:, 0])["UA"] == {"U1": (1.0 / 1.5) * 0.5, "U2": 2.0 / 1.5}
+    assert run.degenerate == [["S3", 2004]]
 
 
 def test_missing_year_names_the_years_every_publication_covers():

@@ -382,22 +382,23 @@ def _digests(out_dir) -> dict[str, str]:
 # sha256 of every file each command writes, manifest.json included, on the
 # stability corpus at seed 6 given by the relative path "corpus"; recorded
 # before the table writers were folded into one run writer, and the
-# mean-baseline sensitivity run before the battery was grouped by scope size
+# mean-baseline sensitivity run before the battery was grouped by scope size;
+# the manifest.json digests since the manifest gained its findings
 FROZEN_RUN_SHA256 = {
     ("rankings",): {
-        "manifest.json": "8f792143f625b5478a9990fcedd1da5b565d1196b30e9915c0367242924543dc",
+        "manifest.json": "20d8c01fe66349c515b1aa3b99a36210195108a630dbedd6fffcc9011e03ad4c",
         "medians.csv": "9b6f6b63e26f7fd32104bf7064cd6fd59f763e8a9586ee82561e1fbf041fc179",
         "rankings.csv": "931f6ae1898a11a728f9e1ed0dc50d4850c2ed4cfd68840b8cac4b6f9a85175d",
         "representativity.csv": "2d3ba06d75f434350b025393dcf4a8e6f36d6a2ceb075d938d4b816b1c49387b",
     },
     ("rankings", "--level", "sds", "--baseline", "mean"): {
-        "manifest.json": "5b1c1813293701c55c62213b05361d934aed1c1617b2c3f237d71fa4379b29c5",
+        "manifest.json": "57866d077418639efc6ebf30666ce2a6c82f2ef7c9efd93d56c80fe171de9e0d",
         "medians.csv": "9b6f6b63e26f7fd32104bf7064cd6fd59f763e8a9586ee82561e1fbf041fc179",
         "rankings.csv": "ed7c6d342e4513acdfd9449b80cb923aebd41a85017dc6393c9fc648339edee0",
         "representativity.csv": "2d3ba06d75f434350b025393dcf4a8e6f36d6a2ceb075d938d4b816b1c49387b",
     },
     ("sensitivity",): {
-        "manifest.json": "0f57169f1a0fbc0207f51ab9cfc7d78f09003a370603cfc1386ee3e236a6dbef",
+        "manifest.json": "8937e9a3b76ca9c47cec98d38e9a9e7f4f4a2c2025340c6435fe1a83e318481a",
         "medians.csv": "a990cad812a091cb85bc6523c2174acd75020c7d1e56aeaed27edeac9ae97ced",
         "quartile_stats.csv": "ccd641e167122b20ce3825155e6528f5b41e1af459d735a096c6f03c314ece7c",
         "rank_ranges.csv": "417b753f762c642bbd6268721cce052512ceb9347b9bdb2b57dd82587a275f25",
@@ -409,7 +410,7 @@ FROZEN_RUN_SHA256 = {
         "stability_summary.csv": "0559d927441c368b1b192ff4a51f82f8a548fab3fbf86d0a81d10656cd6d17c8",
     },
     ("sensitivity", "--baseline", "mean"): {
-        "manifest.json": "85b332bad3af6d151dea5b9c63123077a06c083f688ed9407d93bfbe80909f36",
+        "manifest.json": "7f687fe9d4b5bed52eefb154986a55bdd63d9c482a93ce1c3b2a5e6c44f42891",
         "medians.csv": "a990cad812a091cb85bc6523c2174acd75020c7d1e56aeaed27edeac9ae97ced",
         "quartile_stats.csv": "ccd641e167122b20ce3825155e6528f5b41e1af459d735a096c6f03c314ece7c",
         "rank_ranges.csv": "e9e3846f471caaaa847f5320a75c41542e8d154dba0f035bd119f0d0a6ec5891",
@@ -421,7 +422,7 @@ FROZEN_RUN_SHA256 = {
         "stability_summary.csv": "d236a0729aa5e489cfa1198e9f582cd6eabec6b40fd323230e6d800e3b96a194",
     },
     ("npc", "--permutations", "2000"): {
-        "manifest.json": "8563adcb1d21480c5fac29f5f92e1cc3bb7841a630bb571d5ffb1c26e3ed10dd",
+        "manifest.json": "6292f50dd01fe0ade7be212e9d0581917678c0f7e88d7e7d33b1a5daefa4bcf8",
         "npc_results.csv": "f4fb0f0dd3bea1b1d42bbe2a5a5989d5e914f698faf851b540183c47fd736471",
         "representativity.csv": "2d3ba06d75f434350b025393dcf4a8e6f36d6a2ceb075d938d4b816b1c49387b",
     },
@@ -688,6 +689,66 @@ def test_npc_on_a_single_uda_is_an_error_without_traceback(tmp_path, capsys):
     assert run("npc", root, "--out", out, "--permutations", "100") == 1
     err = capsys.readouterr().err
     assert err == "error: nonparametric combination needs >= 2 disciplines, got 1\n"
+    assert not out.exists()
+
+
+def findings_corpus_dir(root, ordinary=("UA",)):
+    """The ordinary UDAs (UA, UD: five universities, distinct scores), UB, whose only SDS
+    SUB is never cited and which three universities staff, and UC, which only U1 staffs.
+    Each UDA has one SDS and one category; each researcher publishes one paper in 2002,
+    cited growth * t * (t + u) times at year 2003 + t."""
+    growth = {"UA": (5, 4, 3, 2, 1), "UB": (0, 0, 0), "UC": (2,), "UD": (4, 3, 2, 1, 5)}
+    udas = sorted({*ordinary, "UB", "UC"})
+    pubs, citations, authorship, researchers = [], [], [], []
+    for uda in udas:
+        for u, g in enumerate(growth[uda], 1):
+            pub, res = f"P{uda}{u}", f"R{uda}{u}"
+            pubs.append((pub, 2002, f"K{uda}"))
+            citations += [(pub, 2003 + t, g * t * (t + u)) for t in range(1, 6)]
+            authorship.append((pub, res))
+            researchers.append((res, f"U{u}", f"S{uda}"))
+    return write_corpus_dir(root, pubs, citations, authorship, researchers,
+                            [(f"S{uda}", uda) for uda in udas])
+
+
+def test_manifest_records_what_a_run_drops_or_flags(tmp_path, capsys):
+    """SUB's zero baseline, the scopes too small for quartiles and the UDAs npc leaves out
+    are findings in manifest.json, null where a command does not compute them; nothing
+    goes to stderr."""
+    root = findings_corpus_dir(tmp_path / "corpus")
+    npc_root = findings_corpus_dir(tmp_path / "npc_corpus", ordinary=("UA", "UD"))
+    runs = {"rankings": (root,), "sensitivity": (root,),
+            "npc": (npc_root, "--permutations", "100")}
+    zero = [["SUB", y] for y in range(2004, 2009)]
+    expected = {
+        "rankings": {"degenerate_baselines": [["SUB", 2008]], "scopes_without_quartiles": None,
+                     "npc_excluded_udas": None},
+        "sensitivity": {"degenerate_baselines": zero, "npc_excluded_udas": None,
+                        "scopes_without_quartiles": [["uda", "UB"], ["uda", "UC"],
+                                                     ["sds", "SUB"], ["sds", "SUC"]]},
+        "npc": {"degenerate_baselines": zero, "scopes_without_quartiles": None,
+                "npc_excluded_udas": [
+                    ["UB", "degenerate partition at percentile 80.0: 0 top vs 3 rest"],
+                    ["UC", "need at least two universities to partition"]]},
+    }
+    for command, (corpus, *flags) in runs.items():
+        out = tmp_path / command
+        assert run(command, corpus, "--out", out, *flags) == 0
+        manifest = json.loads((out / "manifest.json").read_text(encoding="utf-8"))
+        assert list(manifest["findings"]) == sorted(cli_mod.MANIFEST_FINDINGS)
+        assert manifest["findings"] == expected[command], command
+        assert capsys.readouterr().err == ""
+    assert [r["uda_id"] for r in read_csv(tmp_path / "npc" / "npc_results.csv")] == [
+        "UA", "UD", "COMBINED"]
+
+
+def test_npc_error_names_the_udas_it_leaves_out(tmp_path, capsys):
+    out = tmp_path / "npc"
+    assert run("npc", findings_corpus_dir(tmp_path / "corpus"), "--out", out) == 1
+    assert capsys.readouterr().err == (
+        "error: nonparametric combination needs >= 2 disciplines, got 1"
+        "; UB excluded: degenerate partition at percentile 80.0: 0 top vs 3 rest"
+        "; UC excluded: need at least two universities to partition\n")
     assert not out.exists()
 
 
