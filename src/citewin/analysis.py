@@ -64,7 +64,9 @@ def run_analysis(
     kept = np.repeat(report.retained, n_univ)
     keys = np.flatnonzero(kept & (staff > 0))
     cell_sds, cell_univ = np.divmod(keys, n_univ)
-    cell, pub = np.divmod(np.unique(cell_of[corpus.link_res] * n_pubs + corpus.link_pub), n_pubs)
+    # the distinct pairs, sorted: plain np.unique would import numpy.ma
+    pairs = np.sort(cell_of[corpus.link_res] * n_pubs + corpus.link_pub)
+    cell, pub = np.divmod(pairs[np.diff(pairs, prepend=-1) != 0], n_pubs)
     py = corpus.pub_year[pub]
     inc = np.stack([np.searchsorted(keys, cell), pub], axis=1)
     inc = inc[kept[cell] & (py >= pub_period[0]) & (py <= pub_period[1])]

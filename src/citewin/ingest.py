@@ -115,7 +115,8 @@ def representativity_filter(
     """
     check_filter_arguments(pub_period, threshold)
     in_period = (corpus.pub_year >= pub_period[0]) & (corpus.pub_year <= pub_period[1])
-    publishing = np.unique(corpus.link_res[in_period[corpus.link_pub]])
+    publishing = np.zeros(corpus.res_sds.size, dtype=bool)  # plain np.unique imports numpy.ma
+    publishing[corpus.link_res[in_period[corpus.link_pub]]] = True
     n_sds = len(corpus.sds_ids)
     staff = np.bincount(corpus.res_sds, minlength=n_sds)
     active = np.bincount(corpus.res_sds[publishing], minlength=n_sds)

@@ -23,7 +23,7 @@ import numpy as np
 
 from .errors import AnalysisError
 
-_CHUNK_VALUES = 1 << 20  # random keys per Monte Carlo block
+_CHUNK_VALUES = 1 << 18  # random keys per sampler task: 2 MiB, a core's L2 on a 2-core Xeon
 
 
 def max_rank_shifts(ranks: np.ndarray, bench_col: int) -> np.ndarray:
@@ -136,7 +136,7 @@ def two_sample_perm_test(
     else:
         positions = np.arange(n, dtype=np.intp)
         with ThreadPoolExecutor(max_workers=1) as executor:
-            (stats,) = _sample_stats([(pool, positions[:k], positions)], n, n_perm, seed, executor, 1)
+            (stats,) = _sample_stats([(pool, positions[:k], positions)], n, n_perm, seed, executor)
         t_obs = stats[n_perm]  # the observed labeling
     p = np.count_nonzero(np.abs(stats) >= abs(t_obs)) / stats.size
     return PermTestResult(scope_id, float(t_obs), p, _direction(t_obs),
@@ -160,10 +160,11 @@ def npc_fisher_combine(
     distribution and combined as -2 * sum(log(lambda)); the combined p is the
     observed-inclusive fraction of iterations at or above the observed
     combination. n_perm only sets the Monte Carlo precision, never the null
-    model. A pool of that many worker threads ranks the orderings and computes
-    the significance levels; the result is the same for every worker count.
-    Memory: n_perm + 1 floats per discipline, whose levels overwrite its
-    statistics, and two such arrays per thread. The error for fewer than two
+    model. A pool of that many worker threads draws and ranks the orderings,
+    a chunk of rows per task, and computes the significance levels; the result
+    is the same for every worker count. Memory: n_perm + 1 floats per
+    discipline, whose levels overwrite its statistics, two such arrays per
+    thread and one key chunk per running task. The error for fewer than two
     groups names each (uda_id, reason) of excluded, the disciplines left out.
     """
     if n_perm < 1:
@@ -180,7 +181,7 @@ def npc_fisher_combine(
     prepared = [_prepared(g, position) for g in groups]
     executor = ThreadPoolExecutor(max_workers=workers)
     try:
-        stats = _sample_stats(prepared, len(universe), n_perm, seed, executor, workers)
+        stats = _sample_stats(prepared, len(universe), n_perm, seed, executor)
         observed, p_values = [float(s[n_perm]) for s in stats], [0.0] * len(stats)
 
         def levels_in_place(gi: int) -> np.ndarray:  # the statistics are not read again
@@ -322,19 +323,19 @@ def _sample_stats(
     n_perm: int,
     seed: int | None,
     executor: ThreadPoolExecutor,
-    workers: int,
 ) -> list[np.ndarray]:
     """Each group's statistic under n_perm shared random orderings of the
     n_all universities, with the observed labeling at index n_perm.
 
     Each ordering ranks one row of raw 64-bit keys, the draws behind random(),
-    which is (raw >> 11) * 2**-53. This thread draws the keys block by block,
-    in block order, so the stream depends on the seed alone. Each block is cut
-    into workers contiguous slices of rows, which the executor's threads rank
-    while this thread draws the next block. A group's permuted top set is its
-    first |top| members in the ranking. Groups with the same members share one
-    sort per slice (_top_columns) of a copy of their keys, or of the keys in
-    place for the whole universe. Every row is computed as in a single thread.
+    which is (raw >> 11) * 2**-53. The rows are cut into chunks of about
+    _CHUNK_VALUES keys, one executor task each: a task seeds its own PCG64
+    from the one SeedSequence, advances it to its first key and draws and
+    ranks its chunk, so the stream depends on the seed alone and no thread
+    draws ahead. A group's permuted top set is its first |top| members in the
+    ranking. Groups with the same members share one sort per chunk
+    (_top_columns) of a copy of their keys, or of the keys in place for the
+    whole universe. Every row is computed as in a single thread.
     """
     stats = [np.empty(n_perm + 1) for _ in prepared]
     member_sets: dict[bytes, tuple[np.ndarray, list[int]]] = {}
@@ -345,8 +346,13 @@ def _sample_stats(
     # b = max(11, bits of n_all - 1) low bits carry the positions: up to 2,048
     # universities the sort reads exactly the 53 bits of random(), above fewer
     low = np.uint64((1 << max(11, (n_all - 1).bit_length())) - 1)
+    seed_seq = np.random.SeedSequence(seed)  # the OS entropy of seed None, taken once
+    chunk_rows = max(1, _CHUNK_VALUES // n_all)
 
-    def fill_rows(keys: np.ndarray, start: int) -> None:
+    def fill_rows(start: int) -> None:
+        bit_generator = np.random.PCG64(seed_seq)  # the state of default_rng(seed)
+        bit_generator.advance(start * n_all)
+        keys = bit_generator.random_raw((min(chunk_rows, n_perm - start), n_all))
         span = slice(start, start + len(keys))
         for member_pos, group_ids in sets:
             ranked = keys if member_pos.size == n_all else np.take(keys, member_pos, axis=1)
@@ -355,18 +361,7 @@ def _sample_stats(
                 values, obs_idx, _pos = prepared[gi]
                 stats[gi][span] = _group_stats(values, top_cols[:obs_idx.size])
 
-    bit_generator = np.random.default_rng(seed).bit_generator
-    block_rows = max(1, _CHUNK_VALUES // n_all)
-    pending: list = []
-    for start in range(0, n_perm, block_rows):
-        keys = bit_generator.random_raw((min(block_rows, n_perm - start), n_all))
-        for task in pending:  # the previous block, ranked while this one was drawn
-            task.result()
-        cuts = [len(keys) * t // workers for t in range(workers + 1)]
-        pending = [executor.submit(fill_rows, keys[lo:hi], start + lo)
-                   for lo, hi in zip(cuts, cuts[1:])]
-    for task in pending:
-        task.result()
+    list(executor.map(fill_rows, range(0, n_perm, chunk_rows)))  # raises what a task raised
 
     for gi, (values, obs_idx, _pos) in enumerate(prepared):
         stats[gi][n_perm] = _group_stats(values, obs_idx[:, None])[0]

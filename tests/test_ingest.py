@@ -297,7 +297,8 @@ COMMAND_MODULES = {
     "--help": CORE,
 }
 # runs `cli.main(sys.argv[1:])` and prints the citewin modules then loaded, whether
-# concurrent.futures and logging are, and the ingest grammar patterns that re.compile was given
+# concurrent.futures, logging and numpy.ma are, and the ingest grammar patterns that re.compile
+# was given
 RUN_COMMAND = """
 import contextlib, io, json, re, sys
 compiled, compile = [], re.compile
@@ -313,7 +314,7 @@ seen = set(compiled)
 grammar = {p.pattern for kind in ingest._grammar.__wrapped__() for p in kind.values()}
 print(json.dumps([sorted(m for m in sys.modules if m.split(".")[0] == "citewin"),
                   "concurrent.futures" in sys.modules, "logging" in sys.modules,
-                  sorted(grammar & seen)]))
+                  "numpy.ma" in sys.modules, sorted(grammar & seen)]))
 """
 
 
@@ -322,7 +323,8 @@ def test_each_command_loads_only_the_modules_it_runs(tmp_path, command):
     """A fresh process runs one command and holds exactly its modules afterwards: impact.py
     and productivity.py are the written reference, which no command imports. Only npc loads
     logging, through concurrent.futures. Reading a cached corpus compiles none of the grammar
-    patterns of a parse."""
+    patterns of a parse. numpy.ma (plain np.unique imports it) stays out of every command but
+    sensitivity and npc, whose np.percentile and np.median load it."""
     corpus = generate(stability_config(), tmp_path / "corpus", seed=3)
     load_corpus(corpus)  # writes the cache
     config, out = tmp_path / "config.json", tmp_path / "out"
@@ -336,9 +338,10 @@ def test_each_command_loads_only_the_modules_it_runs(tmp_path, command):
     proc = subprocess.run([sys.executable, "-c", RUN_COMMAND, *map(str, argv)], capture_output=True,
                           text=True, timeout=120, env={**os.environ, "PYTHONPATH": src})
     assert proc.returncode == 0, proc.stderr
-    loaded, futures, logging, grammar_compiled = json.loads(proc.stdout)
+    loaded, futures, logging, masked, grammar_compiled = json.loads(proc.stdout)
     assert set(loaded) == COMMAND_MODULES[command]
     assert futures == logging == (command == "npc")
+    assert masked == (command in ("sensitivity", "npc"))
     if command == "validate":
         assert grammar_compiled == []
 

@@ -228,7 +228,7 @@ def test_significance_levels_match_sorted_reference_on_200k_values():
 
 
 # ---------------------------------------------------------------------------
-# the pipelined sampler against the reference one (tests/oracles.py)
+# the chunked sampler against the reference one (tests/oracles.py)
 
 
 def sampler_groups():
@@ -265,7 +265,7 @@ def test_sampler_matches_reference_bit_for_bit(monkeypatch, workers, chunk):
 
     want = sample_stats(prepared, len(universe), n_perm, 5, workers, chunk_values)
     with ThreadPoolExecutor(max_workers=workers) as executor:
-        got = npc_mod._sample_stats(prepared, len(universe), n_perm, 5, executor, workers)
+        got = npc_mod._sample_stats(prepared, len(universe), n_perm, 5, executor)
     assert hexes(got) == hexes(want)
     want_levels = [significance_levels_sorted(np.abs(s)) for s in want]
     got_levels = [_significance_levels(s) for s in got]
@@ -289,6 +289,21 @@ def test_random_doubles_are_the_raw_draws_shifted_to_53_bits(seed, shape):
     doubles = np.random.default_rng(entropy).random(shape)
     raw = np.random.default_rng(entropy).bit_generator.random_raw(shape)
     assert hexes([doubles.ravel()]) == hexes([((raw >> np.uint64(11)) * 2.0**-53).ravel()])
+
+
+@pytest.mark.parametrize("seed", [0, 2718, None])
+@pytest.mark.parametrize("n_all", [12, 30, 3000])
+def test_advanced_draws_are_the_rows_of_one_stream(seed, n_all):
+    # each sampler task seeds its own PCG64 and advances it to its first key,
+    # so its rows must be those of the one stream of default_rng(seed); 7-row
+    # chunks of 23 rows, a start inside a chunk and a short last chunk
+    entropy = np.random.SeedSequence(seed).entropy
+    stream = np.random.default_rng(entropy).bit_generator.random_raw((23, n_all))
+    seed_seq = np.random.SeedSequence(entropy)
+    for start, rows in [(0, 7), (7, 7), (10, 3), (14, 7), (21, 2)]:
+        bit_generator = np.random.PCG64(seed_seq)
+        bit_generator.advance(start * n_all)
+        assert np.array_equal(bit_generator.random_raw((rows, n_all)), stream[start:start + rows])
 
 
 def test_column_sums_match_numpy_row_sums_bit_for_bit():
@@ -329,7 +344,7 @@ def test_sampler_matches_reference_above_2048_universities(monkeypatch):
     prepared = [npc_mod._prepared(g, position) for g in groups]
     want = sample_stats(prepared, len(universe), 60, 3, 2, 7 * 3000)
     with ThreadPoolExecutor(max_workers=2) as executor:
-        got = npc_mod._sample_stats(prepared, len(universe), 60, 3, executor, 2)
+        got = npc_mod._sample_stats(prepared, len(universe), 60, 3, executor)
     assert hexes(got) == hexes(want)
 
 
@@ -475,7 +490,7 @@ def test_npc_stress_more_workers_than_cores_stays_bit_identical(monkeypatch):
 
 @pytest.mark.parametrize("workers", [1, 2, 3])
 def test_npc_peak_memory_is_one_array_per_group_and_two_per_thread(monkeypatch, workers):
-    # key blocks of 128 kB, so the arrays of n_perm + 1 values dominate; over
+    # key chunks of 128 kB, so the arrays of n_perm + 1 values dominate; over
     # all 40 universities, integer values like max rank shifts (few distinct
     # statistics), and over 30 of them, continuous ones (nearly all distinct)
     monkeypatch.setattr(npc_mod, "_CHUNK_VALUES", 1 << 14)
