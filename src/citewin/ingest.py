@@ -2,9 +2,13 @@
 
 A corpus is a directory of the five UTF-8 CSV files of FILES, with header
 rows and no quoting. Each is read once: one regex checks the grammar of its
-whole body, which is then split into columns for the _check_* function of the
-file, the one owner of that file's invariants. The columns of a corpus that
-passes are cached beside its files, in CACHE_NAME.
+whole text, and the lines it accepts, ASCII by that grammar, are cut into
+columns on their bytes with numpy: one scan for "," and "\n" bounds every
+field, integers add up digit by digit and ids become fixed-width byte
+strings, of which only the columns a Corpus keeps turn into str. The columns
+go to the _check_* function of the file, the one owner of that file's
+invariants. The columns of a corpus that passes are cached beside its files,
+in CACHE_NAME.
 """
 
 from __future__ import annotations
@@ -17,9 +21,10 @@ from dataclasses import dataclass
 from functools import cache, partial
 from itertools import repeat
 from pathlib import Path
-from typing import Callable, Mapping, NoReturn, Sequence
+from typing import Callable, Mapping, NoReturn
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .corpus import Corpus
 from .errors import IntegrityError, MissingInputError, ParseError
@@ -27,7 +32,7 @@ from .errors import IntegrityError, MissingInputError, ParseError
 _ID, _INT = r"[A-Za-z0-9_/-]+", r"-?[0-9]+"
 _WEIGHT = r"-?(?:[0-9]+(?:\.[0-9]*)?|\.[0-9]+)(?:[eE][-+]?[0-9]+)?"
 _KINDS = {"id": _ID, "int": _INT, "weight": _WEIGHT,
-          "categories": rf"{_ID}:{_WEIGHT}(?:;{_ID}:{_WEIGHT})*|{_ID}(?:;{_ID})*"}
+          "categories": rf"{_ID}(?::{_WEIGHT}(?:;{_ID}:{_WEIGHT})*|(?:;{_ID})*)"}
 FILES = {
     "publications.csv": (("pub_id", "id"), ("pub_year", "int"), ("categories", "categories")),
     "citations.csv": (("pub_id", "id"), ("obs_year", "int"), ("cum_citations", "int")),
@@ -90,8 +95,7 @@ def load_corpus(directory: str | Path) -> Corpus:
     checked = partial(_checked, root, data)
     cols = checked("fields.csv", lambda c, fail: _check_taxonomy(*c, fail))
     cols |= checked("researchers.csv", lambda c, fail: _check_researchers(cols, *c, fail))
-    cols |= checked("publications.csv",
-                    lambda c, fail: _check_publications(c[0], c[1], *_entries(c[2]), fail))
+    cols |= checked("publications.csv", lambda c, fail: _check_publications(*c, fail))
     cols |= checked("citations.csv", lambda c, fail: _check_citations(cols, *c, fail))
     cols |= checked("authorship.csv", lambda c, fail: _check_links(cols, *c, fail))
     # best effort: a temporary file renamed into place, so readers find no cache or a whole one
@@ -138,7 +142,8 @@ def _grammar() -> tuple[dict[str, re.Pattern], dict[str, re.Pattern]]:
     """Each field kind's pattern, and per file a newline followed by neither a row nor a blank
     line: the start of its first line the grammar rejects. Only a parse compiles them."""
     field = {kind: re.compile(pattern) for kind, pattern in _KINDS.items()}
-    bad_line = {name: re.compile("\n(?!(?:{0})?(?:\n|\\Z))".format(",".join(
+    # a branch for the blank line, not an optional row: 15% faster per line in sre
+    bad_line = {name: re.compile("\n(?!{0}(?:\n|\\Z)|\n|\\Z)".format(",".join(
         f"(?:{_KINDS[kind]})" for _c, kind in columns))) for name, columns in FILES.items()}
     return field, bad_line
 
@@ -172,36 +177,44 @@ def _checked(root: Path, data: Mapping[str, bytes], name: str, check: Callable):
     text = io.TextIOWrapper(io.BytesIO(data[name]), "utf-8", "replace").read()  # as read_text()
     if not text:
         raise ParseError(path, 1, "file is empty, expected a header row")
-    head, _, body = text.partition("\n")
+    head = text[: text.find("\n")] if "\n" in text else text  # no copy of the rest
     header = [c for c, _k in columns]
     if head.split(",") != header:
         raise ParseError(path, 1, f"bad header {head.split(',')!r}, expected {header!r}")
-    error, found = None, _grammar()[1][name].search(text, len(head))
+    error, stop, found = None, len(text), _grammar()[1][name].search(text, len(head))
     if found:
-        start = found.start() - len(head)
-        bad = body[start:].partition("\n")[0]
-        error = ParseError(path, body.count("\n", 0, start) + 2, _grammar_error(bad, columns))
-        body = body[:start]
-    body, lines = body.rstrip("\n"), None
-    if "\n\n" in body or body.startswith("\n"):  # blank lines are skipped but counted
-        lines = np.flatnonzero([bool(row) for row in body.split("\n")]) + 2
-        body = "\n".join(filter(None, body.split("\n")))
-    flat = body.replace("\n", ",").split(",") if body else []
-    cols = [flat[i :: len(columns)] for i in range(len(columns))]
-    del text, body, flat
+        stop = found.start() + 1
+        error = ParseError(path, text.count("\n", 0, stop) + 1,
+                           _grammar_error(text[stop:].partition("\n")[0], columns))
+    # from the header's newline on, the lines the grammar accepts: ASCII rows and blank lines
+    raw = text[len(head) : stop].encode("ascii") + b"\n"
+    del text
+    sep = np.frombuffer(raw, np.uint8)
+    sep = (sep == ord(",")) | (sep == ord("\n"))
+    # no field is empty, so the fields' bounds are where separators and field bytes meet:
+    # start, end, start, end, ... in row and then column order
+    bounds = np.flatnonzero(sep[1:] != sep[:-1]).reshape(-1, len(columns), 2)
+    bounds += 1
+    del sep
+    raw += bytes(int((bounds[..., 1] - bounds[..., 0]).max(initial=0)))  # room for any field
+    buf, starts = np.frombuffer(raw, np.uint8), bounds[:, 0, 0].copy()
 
     def line(row: int) -> int:
-        return row + 2 if lines is None else int(lines[row])
+        return raw.count(b"\n", 0, int(starts[row])) + 1
 
+    rows, ints = len(bounds), {}
     for i, (field, kind) in enumerate(columns):
         if kind == "int":
-            if max(map(len, cols[i]), default=0) > 18:  # may fall outside int64
-                big = next((r for r, v in enumerate(cols[i]) if int(v) >> 63 not in (0, -1)), None)
-                if big is not None:
-                    error = ParseError(path, line(big), f"{field} {cols[i][big]!r} is outside "
-                                       "the 64-bit integer range")
-                    cols = [column[:big] for column in cols]
-            cols[i] = np.fromstring(",".join(cols[i]), dtype=np.int64, sep=",")
+            ints[i], big = _ints(buf, *bounds[:, i].T)
+            if big is not None and big < rows:  # on one row the earlier column is reported
+                value = raw[slice(*bounds[big, i])].decode()
+                error = ParseError(path, line(big),
+                                   f"{field} {value!r} is outside the 64-bit integer range")
+                rows = big
+    cols = [ints[i][:rows] if kind == "int" else _entries(buf, *bounds[:rows, i].T)
+            if kind == "categories" else _fixed(buf, *bounds[:rows, i].T)
+            for i, (_f, kind) in enumerate(columns)]
+    del bounds, ints
 
     def fail(row: int, message: str, cls: type):
         raise ParseError(path, line(row), message) if cls is ParseError else cls(
@@ -235,13 +248,53 @@ def _grammar_error(text: str, columns: tuple[tuple[str, str], ...]) -> str:
     raise AssertionError(f"the grammar rejects {text!r} for no reason found")
 
 
-def _entries(specs: list[str]) -> tuple[np.ndarray, list[str], list[float]]:
-    """(row, category, weight) of every listed category; bare ones share weight 1 evenly."""
-    n_parts = [spec.count(";") + 1 for spec in specs]
-    rows = np.repeat(np.arange(len(specs)), n_parts)
-    parts = [part.partition(":") for part in ";".join(specs).split(";")] if specs else []
-    weights = [float(w) if w else 1.0 / n_parts[r] for (_n, _c, w), r in zip(parts, rows.tolist())]
-    return rows, [name for name, _c, _w in parts], weights
+def _fixed(buf: np.ndarray, start: np.ndarray, end: np.ndarray) -> np.ndarray:
+    """The bytes buf[start:end] of each field as one fixed-width byte string."""
+    width = end - start
+    size = max(1, int(width.max(initial=0)))
+    chars = sliding_window_view(buf, size)[start]
+    chars[np.arange(size) >= width[:, None]] = 0
+    return chars.view(f"S{size}").ravel()
+
+
+def _ints(buf: np.ndarray, start: np.ndarray, end: np.ndarray) -> tuple[np.ndarray, int | None]:
+    """The value of each integer field, and the first row whose value lies outside int64 (None
+    if none does). Up to 18 digits add up within int64; longer fields are read as Python ints."""
+    minus = buf[start] == ord("-")
+    digits = end - start - minus
+    values = np.zeros(len(start), dtype=np.int64)
+    for place in range(min(18, int(digits.max(initial=0))), 0, -1):  # `place` bytes before the end
+        values *= 10
+        values += np.where(digits >= place, buf[end - place] - ord("0"), 0)
+    np.negative(values, out=values, where=minus)
+    for row in np.flatnonzero(digits > 18).tolist():
+        significant = buf[end[row] - digits[row] : end[row]].tobytes().lstrip(b"0")
+        # no value of 20 significant digits fits, and int() refuses more than 4,300
+        value = int(significant[:20] or b"0") * (-1 if minus[row] else 1)
+        if len(significant) > 19 or value >> 63 not in (0, -1):
+            return values, row
+        values[row] = value
+    return values, None
+
+
+def _entries(buf: np.ndarray, start: np.ndarray,
+             end: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(row, category, weight) of every category listed in the categories fields between
+    `start` and `end`; bare ones share weight 1 evenly."""
+    span = slice(int(start[0]), int(end[-1])) if len(start) else slice(0, 0)
+    # in the rows the grammar accepts, only categories fields hold ";" and ":"
+    semi, colon = (np.flatnonzero(buf[span] == ord(c)) + span.start for c in ";:")
+    first, last = np.sort(np.concatenate((start, semi + 1))), np.sort(np.concatenate((semi, end)))
+    row = np.searchsorted(start, first, "right") - 1
+    weight = 1.0 / np.bincount(row, minlength=len(start))[row]
+    if colon.size:  # the name of a weighted category ends at its colon
+        at = colon[np.searchsorted(colon, first).clip(max=colon.size - 1)]
+        weighted = (at >= first) & (at < last)
+        texts, text_of = np.unique(_fixed(buf, at[weighted] + 1, last[weighted]),
+                                   return_inverse=True)
+        weight[weighted] = np.array([float(w) for w in texts.tolist()])[text_of]
+        last = np.where(weighted, at, last)
+    return row, _fixed(buf, first, last), weight
 
 
 # ---------------------------------------------------------------------------
@@ -249,70 +302,65 @@ def _entries(specs: list[str]) -> tuple[np.ndarray, list[str], list[float]]:
 # offending row through `fail(row, message, error_class)`
 
 
-def _check_taxonomy(sds: Sequence[str], uda: Sequence[str], fail: Fail) -> dict[str, np.ndarray]:
+def _check_taxonomy(sds: np.ndarray, uda: np.ndarray, fail: Fail) -> dict[str, np.ndarray]:
     """The sorted SDSs and UDAs and the UDA of each SDS; rejects a repeated SDS."""
-    arr = np.array(sds, dtype=str)
-    _first_failure(fail, [(_repeats(arr), lambda r: f"duplicate sds_id {sds[r]!r}", ParseError)])
-    order = np.argsort(arr)
-    uda_ids, sds_uda = np.unique(np.array(uda, dtype=str)[order], return_inverse=True)
-    return dict(sds_ids=arr[order], uda_ids=uda_ids, sds_uda=sds_uda)
+    _first_failure(fail, [(_repeats(sds), lambda r: f"duplicate sds_id {_id(sds, r)}", ParseError)])
+    order = np.argsort(sds)
+    uda_ids, sds_uda = np.unique(uda[order], return_inverse=True)
+    return dict(sds_ids=_unicode(sds[order]), uda_ids=_unicode(uda_ids), sds_uda=sds_uda)
 
 
-def _check_researchers(cols: Mapping[str, np.ndarray], ids: Sequence[str], univ: Sequence[str],
-                       sds: Sequence[str], fail: Fail) -> dict[str, np.ndarray]:
+def _check_researchers(cols: Mapping[str, np.ndarray], ids: np.ndarray, univ: np.ndarray,
+                       sds: np.ndarray, fail: Fail) -> dict[str, np.ndarray]:
     """Researcher columns; rejects repeated ids and SDSs outside the taxonomy."""
-    arr = np.array(ids, dtype=str)
     res_sds, known = _lookup(cols["sds_ids"], sds)
     _first_failure(fail, [
-        (_repeats(arr), lambda r: f"duplicate researcher_id {ids[r]!r}", ParseError),
-        (~known, lambda r: f"researcher {ids[r]!r}: sds_id {sds[r]!r} missing from taxonomy",
-         IntegrityError),
+        (_repeats(ids), lambda r: f"duplicate researcher_id {_id(ids, r)}", ParseError),
+        (~known, lambda r: f"researcher {_id(ids, r)}: sds_id {_id(sds, r)} missing from "
+         "taxonomy", IntegrityError),
     ])
-    order = np.argsort(arr)
-    universities, res_univ = np.unique(np.array(univ, dtype=str), return_inverse=True)
-    return dict(researcher_ids=arr[order], universities=universities,
+    order = np.argsort(ids)
+    universities, res_univ = np.unique(univ, return_inverse=True)
+    return dict(researcher_ids=_unicode(ids[order]), universities=_unicode(universities),
                 res_univ=res_univ[order], res_sds=res_sds[order])
 
 
-def _check_publications(ids: Sequence[str], year: Sequence[int], entry_row: Sequence[int],
-                        entry_cat: Sequence[str], entry_weight: Sequence[float],
+def _check_publications(ids: np.ndarray, year: np.ndarray, entries: tuple[np.ndarray, ...],
                         fail: Fail) -> dict[str, np.ndarray]:
     """Publication columns from one (row, category, weight) entry per listed category (the
     grammar admits no row without one); rejects repeated ids, a category listed twice, weights
     outside (0, 1] and weight sums (added in listed order) off 1 by more than 1e-9."""
-    arr, n = np.array(ids, dtype=str), len(ids)
-    row, weight = np.array(entry_row, dtype=np.intp), np.array(entry_weight, dtype=float)
-    categories, cat = np.unique(np.array(entry_cat, dtype=str), return_inverse=True)
+    n, (row, entry_cat, weight) = len(ids), entries
+    categories, cat = np.unique(entry_cat, return_inverse=True)
     twice = _repeats(row * len(categories) + cat)
     bad = twice | ~((weight > 0.0) & (weight <= 1.0))
     total = np.bincount(row, weights=weight, minlength=n)
 
     def entry_message(r: int) -> str:
         e = np.flatnonzero((row == r) & bad)[0]
-        return (f"category {entry_cat[e]!r} listed twice" if twice[e]
+        return (f"category {_id(entry_cat, e)} listed twice" if twice[e]
                 else f"category weight {float(weight[e])} outside (0, 1]")
 
     _first_failure(fail, [
-        (_repeats(arr), lambda r: f"duplicate pub_id {ids[r]!r}", ParseError),
+        (_repeats(ids), lambda r: f"duplicate pub_id {_id(ids, r)}", ParseError),
         (np.bincount(row[bad], minlength=n) > 0, entry_message, ParseError),
         (np.abs(total - 1.0) > WEIGHT_SUM_TOL,
          lambda r: f"category weights sum to {float(total[r])}, expected 1", ParseError),
     ])
-    order = np.argsort(arr)
+    order = np.argsort(ids)
     rank = np.argsort(order)  # input row -> position in id order
     by_pub = np.argsort(rank[row], kind="stable")
-    return dict(pub_ids=arr[order], pub_year=np.asarray(year, dtype=np.int64)[order],
-                categories=categories, entry_pub=rank[row][by_pub], entry_cat=cat[by_pub],
-                entry_weight=weight[by_pub])
+    return dict(pub_ids=_unicode(ids[order]), pub_year=year[order],
+                categories=_unicode(categories), entry_pub=rank[row][by_pub],
+                entry_cat=cat[by_pub], entry_weight=weight[by_pub])
 
 
-def _check_citations(cols: Mapping[str, np.ndarray], pub_refs: Sequence[str], year: Sequence[int],
-                     count: Sequence[int], fail: Fail) -> dict[str, np.ndarray]:
+def _check_citations(cols: Mapping[str, np.ndarray], pub_refs: np.ndarray, year: np.ndarray,
+                     count: np.ndarray, fail: Fail) -> dict[str, np.ndarray]:
     """Citation matrix from (publication, obs_year, cumulative count) rows; rejects unknown
     publications, negative counts, years before the publication year, repeated (publication,
     year) rows and counts that decrease as the year advances, found from one sort."""
     pub, known = _lookup(cols["pub_ids"], pub_refs)
-    year, count = np.asarray(year, dtype=np.int64), np.asarray(count, dtype=np.int64)
     pub_year = np.append(cols["pub_year"], 0)[pub]
     obs_years, col = np.unique(year, return_inverse=True)
     order = np.argsort(pub * len(obs_years) + col, kind="stable")
@@ -322,15 +370,17 @@ def _check_citations(cols: Mapping[str, np.ndarray], pub_refs: Sequence[str], ye
     again[order[1:][same_pub & same_year]] = True
     # in (year, input) order a publication whose counts decrease has a descent between neighbours
     clash = _first_clashes(pub, year, count, p[1:][same_pub & (c[1:] < c[:-1])])
-    falling = np.isin(np.arange(len(pub)), list(clash))
+    falling = np.zeros(len(pub), dtype=bool)
+    falling[list(clash)] = True
     _first_failure(fail, [
-        (~known, lambda r: f"citation row references unknown pub_id {pub_refs[r]!r}", ParseError),
+        (~known, lambda r: f"citation row references unknown pub_id {_id(pub_refs, r)}",
+         ParseError),
         (known & (count < 0), lambda r: f"negative citation count {int(count[r])}", ParseError),
         (known & (year < pub_year), lambda r: f"obs_year {int(year[r])} precedes publication "
-         f"year {int(pub_year[r])} of {pub_refs[r]!r}", ParseError),
-        (again, lambda r: f"duplicate citation row for ({pub_refs[r]!r}, {int(year[r])})",
+         f"year {int(pub_year[r])} of {_id(pub_refs, r)}", ParseError),
+        (again, lambda r: f"duplicate citation row for ({_id(pub_refs, r)}, {int(year[r])})",
          ParseError),
-        (falling, lambda r: f"cumulative citations of {pub_refs[r]!r} decrease between years "
+        (falling, lambda r: f"cumulative citations of {_id(pub_refs, r)} decrease between years "
          f"{int(year[[r, clash[r]]].min())} and {int(year[[r, clash[r]]].max())}", ParseError),
     ])
     counts = np.zeros((len(cols["pub_ids"]), len(obs_years)), dtype=np.int64)
@@ -339,18 +389,19 @@ def _check_citations(cols: Mapping[str, np.ndarray], pub_refs: Sequence[str], ye
     return dict(obs_years=obs_years, counts=counts, present=present)
 
 
-def _check_links(cols: Mapping[str, np.ndarray], pub_refs: Sequence[str],
-                 res_refs: Sequence[str], fail: Fail) -> dict[str, np.ndarray]:
+def _check_links(cols: Mapping[str, np.ndarray], pub_refs: np.ndarray, res_refs: np.ndarray,
+                 fail: Fail) -> dict[str, np.ndarray]:
     """Authorship links; rejects unknown publications or researchers and repeated pairs."""
     pub, pub_known = _lookup(cols["pub_ids"], pub_refs)
     res, res_known = _lookup(cols["researcher_ids"], res_refs)
     _first_failure(fail, [
-        (~pub_known, lambda r: f"authorship references unknown pub_id {pub_refs[r]!r}",
+        (~pub_known, lambda r: f"authorship references unknown pub_id {_id(pub_refs, r)}",
          IntegrityError),
-        (~res_known, lambda r: f"authorship references unknown researcher_id {res_refs[r]!r}",
-         IntegrityError),
+        (~res_known, lambda r: f"authorship references unknown researcher_id "
+         f"{_id(res_refs, r)}", IntegrityError),
         (pub_known & res_known & _repeats(pub * len(cols["researcher_ids"]) + res),
-         lambda r: f"duplicate authorship pair ({pub_refs[r]!r}, {res_refs[r]!r})", ParseError),
+         lambda r: f"duplicate authorship pair ({_id(pub_refs, r)}, {_id(res_refs, r)})",
+         ParseError),
     ])
     return dict(link_pub=pub, link_res=res)
 
@@ -366,14 +417,32 @@ def _first_failure(fail: Fail, checks: list[tuple[np.ndarray, Callable[[int], st
 
 def _repeats(key: np.ndarray) -> np.ndarray:
     """Mask of the rows whose key equals that of an earlier row."""
-    return ~np.isin(np.arange(len(key)), np.unique(key, return_index=True)[1])
+    again = np.ones(len(key), dtype=bool)
+    again[np.unique(key, return_index=True)[1]] = False
+    return again
 
 
-def _lookup(ids: Sequence[str], values: Sequence[str]) -> tuple[np.ndarray, np.ndarray]:
-    """(position of each value in ids, -1 when absent; whether it is present)."""
-    index = dict(zip(list(ids), range(len(ids))))
-    pos = np.fromiter(map(index.get, values, repeat(-1)), dtype=np.intp, count=len(values))
+def _lookup(ids: np.ndarray, values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(position of each value in ids, -1 when absent; whether it is present), looked up once
+    per run of equal neighbouring values."""
+    head = np.ones(len(values), dtype=bool)
+    np.not_equal(values[1:], values[:-1], out=head[1:])
+    head = np.flatnonzero(head)
+    index = dict(zip(ids.tolist(), range(len(ids))))
+    found = np.fromiter(map(index.get, _unicode(values[head]).tolist(), repeat(-1)),
+                        dtype=np.intp, count=len(head))
+    pos = np.repeat(found, np.diff(head, append=len(values)))
     return pos, pos >= 0
+
+
+def _unicode(ids: np.ndarray) -> np.ndarray:
+    """A column of ASCII byte strings as str: each byte widened to the code point it spells."""
+    return ids.view(np.uint8).astype(np.uint32).view(f"U{ids.itemsize}")
+
+
+def _id(column: np.ndarray, row: int) -> str:
+    """The id at `row` of a byte-string column, quoted as a message shows it."""
+    return repr(column[row].decode())
 
 
 def _first_clashes(pub: np.ndarray, year: np.ndarray, count: np.ndarray,

@@ -22,6 +22,7 @@ from typing import Callable, Iterable, Mapping, Sequence
 import numpy as np
 
 from .errors import AnalysisError
+from .sensitivity import order_statistics
 
 _CHUNK_VALUES = 1 << 18  # random keys per sampler task: 2 MiB, a core's L2 on a 2-core Xeon
 
@@ -43,7 +44,7 @@ def top_partition(
     if len(scores) < 2:
         raise AnalysisError("need at least two universities to partition")
     values = np.array([scores[u] for u in sorted(scores)])
-    boundary = float(np.percentile(values, percentile, method="linear"))
+    boundary = float(order_statistics(values, (percentile,))[1][0])
     top = frozenset(u for u, s in scores.items() if s > boundary)
     rest = frozenset(scores) - top
     if not top or not rest:

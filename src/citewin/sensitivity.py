@@ -134,7 +134,7 @@ def stability_battery(ranks: LevelRanks, benchmark_year: int) -> dict[str, np.nd
     out.update((name, np.full(len(sizes), np.nan)) for name in _PER_SCOPE)
     low, high = ranks.ranks.min(axis=1), ranks.ranks.max(axis=1)
     out["min_rank"], out["max_rank"] = low.astype(float), high.astype(float)
-    for n in np.unique(sizes).tolist():
+    for n in sorted(set(sizes.tolist())):  # plain np.unique would import numpy.ma
         scopes = np.flatnonzero(sizes == n)
         rows = ranks.bounds[scopes, None] + np.arange(n)
         rank, fractional, score = (np.ascontiguousarray(m[rows][..., years].transpose(0, 2, 1))
@@ -219,7 +219,7 @@ def _descriptives(xs: np.ndarray) -> dict[str, np.ndarray]:
     # entries an ulp away from it (shifts 0, 1, 7, 7 for one)
     m2s = m2.ravel().tolist()
     p15, p2 = (np.reshape([m**e if m else math.nan for m in m2s], m2.shape) for e in (1.5, 2))
-    return {"mean": mean, "median": np.median(xs, axis=-1), "std_dev": np.sqrt(m2),
+    return {"mean": mean, "median": order_statistics(xs)[0], "std_dev": np.sqrt(m2),
             "skewness": m3 / p15, "kurtosis": m4 / p2 - 3.0}
 
 
@@ -238,7 +238,7 @@ def _stability(moves: np.ndarray, spread: np.ndarray) -> dict[str, np.ndarray]:
     year, n] and rank spreads (max - min over all years) [..., n]."""
     mean_shifts = moves.sum(axis=-2) / moves.shape[-2]
     return {"changed": (spread > 0).sum(axis=-1), "mean_shift_average": mean_shifts.mean(axis=-1),
-            "mean_shift_median": np.median(mean_shifts, axis=-1),
+            "mean_shift_median": order_statistics(mean_shifts)[0],
             "mean_shift_std_dev": mean_shifts.std(axis=-1), "max_ranking_variation": spread.max(-1)}
 
 
@@ -251,7 +251,7 @@ def _small_shift_pcts(moves: np.ndarray) -> dict[str, np.ndarray]:
 
 def _quartile_classes(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Quartile boundaries [3, ...] and classes [..., n] of each row of values[..., n]."""
-    q = np.percentile(values, (25, 50, 75), axis=-1, method="linear")
+    q = order_statistics(values, (25, 50, 75))[1]
     return q, 1 + sum(values > boundary[..., None] for boundary in q)
 
 
@@ -260,6 +260,30 @@ def _class_shifts(classes: np.ndarray) -> dict[str, np.ndarray]:
     moves = np.abs(_shifts(classes))
     return {"avg_class_shift": moves.sum(axis=-1) / moves.shape[-1],
             "outliers": (moves >= 2).sum(axis=-1)}
+
+
+def order_statistics(values: np.ndarray,
+                     percents: Sequence[float] = ()) -> tuple[np.ndarray, np.ndarray]:
+    """The median [...] and the linear-interpolation percentiles [percent, ...] of each row of
+    values[..., n] (n >= 1) from one sort, bit for bit np.median(values, axis=-1) and
+    np.percentile(values, percents, axis=-1, method="linear"), which import numpy.ma (its NaN
+    check, a plain np.unique). NaNs sort last, and a row holding one gets NaN throughout."""
+    s = np.sort(values, axis=-1)
+    n, last = s.shape[-1], s[..., -1]
+    median = (s[..., n // 2 - 1] + s[..., n // 2]) / 2 if n % 2 == 0 else s[..., n // 2]
+    # numpy's interpolation between the values below and above index (n - 1) * p / 100, and
+    # from the last value alone at and past index n - 1
+    virtual = (n - 1) * (np.asarray(percents, dtype=float) / 100)
+    below = np.where(virtual >= n - 1, -1, np.floor(virtual)).astype(np.intp)
+    above = np.where(virtual >= n - 1, -1, below + 1)
+    gamma = virtual - below
+    a, b = s[..., below], s[..., above]
+    diff = b - a
+    q = a + diff * gamma
+    np.subtract(b, diff * (1 - gamma), out=q, where=gamma >= 0.5)
+    nan = np.isnan(last)
+    return (np.where(nan, last, median),
+            np.moveaxis(np.where(nan[..., None], last[..., None], q), -1, 0))
 
 
 def _percent(count, n):

@@ -181,6 +181,192 @@ def test_int64_bounds_accepted(tmp_path):
     assert publications(load_corpus(path))["P1"].citation_counts == {2004: 2**63 - 1}
 
 
+ID_MESSAGES = [
+    (dict(fields=[("S1", "UA"), ("S1", "UA")]), ParseError, "fields.csv:3: duplicate sds_id 'S1'"),
+    (dict(researchers=[("R1", "U1", "S1"), ("R1", "U1", "S2")]), ParseError,
+     "researchers.csv:3: duplicate researcher_id 'R1'"),
+    (dict(researchers=[("R1", "U1", "S9")]), IntegrityError,
+     "researchers.csv:2: researcher 'R1': sds_id 'S9' missing from taxonomy"),
+    (dict(publications=[("P1", 2001, "K1"), ("P1", 2002, "K1")]), ParseError,
+     "publications.csv:3: duplicate pub_id 'P1'"),
+    (dict(publications=[("P1", 2001, "K1;K1")]), ParseError,
+     "publications.csv:2: category 'K1' listed twice"),
+    (dict(citations=[("P1", 2004, 1), ("P9", 2004, 1)]), ParseError,
+     "citations.csv:3: citation row references unknown pub_id 'P9'"),
+    (dict(citations=[("P1", 2000, 1)]), ParseError,
+     "citations.csv:2: obs_year 2000 precedes publication year 2001 of 'P1'"),
+    (dict(citations=[("P1", 2004, 1), ("P1", 2004, 1)]), ParseError,
+     "citations.csv:3: duplicate citation row for ('P1', 2004)"),
+    (dict(citations=[("P1", 2004, 5), ("P1", 2005, 3)]), ParseError,
+     "citations.csv:3: cumulative citations of 'P1' decrease between years 2004 and 2005"),
+    (dict(authorship=[("P1", "R1"), ("P9", "R1")]), IntegrityError,
+     "authorship.csv:3: authorship references unknown pub_id 'P9'"),
+    (dict(authorship=[("P1", "R9")]), IntegrityError,
+     "authorship.csv:2: authorship references unknown researcher_id 'R9'"),
+    (dict(authorship=[("P1", "R1"), ("P1", "R1")]), ParseError,
+     "authorship.csv:3: duplicate authorship pair ('P1', 'R1')"),
+]
+
+
+@pytest.mark.parametrize("overrides, error, message", ID_MESSAGES,
+                         ids=[m.split(": ")[1].split(" '")[0] for _o, _e, m in ID_MESSAGES])
+def test_id_bearing_messages_print_plain_ids(tmp_path, overrides, error, message):
+    """Ids read as byte strings are printed as the str they spell, never as numpy scalars."""
+    path = small_fixture(tmp_path, **overrides)
+    with pytest.raises(error) as got:
+        load_corpus(path)
+    assert str(got.value) == f"{path}/{message}"
+    assert "np." not in str(got.value) and "b'" not in str(got.value)
+
+
+def assert_loads_like_the_row_reader(directory):
+    """load_corpus gives the row reader's corpus, or its error with the same message."""
+    try:
+        read_corpus_rows(directory)
+    except CitewinError as exc:
+        with pytest.raises(type(exc)) as got:
+            load_corpus(directory)
+        assert str(got.value) == str(exc)
+        return exc
+    assert_matches_rows(load_corpus(directory), directory)
+    return None
+
+
+def edited_corpus(tmp_path, edits, **overrides):
+    """small_fixture with each file's text passed through edits[name], if given."""
+    path = small_fixture(tmp_path, **overrides)
+    for name, edit in edits.items():
+        rewrite(path, name, edit)
+    return path
+
+
+LINE_ENDINGS = {
+    "blank lines": lambda t: t.replace("\n", "\n\n", 2) + "\n\n",
+    "leading blank line": lambda t: t.replace("\n", "\n\n", 1),
+    "CRLF": lambda t: t.replace("\n", "\r\n"),
+    "lone CR": lambda t: t.replace("\n", "\r"),
+    "mixed": lambda t: "".join(line + ("\r\n", "\r", "\n", "\r\r")[i % 4]
+                               for i, line in enumerate(t.split("\n")[:-1])),
+    "no final newline": lambda t: t.rstrip("\n"),
+    "blank lines and no final newline": lambda t: t.replace("\n", "\n\n\n", 3).rstrip("\n"),
+}
+
+
+@pytest.mark.parametrize("ending", list(LINE_ENDINGS))
+@pytest.mark.parametrize("defect", [None, ("P2", 2005, -1), ("P2", 2005, "x")])
+def test_line_endings_load_and_fail_like_the_row_reader(tmp_path, ending, defect):
+    """Every file rewritten with one line-ending style: the same corpus, or the same error at
+    the same line, whether the defect is a check's, a negative count or a grammar error."""
+    citations = [("P1", 2004, 2), ("P1", 2005, 3), ("P2", 2004, 0), defect or ("P2", 2005, 1),
+                 ("P3", 2004, 1), ("P3", 2005, 1)]
+    path = edited_corpus(tmp_path, dict.fromkeys(FILES, LINE_ENDINGS[ending]), citations=citations)
+    exc = assert_loads_like_the_row_reader(path)
+    assert (exc is None) == (defect is None)
+
+
+def test_ids_of_unequal_length_load_like_the_row_reader(tmp_path):
+    ids = {"P1": "P", "P2": "p/2_-x", "P3": "P_3/333-Long-Id_with/all"}
+    res = {"R1": "R-1", "R2": "r", "R3": "R3/_-", "R4": "Researcher_4-x/y"}
+    rename = lambda t: "\n".join(",".join(ids.get(v, res.get(v, v)) for v in line.split(","))
+                                  for line in t.split("\n"))
+    path = edited_corpus(tmp_path, dict.fromkeys(FILES, rename))
+    assert assert_loads_like_the_row_reader(path) is None
+    assert set(publications(load_corpus(path))) == set(ids.values())
+
+
+CITATIONS = [("P1", 2004, 2), ("P1", 2005, 3), ("P2", 2004, 0), ("P2", 2005, 1),
+             ("P3", 2004, 1), ("P3", 2005, 1)]
+
+
+@pytest.mark.parametrize("rows, fails", [
+    ([CITATIONS[i] for i in (0, 2, 4, 1, 3, 5)], False),  # every run of one publication is 1 row
+    ([CITATIONS[i] for i in (5, 0, 3, 2, 1, 4)], False),
+    ([CITATIONS[i] for i in (1, 0, 3, 2, 5, 4)], False),  # each publication's years descending
+    ([("P1", 2004, 2), ("P2", 2004, 0), ("P9", 2004, 1), ("P1", 2005, 3)], True),
+    ([("P1", 2004, 2), ("P2", 2004, 0), ("P1", 2005, 1)], True),  # a decrease across a run
+    ([("P2", 2005, 1), ("P1", 2004, 0), ("P2", 2004, 2), ("P2", 2006, 1)], True),
+    ([("P1", 2004, 2), ("P2", 2004, 0), ("P1", 2004, 2)], True),  # a repeat across a run
+])
+def test_citation_rows_in_any_order_load_like_the_row_reader(tmp_path, rows, fails):
+    exc = assert_loads_like_the_row_reader(small_fixture(tmp_path, citations=rows))
+    assert (exc is not None) == fails
+
+
+def test_minus_zero_and_leading_zeros_load_like_the_row_reader(tmp_path):
+    path = small_fixture(
+        tmp_path, publications=[("P1", "02001", "K1"), ("P2", "-0", "K1:0.5;K2:0.5"),
+                                ("P3", "0000000000000000000002003", "K1;K2")],
+        citations=[("P1", "2004", "-0"), ("P1", "000002005", "0000000000000000000000003"),
+                   ("P2", "2004", "007"), ("P3", "2004", "-00")])
+    assert assert_loads_like_the_row_reader(path) is None
+    pubs = publications(load_corpus(path))
+    assert (pubs["P1"].pub_year, pubs["P2"].pub_year, pubs["P3"].pub_year) == (2001, 0, 2003)
+    assert pubs["P1"].citation_counts == {2004: 0, 2005: 3}
+
+
+INT64_EDGES = [str(2**63 - 1), str(2**63), str(-(2**63)), str(-(2**63) - 1),
+               "-0" + str(2**63 - 1), "0" + str(2**63), "9" * 19, "-" + "9" * 19]
+
+
+@pytest.mark.parametrize("value", INT64_EDGES)
+@pytest.mark.parametrize("field", ["pub_year", "obs_year", "cum_citations"])
+def test_19_digit_values_at_the_int64_bounds_load_like_the_row_reader(tmp_path, value, field):
+    """At and just past each int64 bound, in publications.csv and in both int columns of
+    citations.csv, on a row after another with 19 or more digits that is in range."""
+    big = "-000" + str(2**63 - 5)
+    if field == "pub_year":
+        path = small_fixture(tmp_path, publications=[
+            ("P1", 2001, "K1"), ("P4", big, "K1"), ("P2", 2002, "K1"), ("P5", value, "K2")])
+    else:
+        row = ("P2", value, 1) if field == "obs_year" else ("P2", 2005, value)
+        path = small_fixture(tmp_path, citations=[("P1", 2004, "0" * 19 + "1"), ("P2", 2004, 0), row])
+    exc = assert_loads_like_the_row_reader(path)
+    assert (exc is not None and "64-bit" in str(exc)) == (not -(2**63) <= int(value) < 2**63)
+
+
+@pytest.mark.parametrize("rows, named", [
+    ([("P1", 2004, 1), ("P2", "9" * 19, "-" + "9" * 20)], "csv:3: obs_year"),
+    ([("P1", 2004, "9" * 20), ("P2", "9" * 19, 1)], "csv:2: cum_citations"),
+    ([("P1", 2004, 1), ("P2", 2004, 1), ("P3", "9" * 19, 1), ("P2", 2005, "9" * 19)],
+     "csv:4: obs_year"),
+])
+def test_first_row_outside_int64_is_reported_earlier_column_first(tmp_path, rows, named):
+    exc = assert_loads_like_the_row_reader(small_fixture(tmp_path, citations=rows))
+    assert named in str(exc) and "64-bit" in str(exc)
+
+
+def test_thousands_of_leading_zeros_still_spell_an_int64(tmp_path):
+    """Python's int() refuses strings of more than 4,300 digits; the significant ones decide."""
+    path = small_fixture(tmp_path, citations=[("P1", 2004, "0" * 5000 + "7"),
+                                              ("P2", "-" + "0" * 5000 + "2004", 0)])
+    with pytest.raises(ParseError, match=r"citations\.csv:3: obs_year -2004 precedes"):
+        load_corpus(path)
+    path = small_fixture(tmp_path, citations=[("P1", 2004, "0" * 5000 + "7")])
+    assert publications(load_corpus(path))["P1"].citation_counts == {2004: 7}
+    path = small_fixture(tmp_path, citations=[("P1", 2004, 1), ("P2", 2004, "1" + "0" * 5000)])
+    with pytest.raises(ParseError, match=r"citations\.csv:3: cum_citations '10+' is outside"):
+        load_corpus(path)
+
+
+def test_cold_load_peaks_below_eight_times_the_corpus_bytes(tmp_path):
+    """A load without a cache keeps each file's text, its bytes and byte-level columns, not one
+    Python string per field: its traced peak stays below 8 times the bytes of the corpus
+    files (one string per field took 9.5 times on this corpus)."""
+    import tracemalloc
+
+    corpus = generate(stability_config(), tmp_path / "corpus", seed=3)
+    assert not (corpus / ingest.CACHE_NAME).exists()
+    size = sum((corpus / name).stat().st_size for name in FILES)
+    tracemalloc.start()
+    try:
+        load_corpus(corpus)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (corpus / ingest.CACHE_NAME).exists()
+    assert peak < 8 * size, (peak, size)
+
+
 def rewrite(path, name, edit):
     (path / name).write_bytes(edit((path / name).read_text(encoding="utf-8")).encode("utf-8"))
 
@@ -323,8 +509,8 @@ def test_each_command_loads_only_the_modules_it_runs(tmp_path, command):
     """A fresh process runs one command and holds exactly its modules afterwards: impact.py
     and productivity.py are the written reference, which no command imports. Only npc loads
     logging, through concurrent.futures. Reading a cached corpus compiles none of the grammar
-    patterns of a parse. numpy.ma (plain np.unique imports it) stays out of every command but
-    sensitivity and npc, whose np.percentile and np.median load it."""
+    patterns of a parse. No command loads numpy.ma, which plain np.unique, np.percentile and
+    np.median import."""
     corpus = generate(stability_config(), tmp_path / "corpus", seed=3)
     load_corpus(corpus)  # writes the cache
     config, out = tmp_path / "config.json", tmp_path / "out"
@@ -341,7 +527,7 @@ def test_each_command_loads_only_the_modules_it_runs(tmp_path, command):
     loaded, futures, logging, masked, grammar_compiled = json.loads(proc.stdout)
     assert set(loaded) == COMMAND_MODULES[command]
     assert futures == logging == (command == "npc")
-    assert masked == (command in ("sensitivity", "npc"))
+    assert not masked
     if command == "validate":
         assert grammar_compiled == []
 

@@ -20,6 +20,7 @@ from citewin.sensitivity import (
     _quartile_classes,
     _shifts,
     battery_tables,
+    order_statistics,
     rank_scopes,
     ranking_rows,
     stability_battery,
@@ -358,6 +359,32 @@ def test_quartile_boundaries_equal_one_percentile_call_per_quartile():
         separate = [float(np.percentile(values, q, method="linear")) for q in (25, 50, 75)]
         got, _classes = quartiles(scores)
         assert [x.hex() for x in got] == [x.hex() for x in separate]
+
+
+# finite and NaN values, no -0.0 (which ties 0.0 but prints apart), many repeats
+ORDER_VALUES = st.one_of(st.sampled_from([0.0, 1.0, 2.5, 7.0, math.nan]),
+                         st.floats(-1e300, 1e300).map(lambda x: x + 0.0))
+
+
+@settings(max_examples=300, deadline=None)
+@given(rows=st.integers(1, 3).flatmap(lambda r: st.integers(1, 14).flatmap(
+           lambda n: st.lists(st.lists(ORDER_VALUES, min_size=n, max_size=n),
+                              min_size=r, max_size=r))),
+       extra=st.floats(0.0, 100.0))
+def test_order_statistics_match_numpy_bit_for_bit(rows, extra):
+    """The one-sort median and linear percentiles agree with np.median and np.percentile to
+    the last bit (float.hex), NaN rows included, for blocks and for one row with one percent."""
+    values = np.array(rows)
+    percents = (25, 50, 75, 80, 12.5, 0, 100, extra)
+    median, got = order_statistics(values, percents)
+    expected = np.percentile(values, percents, axis=-1, method="linear")
+    assert got.shape == expected.shape and median.shape == values.shape[:-1]
+    hexes = lambda a: [float(x).hex() for x in np.ravel(a)]
+    assert hexes(got) == hexes(expected)
+    assert hexes(median) == hexes(np.median(values, axis=-1))
+    for p in percents:
+        one = order_statistics(values[0], (p,))[1][0]
+        assert float(one).hex() == float(np.percentile(values[0], p, method="linear")).hex()
 
 
 @pytest.mark.parametrize("seed", range(10))
