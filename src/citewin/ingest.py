@@ -5,10 +5,11 @@ rows and no quoting. Each is read once: one regex checks the grammar of its
 whole text, and the lines it accepts, ASCII by that grammar, are cut into
 columns on their bytes with numpy: one scan for "," and "\n" bounds every
 field, integers add up digit by digit and ids become fixed-width byte
-strings, of which only the columns a Corpus keeps turn into str. The columns
-go to the _check_* function of the file, the one owner of that file's
-invariants. The columns of a corpus that passes are cached beside its files,
-in CACHE_NAME.
+strings. The columns go to the _check_* function of the file, the one owner
+of that file's invariants. Each key column is sorted once, stably: that order
+finds its repeats and puts ids in order, and a later file's references are
+found by binary search in the sorted ids. Byte strings become str once, when
+a corpus passes; its columns are then cached beside its files, in CACHE_NAME.
 """
 
 from __future__ import annotations
@@ -19,7 +20,6 @@ import re
 import threading
 from dataclasses import dataclass
 from functools import cache, partial
-from itertools import repeat
 from pathlib import Path
 from typing import Callable, Mapping, NoReturn
 
@@ -98,6 +98,7 @@ def load_corpus(directory: str | Path) -> Corpus:
     cols |= checked("publications.csv", lambda c, fail: _check_publications(*c, fail))
     cols |= checked("citations.csv", lambda c, fail: _check_citations(cols, *c, fail))
     cols |= checked("authorship.csv", lambda c, fail: _check_links(cols, *c, fail))
+    cols = {name: _unicode(c) if c.dtype.kind == "S" else c for name, c in cols.items()}
     # best effort: a temporary file renamed into place, so readers find no cache or a whole one
     tmp = root / f"{CACHE_NAME}.{os.getpid()}-{threading.get_ident()}.tmp.npz"
     try:
@@ -304,24 +305,24 @@ def _entries(buf: np.ndarray, start: np.ndarray,
 
 def _check_taxonomy(sds: np.ndarray, uda: np.ndarray, fail: Fail) -> dict[str, np.ndarray]:
     """The sorted SDSs and UDAs and the UDA of each SDS; rejects a repeated SDS."""
-    _first_failure(fail, [(_repeats(sds), lambda r: f"duplicate sds_id {_id(sds, r)}", ParseError)])
-    order = np.argsort(sds)
+    order, again = _sorted(sds)
+    _first_failure(fail, [(again, lambda r: f"duplicate sds_id {_id(sds, r)}", ParseError)])
     uda_ids, sds_uda = np.unique(uda[order], return_inverse=True)
-    return dict(sds_ids=_unicode(sds[order]), uda_ids=_unicode(uda_ids), sds_uda=sds_uda)
+    return dict(sds_ids=sds[order], uda_ids=uda_ids, sds_uda=sds_uda)
 
 
 def _check_researchers(cols: Mapping[str, np.ndarray], ids: np.ndarray, univ: np.ndarray,
                        sds: np.ndarray, fail: Fail) -> dict[str, np.ndarray]:
     """Researcher columns; rejects repeated ids and SDSs outside the taxonomy."""
     res_sds, known = _lookup(cols["sds_ids"], sds)
+    order, again = _sorted(ids)
     _first_failure(fail, [
-        (_repeats(ids), lambda r: f"duplicate researcher_id {_id(ids, r)}", ParseError),
+        (again, lambda r: f"duplicate researcher_id {_id(ids, r)}", ParseError),
         (~known, lambda r: f"researcher {_id(ids, r)}: sds_id {_id(sds, r)} missing from "
          "taxonomy", IntegrityError),
     ])
-    order = np.argsort(ids)
     universities, res_univ = np.unique(univ, return_inverse=True)
-    return dict(researcher_ids=_unicode(ids[order]), universities=_unicode(universities),
+    return dict(researcher_ids=ids[order], universities=universities,
                 res_univ=res_univ[order], res_sds=res_sds[order])
 
 
@@ -332,7 +333,7 @@ def _check_publications(ids: np.ndarray, year: np.ndarray, entries: tuple[np.nda
     outside (0, 1] and weight sums (added in listed order) off 1 by more than 1e-9."""
     n, (row, entry_cat, weight) = len(ids), entries
     categories, cat = np.unique(entry_cat, return_inverse=True)
-    twice = _repeats(row * len(categories) + cat)
+    twice = _sorted(row * len(categories) + cat)[1]
     bad = twice | ~((weight > 0.0) & (weight <= 1.0))
     total = np.bincount(row, weights=weight, minlength=n)
 
@@ -341,17 +342,18 @@ def _check_publications(ids: np.ndarray, year: np.ndarray, entries: tuple[np.nda
         return (f"category {_id(entry_cat, e)} listed twice" if twice[e]
                 else f"category weight {float(weight[e])} outside (0, 1]")
 
+    order, again = _sorted(ids)
     _first_failure(fail, [
-        (_repeats(ids), lambda r: f"duplicate pub_id {_id(ids, r)}", ParseError),
+        (again, lambda r: f"duplicate pub_id {_id(ids, r)}", ParseError),
         (np.bincount(row[bad], minlength=n) > 0, entry_message, ParseError),
         (np.abs(total - 1.0) > WEIGHT_SUM_TOL,
          lambda r: f"category weights sum to {float(total[r])}, expected 1", ParseError),
     ])
-    order = np.argsort(ids)
-    rank = np.argsort(order)  # input row -> position in id order
+    rank = np.empty_like(order)  # input row -> position in id order
+    rank[order] = np.arange(n)
     by_pub = np.argsort(rank[row], kind="stable")
-    return dict(pub_ids=_unicode(ids[order]), pub_year=year[order],
-                categories=_unicode(categories), entry_pub=rank[row][by_pub],
+    return dict(pub_ids=ids[order], pub_year=year[order],
+                categories=categories, entry_pub=rank[row][by_pub],
                 entry_cat=cat[by_pub], entry_weight=weight[by_pub])
 
 
@@ -363,13 +365,11 @@ def _check_citations(cols: Mapping[str, np.ndarray], pub_refs: np.ndarray, year:
     pub, known = _lookup(cols["pub_ids"], pub_refs)
     pub_year = np.append(cols["pub_year"], 0)[pub]
     obs_years, col = np.unique(year, return_inverse=True)
-    order = np.argsort(pub * len(obs_years) + col, kind="stable")
-    p, k, c = pub[order], col[order], count[order]
-    same_pub, same_year = (p[1:] == p[:-1]) & (p[1:] >= 0), k[1:] == k[:-1]
-    again = np.zeros(len(pub), dtype=bool)
-    again[order[1:][same_pub & same_year]] = True
+    order, again = _sorted(pub * len(obs_years) + col)
+    p, c = pub[order], count[order]
     # in (year, input) order a publication whose counts decrease has a descent between neighbours
-    clash = _first_clashes(pub, year, count, p[1:][same_pub & (c[1:] < c[:-1])])
+    descent = (p[1:] == p[:-1]) & (p[1:] >= 0) & (c[1:] < c[:-1])
+    clash = _first_clashes(pub, year, count, p[1:][descent])
     falling = np.zeros(len(pub), dtype=bool)
     falling[list(clash)] = True
     _first_failure(fail, [
@@ -399,7 +399,7 @@ def _check_links(cols: Mapping[str, np.ndarray], pub_refs: np.ndarray, res_refs:
          IntegrityError),
         (~res_known, lambda r: f"authorship references unknown researcher_id "
          f"{_id(res_refs, r)}", IntegrityError),
-        (pub_known & res_known & _repeats(pub * len(cols["researcher_ids"]) + res),
+        (pub_known & res_known & _sorted(pub * len(cols["researcher_ids"]) + res)[1],
          lambda r: f"duplicate authorship pair ({_id(pub_refs, r)}, {_id(res_refs, r)})",
          ParseError),
     ])
@@ -415,24 +415,19 @@ def _first_failure(fail: Fail, checks: list[tuple[np.ndarray, Callable[[int], st
         fail(row, message(row), cls)
 
 
-def _repeats(key: np.ndarray) -> np.ndarray:
-    """Mask of the rows whose key equals that of an earlier row."""
-    again = np.ones(len(key), dtype=bool)
-    again[np.unique(key, return_index=True)[1]] = False
-    return again
+def _sorted(key: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The stable order of a key column, and the mask of rows whose key equals an earlier row's."""
+    order = np.argsort(key, kind="stable")
+    again = np.zeros(len(key), dtype=bool)
+    again[order[1:]] = key[order[1:]] == key[order[:-1]]
+    return order, again
 
 
 def _lookup(ids: np.ndarray, values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(position of each value in ids, -1 when absent; whether it is present), looked up once
-    per run of equal neighbouring values."""
-    head = np.ones(len(values), dtype=bool)
-    np.not_equal(values[1:], values[:-1], out=head[1:])
-    head = np.flatnonzero(head)
-    index = dict(zip(ids.tolist(), range(len(ids))))
-    found = np.fromiter(map(index.get, _unicode(values[head]).tolist(), repeat(-1)),
-                        dtype=np.intp, count=len(head))
-    pos = np.repeat(found, np.diff(head, append=len(values)))
-    return pos, pos >= 0
+    """(position of each value in the sorted ids, -1 when absent; whether it is present)."""
+    pos = np.searchsorted(ids, values)
+    known = np.append(ids, b"")[pos] == values  # no id is empty, so none matches past the end
+    return np.where(known, pos, -1), known
 
 
 def _unicode(ids: np.ndarray) -> np.ndarray:

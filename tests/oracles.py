@@ -641,13 +641,23 @@ def _read_rows(path, columns):
                 if kind == "categories":
                     _check_category_grammar(path, line, value)
             for value, (name, kind) in zip(row, columns):
-                if kind == "int" and not -(2**63) <= int(value) < 2**63:
+                if kind == "int" and _int64(value) is None:
                     raise ParseError(path, line,
                                      f"{name} {value!r} is outside the 64-bit integer range")
             yield line, [
-                int(v) if kind == "int" else _categories(v) if kind == "categories" else v
+                _int64(v) if kind == "int" else _categories(v) if kind == "categories" else v
                 for v, (_name, kind) in zip(row, columns)
             ]
+
+
+def _int64(value):
+    """The integer an int field spells, or None outside the 64-bit range. Python's int()
+    refuses more than 4,300 digits, so the range is judged on the significant ones."""
+    significant = value.lstrip("-").lstrip("0") or "0"
+    if len(significant) > 19:
+        return None
+    number = -int(significant) if value.startswith("-") else int(significant)
+    return number if -(2**63) <= number < 2**63 else None
 
 
 def _check_category_grammar(path, line, spec):

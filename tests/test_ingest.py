@@ -167,6 +167,17 @@ def test_dangling_references_name_file_and_line(tmp_path):
         load_corpus(path)
 
 
+@pytest.mark.parametrize("empty, referring", [
+    ("fields", "researchers.csv"), ("publications", "citations.csv"),
+    ("researchers", "authorship.csv"),
+])
+def test_reference_into_a_file_without_rows_fails_like_the_row_reader(tmp_path, empty, referring):
+    """The referenced file has a header and no rows: the first reference to it fails as the row
+    reader reports it, not with an IndexError."""
+    exc = assert_loads_like_the_row_reader(small_fixture(tmp_path, **{empty: []}))
+    assert f"{referring}:2: " in str(exc)
+
+
 def test_count_outside_int64_is_a_parse_error(tmp_path, capsys):
     path = small_fixture(tmp_path, citations=[("P1", 2004, 2), ("P1", 2005, "9" * 20)])
     with pytest.raises(ParseError, match=r"citations\.csv:3: cum_citations .* 64-bit"):
@@ -638,6 +649,11 @@ def corruptions(draw, rows):
     # half of the changes copy what another row holds: repeats, reversed counts, references
     value = draw(st.sampled_from(column) if draw(st.booleans()) else st.one_of(
         FIELD_TEXT,
+        # one character more or fewer: a prefix of a held value, or one it is a prefix of
+        st.builds(lambda v, c: v + c if c else v[:-1], st.sampled_from(column),
+                  st.sampled_from(["", "0", "Z", "_"])),
+        # zero-padded to 5,001 digits, more than Python's int() reads
+        st.sampled_from(column).map(lambda v: v.zfill(5001 + v.startswith("-"))),
         st.integers(-2, 2010).map(str),
         st.sampled_from(["9" * 19, "-" + "9" * 19, str(2**63), str(-(2**63))]),
         st.sampled_from(["", "CAT_D1-S1:0.5;CAT_D1-S1:0.5", "CAT_D1-S1:1.5",
