@@ -7,10 +7,9 @@ __version__ = "0.1.0"
 
 # the module of each export, imported on first use (PEP 562): `import citewin` loads none
 _EXPORTS = {
-    "corpus": ("Corpus",),
     "errors": ("AnalysisError", "CitewinError", "IntegrityError", "MissingInputError",
                "ParseError"),
-    "ingest": ("RepresentativityReport", "load_corpus", "representativity_filter"),
+    "ingest": ("Corpus", "RepresentativityReport", "load_corpus", "representativity_filter"),
     "npc": ("NpcCombinedResult", "PermTestResult", "UdaGroups", "npc_fisher_combine",
             "top_partition", "two_sample_perm_test"),
     "synth": ("SynthConfig", "generate"),

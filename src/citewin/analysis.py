@@ -18,9 +18,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .corpus import Corpus
 from .errors import AnalysisError
-from .ingest import BASELINE_RULES, RepresentativityReport, representativity_filter
+from .ingest import BASELINE_RULES, Corpus, RepresentativityReport, representativity_filter
 from .sensitivity import LevelRanks, rank_scopes
 
 

@@ -9,7 +9,8 @@ strings. The columns go to the _check_* function of the file, the one owner
 of that file's invariants. Each key column is sorted once, stably: that order
 finds its repeats and puts ids in order, and a later file's references are
 found by binary search in the sorted ids. Byte strings become str once, when
-a corpus passes; its columns are then cached beside its files, in CACHE_NAME.
+a corpus passes: they are the columns of a Corpus, which load_corpus alone
+builds, and are cached beside its files, in CACHE_NAME, laid out as _LAYOUT.
 """
 
 from __future__ import annotations
@@ -26,7 +27,6 @@ from typing import Callable, Mapping, NoReturn
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .corpus import Corpus
 from .errors import IntegrityError, MissingInputError, ParseError
 
 _ID, _INT = r"[A-Za-z0-9_/-]+", r"-?[0-9]+"
@@ -50,6 +50,36 @@ _LAYOUT = dict(sds_ids="U1", uda_ids="U1", sds_uda="i1", pub_ids="U1", pub_year=
                obs_years="i1", counts="i2", present="b2", categories="U1", entry_pub="i1",
                entry_cat="i1", entry_weight="f1", researcher_ids="U1", universities="U1",
                res_univ="i1", res_sds="i1", link_pub="i1", link_res="i1")
+
+
+@dataclass(frozen=True, eq=False)
+class Corpus:
+    """Validated columns, publications and researchers in id order; every
+    column is read-only."""
+
+    sds_ids: np.ndarray  # [S] fine-grained fields, sorted
+    uda_ids: np.ndarray  # [D] disciplines, sorted
+    sds_uda: np.ndarray  # [S] index into uda_ids: the discipline of each field
+    pub_ids: np.ndarray  # [P], sorted
+    pub_year: np.ndarray  # [P]
+    obs_years: np.ndarray  # [Y]: every observation year of any citation row, sorted
+    counts: np.ndarray  # [P, Y] cumulative citations, 0 where absent
+    present: np.ndarray  # [P, Y] whether the count was given
+    categories: np.ndarray  # sorted category ids
+    entry_pub: np.ndarray  # (publication, category, weight) entries, by publication
+    entry_cat: np.ndarray  # and then in listed order; entry_cat indexes categories
+    entry_weight: np.ndarray
+    researcher_ids: np.ndarray  # [R], sorted
+    universities: np.ndarray  # sorted university ids
+    res_univ: np.ndarray  # [R] index into universities
+    res_sds: np.ndarray  # [R] index into sds_ids
+    link_pub: np.ndarray  # authorship links, in input order
+    link_res: np.ndarray
+
+    def __post_init__(self) -> None:
+        for column in vars(self).values():
+            if isinstance(column, np.ndarray):
+                column.setflags(write=False)
 
 
 @dataclass(frozen=True, eq=False)
@@ -150,10 +180,9 @@ def _grammar() -> tuple[dict[str, re.Pattern], dict[str, re.Pattern]]:
 
 
 def _cache_key(data: Mapping[str, bytes]) -> str:
-    """sha256 over the digests of the checks and column layout, numpy and the corpus files."""
+    """sha256 over the digests of this module (checks, columns, layout), numpy and the files."""
     from hashlib import sha256  # loads OpenSSL, which a load that fails its checks never needs
-    code = [Path(__file__).with_name(name).read_bytes() for name in ("ingest.py", "corpus.py")]
-    parts = [*code, np.__version__.encode(), *data.values()]  # the files in FILES order
+    parts = [Path(__file__).read_bytes(), np.__version__.encode(), *data.values()]
     return sha256(b"".join(sha256(part).digest() for part in parts)).hexdigest()
 
 

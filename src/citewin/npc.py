@@ -201,7 +201,7 @@ def npc_fisher_combine(
     observed_sum = sum(r.observed for r in partials)
     return NpcCombinedResult(
         partials=partials,
-        combined_statistic=float(fisher[n_perm]),
+        combined_statistic=float(fisher[n_perm]) + 0.0,  # -2 * (+0.0) is -0.0: print it as 0
         combined_p=combined_count / (n_perm + 1),
         direction=_direction(observed_sum),
         n_perm=n_perm,

@@ -13,8 +13,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from citewin.corpus import Corpus
-from citewin.ingest import load_corpus
+from citewin.ingest import Corpus, load_corpus
 from citewin.sensitivity import LevelRanks, rank_scopes
 from citewin.synth import SynthConfig
 

@@ -17,9 +17,8 @@ import pytest
 
 from citewin import ingest
 from citewin.cli import main
-from citewin.corpus import Corpus
 from citewin.errors import IntegrityError, ParseError
-from citewin.ingest import CACHE_NAME, FILES, load_corpus
+from citewin.ingest import CACHE_NAME, FILES, Corpus, load_corpus
 from citewin.synth import generate
 
 from conftest import random_corpus_rows, stability_config, write_corpus_dir
@@ -271,15 +270,19 @@ def test_edited_count_is_read_from_the_files_not_the_cache(tmp_path):
     assert publications(load_corpus(root))["P1"].citation_counts == {2004: 2, 2005: 4}
 
 
-@pytest.mark.parametrize("edited", [None, "ingest.py", "corpus.py"])
+# the files of the checks and of the Corpus type: a module that takes the type over joins the key
+CODE = sorted({"ingest.py", f"{Corpus.__module__.rpartition('.')[2]}.py"})
+
+
+@pytest.mark.parametrize("edited", [None, *CODE])
 def test_changed_checking_code_is_a_miss(tmp_path, monkeypatch, edited):
-    """The key covers the bytes of ingest.py and corpus.py: the same code hits, and one
-    more byte in either misses."""
+    """The key covers the bytes of the checks and of the Corpus type: the same code hits,
+    and one more byte in any of their files misses."""
     root = small_corpus(tmp_path)
     cold = load_corpus(root)
     code = tmp_path / "code"
     code.mkdir()
-    for name in ("ingest.py", "corpus.py"):
+    for name in CODE:
         source = (Path(ingest.__file__).with_name(name)).read_bytes()
         (code / name).write_bytes(source + b"\n" if name == edited else source)
     monkeypatch.setattr(ingest, "__file__", str(code / "ingest.py"))

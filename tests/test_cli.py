@@ -331,6 +331,18 @@ def test_npc_outputs_and_percentile_validation(tmp_path, capsys):
     assert "percentile" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("permutations", ["1", "10000"])
+def test_npc_combined_statistic_of_p_one_prints_unsigned_zero(tmp_path, permutations):
+    config = dataclasses.replace(stability_config(), n_universities=4, staff_range=(2, 3),
+                                 udas={"DA": ("S1", "S2"), "DB": ("S3", "S4")})
+    root = generate(config, tmp_path / "corpus", seed=1)
+    out = tmp_path / "npc"
+    assert run("npc", root, "--out", out, "--permutations", permutations) == 0
+    rows = read_csv(out / "npc_results.csv")
+    assert {r["p_value"] for r in rows} == {"1"}  # every partial p is 1: the Fisher sum is 0
+    assert rows[-1]["uda_id"] == "COMBINED" and rows[-1]["observed_stat"] == "0.000000"
+
+
 def test_npc_smallest_attainable_p_prints_non_zero():
     b = 1_000_000
     smallest = 1 / (b + 1)

@@ -483,7 +483,7 @@ def test_columnar_core_does_not_import_the_scalar_definitions():
     assert not imported & {"citewin.impact", "citewin.productivity"}
 
 
-CORE = {"citewin", "citewin.cli", "citewin.corpus", "citewin.errors", "citewin.ingest"}
+CORE = {"citewin", "citewin.cli", "citewin.errors", "citewin.ingest"}
 ANALYSIS = CORE | {"citewin.analysis", "citewin.sensitivity"}
 COMMAND_MODULES = {
     "validate": CORE,

@@ -543,6 +543,15 @@ def test_npc_identical_groups_null_p_is_one():
         assert partial.p_value == 1.0
 
 
+def test_npc_combined_statistic_of_p_one_is_positive_zero():
+    # every partial p is 1, so the Fisher sum is -2 * log(1), which -2.0 * +0.0 makes -0.0
+    values = {"U1": 1.0, "U2": 1.0, "U3": 1.0}
+    groups = [UdaGroups(uda, values, frozenset(["U1"])) for uda in ("A", "B")]
+    result = npc_fisher_combine(groups, n_perm=100, seed=1)
+    assert result.combined_statistic == 0.0
+    assert math.copysign(1.0, result.combined_statistic) == 1.0
+
+
 def test_npc_combined_p_in_unit_interval():
     rng = np.random.default_rng(1)
     for seed in range(5):
